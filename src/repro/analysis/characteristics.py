@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..networks import build_network
 from ..nic import PlainNIC
 from ..packets import FLIT_BYTES, Packet, PacketKind, REQUEST_NET
@@ -89,6 +87,8 @@ def measure_latency_fit(
 
     The measured value is tail-arrival latency of a ``packet_words`` packet,
     the quantity that bounds the scalar-mode round trip."""
+    import numpy as np  # only this fit needs it; keep it off the run path
+
     rng = np.random.default_rng(11)
     pairs = set()
     attempts = 0

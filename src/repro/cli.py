@@ -44,13 +44,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import signal
 import sys
+import threading
+from pathlib import Path
 from typing import List, Optional
 
-from pathlib import Path
-
-from .analysis import NetworkModel, characterize, recommend_params
-from .farm import DEFAULT_EXECUTOR, executor_names, interrupts_as_keyboard
+# ``analysis`` (numpy), ``farm`` and ``report`` are imported inside the
+# commands that use them, so ``run`` and ``sweep`` never load them.
 from .faults import FaultPlan
 from .metrics import degradation_report, format_degradation
 from .experiments import (
@@ -406,6 +407,7 @@ def _cmd_chaos(args) -> int:
     the recorded failure reproduces, 2 if it does not.
     """
     # Deferred: repro.validate pulls in the whole experiments stack.
+    from .farm import DEFAULT_EXECUTOR
     from .validate import ChaosConfig, ChaosEngine, replay_artifact
 
     if args.replay:
@@ -442,7 +444,7 @@ def _cmd_chaos(args) -> int:
         barrier_modes=tuple(b for b in args.barrier_modes.split(",") if b),
         path_skews=tuple(_int_list(args.path_skews)) or (0,),
         max_faults=args.max_faults,
-        executor=args.executor,
+        executor=args.executor or DEFAULT_EXECUTOR,
         retries=args.retries,
         jobs=args.jobs,
         point_timeout=args.point_timeout,
@@ -477,6 +479,7 @@ def _cmd_farm(args) -> int:
     path, and farm statistics go to stderr.
     """
     from .farm import (
+        DEFAULT_EXECUTOR,
         FarmEngine,
         FarmPolicy,
         ManifestMismatch,
@@ -510,7 +513,7 @@ def _cmd_farm(args) -> int:
             args.network, _int_list(args.gaps), nic_mode=args.nic,
             num_nodes=args.nodes, run_cycles=args.cycles, seed=args.seed,
         )
-        executor = args.executor
+        executor = args.executor or DEFAULT_EXECUTOR
         campaign = args.campaign or campaign_id_for(specs, executor)
         path = Path(args.manifest_dir) / f"{campaign}.json"
         manifest = None
@@ -703,6 +706,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
+    from .analysis import characterize
+
     row = characterize(args.network, args.nodes)
     print(f"network   : {row.name}")
     print(f"volume    : {row.volume_words_per_node:.1f} words/node")
@@ -714,6 +719,8 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_advise(args) -> int:
+    from .analysis import NetworkModel, characterize, recommend_params
+
     row = characterize(args.network, args.nodes)
     model = NetworkModel(
         t_lat=row.t_lat,
@@ -885,10 +892,11 @@ def build_parser() -> argparse.ArgumentParser:
                        "from; non-zero needs a -spray network")
     chaos.add_argument("--max-faults", type=int, default=3,
                        help="fault events per trial drawn from 1..N")
-    chaos.add_argument("--executor", default=DEFAULT_EXECUTOR,
-                       choices=executor_names(),
-                       help="farm execution backend for the trial fan-out "
-                       "('subprocess' contains hard worker crashes)")
+    chaos.add_argument("--executor", default=None,
+                       choices=_ExecutorNames(), metavar="NAME",
+                       help="farm execution backend for the trial fan-out: "
+                       "'pool', or 'subprocess', which contains hard worker "
+                       "crashes")
     chaos.add_argument("--retries", type=int, default=1,
                        help="extra attempts per trial when it kills its "
                        "worker or trips the watchdog")
@@ -922,8 +930,8 @@ def build_parser() -> argparse.ArgumentParser:
     farm.add_argument("--resume", default=None, metavar="FILE",
                       help="resume a campaign from its manifest; the grid "
                       "is rebuilt from the manifest, no other flags needed")
-    farm.add_argument("--executor", default=DEFAULT_EXECUTOR,
-                      choices=executor_names(),
+    farm.add_argument("--executor", default=None,
+                      choices=_ExecutorNames(), metavar="NAME",
                       help="execution backend: 'pool' shares worker "
                       "processes (fast), 'subprocess' isolates each point "
                       "in its own interpreter (hard crashes contained and "
@@ -1014,6 +1022,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ExecutorNames:
+    """``--executor`` choices, read from the farm's registry only when
+    argparse checks a value, so that building the parser does not import
+    the farm.  Options using it need a ``metavar``: argparse would
+    otherwise list the choices while the parser is built."""
+
+    def __iter__(self):
+        from .farm import executor_names
+
+        return iter(executor_names())
+
+    def __contains__(self, name) -> bool:
+        return name in list(self)
+
+
+@contextlib.contextmanager
+def _interrupts_as_keyboard():
+    """Within the block, SIGTERM raises ``KeyboardInterrupt`` as SIGINT
+    already does; the previous handler is restored on exit.  Python only
+    allows signal handlers on the main thread, so elsewhere it is a no-op.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def _raise(signum, frame):  # noqa: ARG001 - signal handler signature
+        raise KeyboardInterrupt(f"signal {signum}")
+
+    previous = signal.signal(signal.SIGTERM, _raise)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _interruptible(handler, what: str):
     """Wrap a long-running command with clean SIGINT/SIGTERM handling.
 
@@ -1026,7 +1069,7 @@ def _interruptible(handler, what: str):
     """
     def wrapped(args) -> int:
         try:
-            with interrupts_as_keyboard():
+            with _interrupts_as_keyboard():
                 return handler(args)
         except KeyboardInterrupt:
             print(f"{what}: interrupted; partial results already on disk",

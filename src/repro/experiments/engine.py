@@ -35,9 +35,6 @@ import json
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional
@@ -52,10 +49,12 @@ DEFAULT_CACHE_DIR = Path(
     os.environ.get("REPRO_SWEEP_CACHE", "benchmarks/results/.cache")
 )
 
-# The slim result shape is owned by the results schema (the same field
+# The slim result shape is shared with the results schema (the same field
 # list backs the sweep cache, ``--json`` CLI output, CSV export, and the
 # report), so the engine can never drift from what the loaders expect.
-from ..report.schema import RUN_STATS_FIELDS as _RESULT_FIELDS
+# It lives in a leaf module so that a run does not import the reporting
+# package.
+from ..result_fields import RUN_STATS_FIELDS as _RESULT_FIELDS
 
 _code_version_cache: Optional[str] = None
 
@@ -395,6 +394,12 @@ class SweepEngine:
 
         Either way a generation with survivors settles at least one point,
         so the rescue loop terminates."""
+        # Imported here, the only place that uses them: a serial sweep or a
+        # single run never starts a pool and should not pay for loading one.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FuturesTimeout
+        from concurrent.futures.process import BrokenProcessPool
+
         rescue: List[int] = []
         hung = False       # a worker is wedged and must be terminated
         degraded = False   # this pool is done taking new results

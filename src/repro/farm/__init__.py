@@ -31,7 +31,6 @@ from .manifest import (
     PointState,
     RunManifest,
 )
-from .signals import interrupts_as_keyboard
 
 __all__ = [
     "DEFAULT_CAMPAIGN_DIR",
@@ -49,7 +48,6 @@ __all__ = [
     "campaign_id_for",
     "executor_descriptions",
     "executor_names",
-    "interrupts_as_keyboard",
     "register_executor",
     "resolve_executor",
 ]

@@ -647,21 +647,25 @@ class Link:
         arrives here -- the fast path hands it back to the classic grant.
         """
         self._busy = False
+        # Clear the head flag before delivering: the delivery can re-enter
+        # this link (a router forwards the flit and returns a credit), close
+        # this run and open the next packet's, whose head flag must survive.
+        is_head = self._s_head
+        self._s_head = False
         if not self._s_dropping:
             if self._s_defer:
                 if not self._s_deferred:
-                    self._s_deferred_head = self._s_head
+                    self._s_deferred_head = is_head
                 self._s_deferred += 1
             else:
                 accept = self._s_accept
                 if accept is not None:
-                    accept(self._s_packet, self._s_head, False)
+                    accept(self._s_packet, is_head, False)
                 else:
                     self._accept_cb(
                         self.sink_port, self._s_vc, self._s_packet,
-                        self._s_head, False,
+                        is_head, False,
                     )
-        self._s_head = False
         self._kick()
 
     def _close_stream(self) -> None:

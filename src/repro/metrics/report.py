@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..networks import Network
+from ..result_fields import RUN_STATS_FIELDS
 from .histogram import LatencyHistogram  # noqa: F401  (canonical home moved)
 
 
@@ -211,8 +212,6 @@ def results_to_csv(results: Sequence, fieldnames: Optional[Sequence[str]] = None
     ``--json`` output, and the sweep cache all agree on names and order.
     """
     if fieldnames is None:
-        from ..report.schema import RUN_STATS_FIELDS
-
         fieldnames = [f for f in RUN_STATS_FIELDS
                       if f not in ("stall_report", "violations")]
     fieldnames = list(fieldnames)

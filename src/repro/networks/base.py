@@ -7,15 +7,15 @@ disjoint VC groups on every link; they are demand-multiplexed except on the
 CM-5 imitation, whose builder creates separate half-bandwidth links instead.
 
 The container also exposes the static characteristics Table 3 reports:
-network volume (buffer capacity), bisection bandwidth, and hop counts, plus
-a ``networkx`` view of the topology used by the analysis module.
+network volume (buffer capacity), bisection bandwidth, and hop counts.  They
+are answered from a plain edge list (routers labelled ``r<id>``, nodes
+``n<id>``) by a breadth-first search and a small Edmonds-Karp max-flow.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
+from collections import deque
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..links import Link
 from ..nic.base import BaseNIC
@@ -52,19 +52,19 @@ class Network:
         # Filled in by the topology builder:
         self._nic_wiring: Dict[int, Tuple[Router, int, Callable[[BaseNIC], None]]] = {}
         self._nic_link_ids: set = set()
-        self.graph = nx.DiGraph()  # routers as "r<id>", nodes as "n<id>"
+        #: ``(src_label, dst_label, link)``; routers are "r<id>", nodes "n<id>".
+        self.edges: List[Tuple[str, str, Link]] = []
 
     # -------------------------------------------------------------- wiring
     def add_router(self, router: Router) -> Router:
         self.routers.append(router)
-        self.graph.add_node(f"r{router.rid}")
         return router
 
     def register_link(self, link: Link, src_label: str, dst_label: str) -> Link:
         self.links.append(link)
         if src_label.startswith("n") or dst_label.startswith("n"):
             self._nic_link_ids.add(id(link))
-        self.graph.add_edge(src_label, dst_label, link=link)
+        self.edges.append((src_label, dst_label, link))
         return link
 
     def set_nic_wiring(
@@ -101,24 +101,33 @@ class Network:
         The nodes are split into low-id and high-id halves (the natural
         split for all the regular topologies here); link capacities are
         their wire bandwidths, and the minimum cut between the halves is
-        the bisection bandwidth Table 3 discusses.
+        the bisection bandwidth Table 3 discusses.  Links joining the same
+        pair of labels (the CM-5's separate request and reply halves)
+        count once, with the capacity of the last one registered.
         """
-        flow_graph = nx.DiGraph()
-        for u, v, data in self.graph.edges(data=True):
-            link: Link = data["link"]
-            flow_graph.add_edge(u, v, capacity=FLIT_BYTES / link.cycles_per_flit)
+        capacity: Dict[Tuple[str, str], float] = {}
+        for u, v, link in self.edges:
+            capacity[(u, v)] = FLIT_BYTES / link.cycles_per_flit
         half = self.num_nodes // 2
         for node in range(self.num_nodes):
             if node < half:
-                flow_graph.add_edge("SRC", f"n{node}", capacity=float("inf"))
+                capacity[("SRC", f"n{node}")] = float("inf")
             else:
-                flow_graph.add_edge(f"n{node}", "DST", capacity=float("inf"))
-        value, _ = nx.maximum_flow(flow_graph, "SRC", "DST")
-        return value
+                capacity[(f"n{node}", "DST")] = float("inf")
+        return _max_flow(capacity, "SRC", "DST")
+
+    def _adjacency(self) -> Dict[str, List[str]]:
+        adjacency: Dict[str, List[str]] = {}
+        for u, v, _link in self.edges:
+            adjacency.setdefault(u, []).append(v)
+        return adjacency
 
     def min_hops(self, src: int, dst: int) -> int:
         """Minimum link hops (including NIC links) between two nodes."""
-        return nx.shortest_path_length(self.graph, f"n{src}", f"n{dst}")
+        hops = _bfs(self._adjacency(), f"n{src}").get(f"n{dst}")
+        if hops is None:
+            raise ValueError(f"{self.name}: no path from node {src} to {dst}")
+        return hops
 
     def hop_stats(self, sample: Optional[int] = None) -> Tuple[float, int]:
         """(average, maximum) hop count over all (or sampled) node pairs."""
@@ -131,7 +140,13 @@ class Network:
         if sample is not None and len(pairs) > sample:
             step = len(pairs) // sample
             pairs = pairs[::step]
-        hops = [self.min_hops(s, d) for s, d in pairs]
+        adjacency = self._adjacency()
+        from_source: Dict[int, Dict[str, int]] = {}
+        hops = []
+        for s, d in pairs:
+            if s not in from_source:
+                from_source[s] = _bfs(adjacency, f"n{s}")
+            hops.append(from_source[s][f"n{d}"])
         return sum(hops) / len(hops), max(hops)
 
     def total_link_bandwidth(self) -> float:
@@ -143,3 +158,53 @@ class Network:
             f"<Network {self.name} nodes={self.num_nodes} "
             f"routers={len(self.routers)} links={len(self.links)}>"
         )
+
+
+def _bfs(adjacency: Dict[str, Iterable[str]], source: str) -> Dict[str, int]:
+    """Hop distance from ``source`` to every label reachable from it."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency.get(u, ()):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def _max_flow(
+    capacity: Dict[Tuple[str, str], float], source: str, sink: str
+) -> float:
+    """Edmonds-Karp: augment along shortest residual paths until none is left."""
+    residual: Dict[str, Dict[str, float]] = {}
+    for (u, v), cap in capacity.items():
+        residual.setdefault(u, {})
+        residual.setdefault(v, {})
+        residual[u][v] = residual[u].get(v, 0.0) + cap
+        residual[v].setdefault(u, 0.0)
+    flow = 0.0
+    while True:
+        parent: Dict[str, str] = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, cap in residual[u].items():
+                if cap > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow
+        bottleneck = float("inf")
+        v = sink
+        while v != source:
+            u = parent[v]
+            bottleneck = min(bottleneck, residual[u][v])
+            v = u
+        v = sink
+        while v != source:
+            u = parent[v]
+            residual[u][v] -= bottleneck
+            residual[v][u] += bottleneck
+            v = u
+        flow += bottleneck

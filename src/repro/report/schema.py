@@ -37,18 +37,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..result_fields import RUN_STATS_FIELDS
+
 #: Current schema version.  Bump when a dataclass field changes meaning;
 #: add a migration step in the matching ``from_dict`` when you do.
 SCHEMA_VERSION = 1
-
-#: The slim, cacheable subset of an ExperimentResult -- the field list the
-#: sweep engine's cache, the ``--json`` CLI outputs, and the report all
-#: agree on.  Order matters: it is the CSV column order too.
-RUN_STATS_FIELDS = (
-    "network", "nic_mode", "num_nodes", "cycles", "sent", "delivered",
-    "completed", "order_violations", "mean_network_latency",
-    "mean_total_latency", "abandoned", "stall_report", "violations",
-)
 
 
 class SchemaError(ValueError):

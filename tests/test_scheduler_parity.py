@@ -150,6 +150,34 @@ def test_spraying_fabric_parity(kernel):
     assert _canonical_spray_metrics(kernel) == _canonical_spray_metrics("heap")
 
 
+def _canonical_spray_heavy_metrics(kernel: str) -> str:
+    """Heavy traffic on the spraying fabric under the plain NIC: two VCs
+    per net keep same-pair packets in flight at once, so a token run's
+    delivery regularly re-enters its own link, closes the run and opens
+    the next packet's."""
+    spec = ExperimentSpec(
+        network="fattree-spray",
+        traffic=TrafficSpec("heavy"),
+        num_nodes=NODES,
+        nic_mode="plain",
+        run_cycles=1000,
+        seed=1,
+        kernel=kernel,
+        observe=Observability(events=True),
+    )
+    result = run_experiment(spec)
+    metrics = metrics_json(result)
+    metrics.pop("self_profile", None)
+    return json.dumps(metrics, sort_keys=True)
+
+
+@pytest.mark.parametrize("kernel", CHALLENGERS)
+def test_spraying_fabric_heavy_parity(kernel):
+    heap = _canonical_spray_heavy_metrics("heap")
+    assert json.loads(heap)["totals"]["delivered"] == 113
+    assert _canonical_spray_heavy_metrics(kernel) == heap
+
+
 def _canonical_mesh_metrics(kernel: str) -> str:
     """A torus (cyclic credit chains, VC-class dateline routing) under the
     plain NIC: exercises the single-VC-per-direction links where epoch
