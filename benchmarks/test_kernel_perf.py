@@ -15,7 +15,7 @@ from conftest import BENCH_CYCLES, BENCH_SEED
 
 from repro.experiments import perf_reference_spec, run_experiment
 from repro.obs import metrics_json
-from repro.sim import scheduler_names
+from repro.sim import DEFAULT_SCHEDULER, scheduler_names
 
 NODES = 64
 
@@ -73,7 +73,7 @@ def test_kernel_events_per_sec(report):
             k: {key: v for key, v in row.items() if key != "canon"}
             for k, row in rows.items()
         },
-        "speedup": speedups.get("bucket", 0.0),
+        "speedup": speedups.get(DEFAULT_SCHEDULER, 0.0),
         "speedups": speedups,
         "parity_ok": parity_ok,
     })

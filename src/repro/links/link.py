@@ -26,6 +26,7 @@ the packet's flits then consume wire bandwidth but are never delivered.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, List, Optional, Sequence
 
 from ..obs.events import EventKind
@@ -49,15 +50,7 @@ def _rr_orders(n: int):
 
 
 class FlitFeeder:
-    """Upstream side of a link: supplies flits for an allocated VC.
-
-    ``has_flit_ready`` / ``take_flit`` are the required single-flit
-    protocol.  The remaining methods are the *optional* bulk protocol
-    used by the epoch kernel's link token runs (see
-    ``docs/architecture.md``); the defaults fall back to single-flit
-    behaviour, so a feeder that implements only the required pair works
-    under every scheduler.
-    """
+    """Upstream side of a link: supplies flits for an allocated VC."""
 
     def has_flit_ready(self, link: "Link", vc: int) -> bool:
         raise NotImplementedError
@@ -66,100 +59,21 @@ class FlitFeeder:
         """Remove and return ``(packet, is_head, is_tail)`` for this VC."""
         raise NotImplementedError
 
-    # ------------------------------------------------- optional bulk protocol
-    def take_flits(self, link: "Link", vc: int, max_flits: int):
-        """Remove and return up to ``max_flits`` flits as a list of
-        ``(packet, is_head, is_tail)`` tuples.
-
-        Stops early when the feeder runs out of ready flits or after a
-        tail flit (a bulk take never spans packets).  The default simply
-        loops :meth:`take_flit`; feeders whose per-flit take has no
-        externally observable side effects (the NIC injection side)
-        override it with a counter bump.
-        """
-        flits = []
-        while max_flits > 0 and self.has_flit_ready(link, vc):
-            flit = self.take_flit(link, vc)
-            flits.append(flit)
-            max_flits -= 1
-            if flit[2]:
-                break
-        return flits
-
-    def untake_flits(self, link: "Link", vc: int, count: int) -> None:
-        """Give back ``count`` flits claimed by :meth:`take_flits`.
-
-        Only required of feeders whose :meth:`flit_run_handle` invites
-        speculative claims (``("claim", n)``): when a token run truncates
-        early (rival VC activity), the link returns the unused claim so
-        the feeder's state is exactly what the classic per-flit path
-        expects.
-        """
-        raise NotImplementedError
-
-    def flit_run_handle(self, link: "Link", vc: int):
-        """Describe how the epoch kernel may fuse a multi-flit run on
-        ``vc``, or ``None`` (the default) for the generic per-flit path.
-
-        Two cooperation modes::
-
-            ("unit", transit, credit_link, credit_vc)
-                Router input units: the link may read
-                ``transit.flits_buffered`` / bump ``flits_forwarded``
-                directly and return each flit's credit on
-                ``credit_link.return_credit(credit_vc)`` -- valid only
-                while the transit stays at the head of the unit's queue,
-                which the run guarantees (it ends at the packet's tail).
-
-            ("claim", remaining)
-                NIC injection streams: ``remaining`` flits of the current
-                packet are still unsent and may be bulk-claimed via
-                :meth:`take_flits` (body flits have no observable side
-                effects until the tail).
-        """
-        return None
-
 
 class FlitSink:
-    """Downstream side of a link: receives flits into a bounded buffer.
-
-    ``accept_flit`` is the required single-flit protocol; the rest is the
-    optional bulk protocol (single-flit fallbacks, see
-    ``docs/architecture.md``).
-    """
-
-    #: True when body-flit deliveries are unobservable until the packet's
-    #: tail arrives (NIC ejection assembly counters): the epoch kernel may
-    #: then defer them and deliver in bulk via :meth:`accept_flits`.
-    #: Router sinks must leave this False -- a buffered flit is immediately
-    #: observable (cut-through forwarding, credit accounting, occupancy).
-    passive_flit_sink = False
+    """Downstream side of a link: receives flits into a bounded buffer."""
 
     def accept_flit(
         self, port: int, vc: int, packet: Packet, is_head: bool, is_tail: bool
     ) -> None:
         raise NotImplementedError
 
-    # ------------------------------------------------- optional bulk protocol
-    def accept_flits(
-        self, port: int, vc: int, packet: Packet, count: int,
-        first_is_head: bool = False,
-    ) -> None:
-        """Deliver ``count`` consecutive non-tail flits of ``packet``.
-
-        The tail always arrives through :meth:`accept_flit` (it carries
-        the packet-completion side effects).  The default unrolls into
-        single-flit calls.
-        """
-        for i in range(count):
-            self.accept_flit(port, vc, packet, first_is_head and i == 0, False)
-
     def flit_target(self, port: int, vc: int):
         """A per-``(port, vc)`` accept callable ``(packet, is_head,
-        is_tail) -> None``, or ``None`` (the default).  Lets the epoch
-        kernel's token runs skip the per-flit port/VC dispatch; the
-        callable must be equivalent to :meth:`accept_flit` with ``port``
-        and ``vc`` pre-bound.
+        is_tail) -> None`` equivalent to :meth:`accept_flit` with ``port``
+        and ``vc`` pre-bound, or ``None`` (the default) for the link to
+        bind :meth:`accept_flit` itself.  Lets a sink with per-VC state
+        (a router's input units) skip the per-flit port/VC dispatch.
         """
         return None
 
@@ -187,25 +101,7 @@ class Link:
         "_rr_orders",
         "_post",
         "_complete_cb",
-        "_accept_cb",
-        # Epoch-kernel token runs (see docs/architecture.md): all `_s_*`
-        # state describes the currently open multi-flit run, if any.
-        "_ep",
-        "_s_vc",
-        "_s_clean",
-        "_s_take",
-        "_s_left",
-        "_s_packet",
-        "_s_head",
-        "_s_dropping",
-        "_s_defer",
-        "_s_deferred",
-        "_s_deferred_head",
-        "_s_transit",
-        "_s_ret_link",
-        "_s_ret_vc",
-        "_s_accept",
-        "_s_step_cb",
+        "_accept",
         "_alloc_waiters",
         "drop_prob",
         "_drop_rng",
@@ -259,8 +155,6 @@ class Link:
         self.net_of_vc = list(net_of_vc) if net_of_vc is not None else [0] * vc_count
         if len(self.net_of_vc) != vc_count:
             raise ValueError("net_of_vc must have one entry per VC")
-        self.sink = sink
-        self.sink_port = sink_port
         self._owners: List[Optional[Packet]] = [None] * vc_count
         self._feeders: List[Optional[FlitFeeder]] = [None] * vc_count
         self._vcs_by_net = {}
@@ -275,26 +169,12 @@ class Link:
         # on `self`/`sim` allocates a fresh bound-method object every time.
         self._post = sim.post
         self._complete_cb = self._complete
-        self._accept_cb = sink.accept_flit if sink is not None else None
-        # Token runs are an epoch-kernel capability: schedulers advertise it
-        # via the `link_streams` flag so heap/bucket keep the classic
-        # flit-by-flit event shape (their parity baseline).
-        self._ep = bool(getattr(sim, "link_streams", False))
-        self._s_vc = -1          # VC of the open run; -1 = no run
-        self._s_clean = False    # False once any rival-VC state changed
-        self._s_take = 0         # 0 generic, 1 input-unit inline, 2 claimed
-        self._s_left = -2        # ungranted flits incl. tail (-2 = unknown)
-        self._s_packet: Optional[Packet] = None
-        self._s_head = False     # next delivery is the packet's head flit
-        self._s_dropping = False
-        self._s_defer = False    # sink is passive: batch body deliveries
-        self._s_deferred = 0
-        self._s_deferred_head = False
-        self._s_transit = None   # mode-1 cooperation state
-        self._s_ret_link: Optional["Link"] = None
-        self._s_ret_vc = 0
-        self._s_accept = None    # mode flit_target fast accept, if any
-        self._s_step_cb = self._stream_step
+        self.sink: Optional[FlitSink] = None
+        self.sink_port = sink_port
+        #: One bound accept callable per VC (see :meth:`set_sink`).
+        self._accept: List[Optional[Callable]] = [None] * vc_count
+        if sink is not None:
+            self.set_sink(sink, sink_port)
         self._alloc_waiters: List[Callable[[], None]] = []
         self.drop_prob = drop_prob
         self._drop_rng = drop_rng
@@ -317,13 +197,21 @@ class Link:
         self.obs = None
 
     def set_sink(self, sink: FlitSink, sink_port: int = 0) -> None:
-        """Bind the downstream consumer (used for NIC ejection links, which
-        are created when the topology is built, before NICs exist)."""
-        if self._s_vc >= 0:
-            self._close_stream()
+        """Bind the downstream consumer: one accept callable per VC, taken
+        once from ``sink.flit_target`` (or ``sink.accept_flit`` with the
+        port and VC pre-bound), so a flit's delivery does no dispatch.
+
+        NIC ejection links are built with the topology, before NICs exist,
+        and get their sink here; a router calls this from
+        ``attach_in_link`` once its input units exist.
+        """
         self.sink = sink
         self.sink_port = sink_port
-        self._accept_cb = sink.accept_flit
+        self._accept = [
+            sink.flit_target(sink_port, vc)
+            or functools.partial(sink.accept_flit, sink_port, vc)
+            for vc in range(self.vc_count)
+        ]
 
     # ------------------------------------------------------------------ VCs
     def vcs_for_net(self, net: int) -> List[int]:
@@ -423,10 +311,6 @@ class Link:
                 self._owners[vc] = packet
                 self._feeders[vc] = feeder
                 self._dropping[vc] = self._decide_drop(packet)
-                if vc != self._s_vc:
-                    # A rival VC gained a packet: any open token run must
-                    # fall back to per-flit arbitration from here on.
-                    self._s_clean = False
                 return vc
         return None
 
@@ -437,77 +321,22 @@ class Link:
     # ------------------------------------------------------------ data path
     def notify_flit_ready(self, vc: int) -> None:
         """Feeder signals that ``vc`` may now have work; try to transfer."""
-        if vc != self._s_vc:
-            self._s_clean = False
-        self._kick()
+        if not self._busy:
+            self._kick()
 
     def return_credit(self, vc: int) -> None:
         """Sink signals that one flit left the downstream buffer of ``vc``."""
         if self._credits[vc] >= self._vc_capacity:
             raise RuntimeError(f"{self.name}: credit overflow on VC {vc}")
         self._credits[vc] += 1
-        if vc != self._s_vc:
-            self._s_clean = False
-        self._kick()
+        if not self._busy:
+            self._kick()
 
     def _kick(self) -> None:
+        # The per-flit callers test _busy before calling; this guard is for
+        # repair() and for the cyclic-topology re-entry described below.
         if self._busy:
             return
-        s_vc = self._s_vc
-        if s_vc >= 0:
-            if self._s_clean:
-                # Token-run fast path: no rival VC became eligible since the
-                # run opened, so classic round-robin arbitration (which would
-                # start at s_vc + 1, find every rival ineligible, and wrap
-                # back to s_vc) is provably redundant.  Any eligibility
-                # change flows through notify_flit_ready / return_credit /
-                # allocate_vc, each of which clears _s_clean first.
-                take = self._s_take
-                if take and self._s_left <= 1:
-                    # Only the tail remains: grant it through the classic
-                    # take so packet-completion side effects stay per-flit.
-                    take = 0
-                credits = self._credits
-                if take == 1:
-                    if self._s_transit.flits_buffered <= 0:
-                        return
-                elif take == 0:
-                    if not self._feeders[s_vc].has_flit_ready(self, s_vc):
-                        return
-                if not self._s_dropping:
-                    if credits[s_vc] <= 0:
-                        return
-                    credits[s_vc] -= 1
-                self._busy = True
-                now = self.sim.now
-                last = self._last_start
-                if last is not None and now - last < self.cycles_per_flit:
-                    raise RuntimeError(
-                        f"{self.name}: wire overclocked (double transfer)"
-                    )
-                self._last_start = now
-                self.flits_carried += 1
-                self.busy_cycles += self.cycles_per_flit
-                if take == 1:
-                    transit = self._s_transit
-                    transit.flits_buffered -= 1
-                    transit.flits_forwarded += 1
-                    self._s_ret_link.return_credit(self._s_ret_vc)
-                elif take == 0:
-                    packet, is_head, is_tail = self._feeders[s_vc].take_flit(
-                        self, s_vc
-                    )
-                    if is_tail:
-                        self._close_stream()
-                        self._post(
-                            self.cycles_per_flit, self._complete_cb, s_vc,
-                            packet, is_head, True,
-                        )
-                        return
-                self._s_left -= 1
-                self._post(self.cycles_per_flit, self._s_step_cb)
-                return
-            self._close_stream()
         feeders = self._feeders
         dropping_flags = self._dropping
         credits = self._credits
@@ -536,8 +365,7 @@ class Link:
             if chosen < 0:
                 return
             self._rr = chosen + 1 if chosen + 1 < self.vc_count else 0
-        dropping = dropping_flags[chosen]
-        if not dropping:
+        if not dropping_flags[chosen]:
             credits[chosen] -= 1
         # Mark the wire busy BEFORE taking the flit: take_flit returns a
         # credit upstream, and on cyclic topologies that credit-return chain
@@ -545,7 +373,7 @@ class Link:
         # within the same call stack.  Claiming the wire first makes the
         # re-entry a no-op instead of a double transfer.
         self._busy = True
-        now = self.sim.now
+        now = self.sim._now
         last = self._last_start
         if last is not None and now - last < self.cycles_per_flit:
             raise RuntimeError(f"{self.name}: wire overclocked (double transfer)")
@@ -553,139 +381,10 @@ class Link:
         packet, is_head, is_tail = feeder.take_flit(self, chosen)
         self.flits_carried += 1
         self.busy_cycles += self.cycles_per_flit
-        if (
-            self._ep
-            and not is_tail
-            and self._maybe_stream(chosen, feeder, packet, is_head, dropping)
-        ):
-            return
         self._post(
             self.cycles_per_flit, self._complete_cb, chosen, packet, is_head,
             is_tail,
         )
-
-    def _maybe_stream(
-        self, vc: int, feeder: FlitFeeder, packet: Packet, is_head: bool,
-        dropping: bool,
-    ) -> bool:
-        """After a classic grant of a non-tail flit under the epoch kernel,
-        try to open a token run on ``vc``.
-
-        A run may open only when no rival VC is currently eligible --
-        then, and for as long as no rival state changes (``_s_clean``),
-        every subsequent arbitration would provably re-pick ``vc``, so
-        flits flow through :meth:`_stream_step` records instead of full
-        ``_complete`` events.  Returns True when the granted flit's
-        completion has been scheduled as a run step (the caller skips the
-        classic post).
-        """
-        sink = self.sink
-        if sink is None:
-            return False
-        credits = self._credits
-        feeders = self._feeders
-        dropping_flags = self._dropping
-        for rival in range(self.vc_count):
-            if rival == vc:
-                continue
-            rival_feeder = feeders[rival]
-            if rival_feeder is None:
-                continue
-            if credits[rival] <= 0 and not dropping_flags[rival]:
-                continue
-            if rival_feeder.has_flit_ready(self, rival):
-                return False
-        take = 0
-        left = -2
-        handle = getattr(feeder, "flit_run_handle", None)
-        info = handle(self, vc) if handle is not None else None
-        if info is not None:
-            kind = info[0]
-            if kind == "unit":
-                left = packet.flits - info[1].flits_forwarded
-                if left >= 2:
-                    take = 1
-                    self._s_transit = info[1]
-                    self._s_ret_link = info[2]
-                    self._s_ret_vc = info[3]
-            elif kind == "claim":
-                left = info[1]
-                if left >= 2:
-                    take = 2
-                    # Claim every body flit up front; the tail stays with
-                    # the feeder and a truncated run hands the surplus back
-                    # (untake_flits) before classic arbitration resumes.
-                    feeder.take_flits(self, vc, left - 1)
-            if take == 0:
-                left = -2
-        self._s_vc = vc
-        self._s_clean = True
-        self._s_take = take
-        self._s_left = left
-        self._s_packet = packet
-        self._s_head = is_head
-        self._s_dropping = dropping
-        self._s_deferred = 0
-        self._s_deferred_head = False
-        if not dropping and getattr(sink, "passive_flit_sink", False):
-            self._s_defer = True
-            self._s_accept = None
-        else:
-            self._s_defer = False
-            target = getattr(sink, "flit_target", None)
-            self._s_accept = (
-                target(self.sink_port, vc) if target is not None else None
-            )
-        self._post(self.cycles_per_flit, self._s_step_cb)
-        return True
-
-    def _stream_step(self) -> None:
-        """Arrival of one in-run flit (the epoch kernel's token record).
-
-        Mirrors the non-tail half of :meth:`_complete` exactly: free the
-        wire, deliver (or defer) the flit, then kick.  The tail never
-        arrives here -- the fast path hands it back to the classic grant.
-        """
-        self._busy = False
-        # Clear the head flag before delivering: the delivery can re-enter
-        # this link (a router forwards the flit and returns a credit), close
-        # this run and open the next packet's, whose head flag must survive.
-        is_head = self._s_head
-        self._s_head = False
-        if not self._s_dropping:
-            if self._s_defer:
-                if not self._s_deferred:
-                    self._s_deferred_head = is_head
-                self._s_deferred += 1
-            else:
-                accept = self._s_accept
-                if accept is not None:
-                    accept(self._s_packet, is_head, False)
-                else:
-                    self._accept_cb(
-                        self.sink_port, self._s_vc, self._s_packet,
-                        is_head, False,
-                    )
-        self._kick()
-
-    def _close_stream(self) -> None:
-        """End the open token run, restoring exact classic state: hand
-        back unclaimed body flits and flush any deferred deliveries."""
-        vc = self._s_vc
-        self._s_vc = -1
-        if self._s_take == 2 and self._s_left > 1:
-            self._feeders[vc].untake_flits(self, vc, self._s_left - 1)
-        if self._s_deferred:
-            count = self._s_deferred
-            self._s_deferred = 0
-            self.sink.accept_flits(
-                self.sink_port, vc, self._s_packet, count,
-                self._s_deferred_head,
-            )
-        self._s_packet = None
-        self._s_transit = None
-        self._s_ret_link = None
-        self._s_accept = None
 
     def _complete(self, vc: int, packet: Packet, is_head: bool, is_tail: bool) -> None:
         self._busy = False
@@ -712,8 +411,9 @@ class Link:
                 for fn in waiters:
                     fn()
         if not dropping:
-            self._accept_cb(self.sink_port, vc, packet, is_head, is_tail)
-        self._kick()
+            self._accept[vc](packet, is_head, is_tail)
+        if not self._busy:
+            self._kick()
 
     # ------------------------------------------------------------- metrics
     def utilization(self, elapsed_cycles: int) -> float:

@@ -189,42 +189,6 @@ class BaseNIC(FlitFeeder, FlitSink):
             self.sim.post(0, self._dispatch_injection_complete, stream.packet)
         return stream.packet, is_head, is_tail
 
-    def take_flits(self, link: Link, vc: int, max_flits: int):
-        """Bulk take: body flits are a pure ``flits_sent`` counter bump
-        (nothing reads the counter until the tail), so claiming them in one
-        step is indistinguishable from repeated :meth:`take_flit` calls.
-        The tail, if reached, goes through :meth:`take_flit` so its
-        completion side effects fire identically."""
-        if max_flits <= 0:
-            return []
-        stream = self._inj_streams.get((id(link), vc))
-        if stream is None:
-            return []
-        packet = stream.packet
-        first_is_head = stream.flits_sent == 0
-        body = min(max_flits, packet.flits - stream.flits_sent - 1)
-        flits = [(packet, False, False)] * body
-        if body > 0:
-            stream.flits_sent += body
-            if first_is_head:
-                flits[0] = (packet, True, False)
-        if body < max_flits:
-            flits.append(self.take_flit(link, vc))
-        return flits
-
-    def untake_flits(self, link: Link, vc: int, count: int) -> None:
-        """Hand back body flits claimed by :meth:`take_flits` (an epoch
-        token run truncated early): the stream's counter returns to exactly
-        what the classic per-flit path expects."""
-        if count > 0:
-            self._inj_streams[(id(link), vc)].flits_sent -= count
-
-    def flit_run_handle(self, link: Link, vc: int):
-        stream = self._inj_streams.get((id(link), vc))
-        if stream is None:
-            return None
-        return ("claim", stream.packet.flits - stream.flits_sent)
-
     def _dispatch_injection_complete(self, packet: Packet) -> None:
         """Route a finished injection to its owner.
 
@@ -242,12 +206,6 @@ class BaseNIC(FlitFeeder, FlitSink):
 
     # ------------------------------------------------------- ejection side
     # FlitSink interface
-
-    #: Body-flit arrivals only bump an assembly counter; every observable
-    #: effect (stats, obs events, credit release) happens at the tail, so
-    #: the epoch kernel may defer and batch body deliveries.
-    passive_flit_sink = True
-
     def accept_flit(
         self, port: int, vc: int, packet: Packet, is_head: bool, is_tail: bool
     ) -> None:
@@ -281,15 +239,6 @@ class BaseNIC(FlitFeeder, FlitSink):
                 self.collective.on_packet(packet)
                 return
             self._on_packet_ejected(packet, vc, port)
-
-    def accept_flits(
-        self, port: int, vc: int, packet: Packet, count: int,
-        first_is_head: bool = False,
-    ) -> None:
-        """Bulk body-flit delivery (never includes the tail): one counter
-        bump replaces ``count`` single-flit calls."""
-        key = (port, vc)
-        self._ej_flits[key] = self._ej_flits.get(key, 0) + count
 
     def _release_ejection(self, packet: Packet, vc: int, port: int = 0) -> None:
         """Return the ejection-buffer credits held by ``packet``."""

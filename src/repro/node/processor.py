@@ -278,7 +278,7 @@ class Processor:
 
     def _busy(self, cycles: int, fn, *args) -> None:
         # post(): every processor step is one of these and none is ever
-        # cancelled, so the Event objects come from the kernel free list.
+        # cancelled, so the ring kernel stores them as bare records.
         self.busy_cycles += cycles
         self._post(1 if cycles < 1 else cycles, self._run_or_hold, fn, args)
 

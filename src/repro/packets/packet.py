@@ -155,6 +155,9 @@ class Packet:
     ejected_cycle: int = -1        # tail flit assembled at destination NIC
     delivered_cycle: int = -1
     abandoned_cycle: int = -1      # sender wrote the delivery debt off
+    #: Flits this packet occupies on a link, ``ceil(size_bytes /
+    #: FLIT_BYTES)``: derived once here, read on every flit hop.
+    flits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
@@ -163,11 +166,7 @@ class Packet:
             raise ValueError("ack packets must carry AckInfo")
         if self.kind is PacketKind.COLLECTIVE and self.coll is None:
             raise ValueError("collective packets must carry CollectiveInfo")
-
-    @property
-    def flits(self) -> int:
-        """Number of flits this packet occupies on a link."""
-        return -(-self.size_bytes // FLIT_BYTES)
+        self.flits = -(-self.size_bytes // FLIT_BYTES)
 
     @property
     def is_data(self) -> bool:

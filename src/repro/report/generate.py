@@ -158,8 +158,8 @@ def _run_health(summary: BenchSummary,
     if summary.kernel is not None:
         parity = "✅ byte-identical" if summary.kernel.parity_ok else "❌ MISMATCH"
         lines += [
-            f"Kernel parity (bucket vs heap metrics JSON): {parity}; "
-            f"speedup {summary.kernel.speedup:.2f}x.",
+            f"Kernel parity (every kernel vs heap metrics JSON): {parity}; "
+            f"default-kernel speedup {summary.kernel.speedup:.2f}x.",
             "",
         ]
     if summary.campaigns:

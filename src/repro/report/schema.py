@@ -192,11 +192,11 @@ class KernelPerfRecord:
 
     workload: Dict = field(default_factory=dict)
     kernels: Dict[str, KernelRun] = field(default_factory=dict)
-    #: Historical scalar: bucket events/sec over heap (kept stable so old
-    #: trajectory points stay comparable).
+    #: Headline scalar: the default kernel's events/sec over heap.  Older
+    #: files carry whichever kernel was the default when they were written.
     speedup: float = 0.0
     #: Per-kernel events/sec over the heap baseline, one entry per
-    #: registered non-heap kernel that ran (``{"bucket": ..., "epoch": ...}``).
+    #: non-heap kernel that ran (``{"epoch": ...}``).
     speedups: Dict[str, float] = field(default_factory=dict)
     parity_ok: bool = True
 

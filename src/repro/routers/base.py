@@ -89,7 +89,11 @@ class InputUnit(FlitFeeder):
         if is_tail:
             transit.tail_arrived = True
         if transit is self.queue[0]:
-            self._advance_head()
+            if transit.out_link is not None:
+                # Cut-through body flit: the route is already set.
+                transit.out_link.notify_flit_ready(transit.out_vc)
+            else:
+                self._advance_head()
 
     # ------------------------------------------------------- head handling
     def _advance_head(self) -> None:
@@ -110,7 +114,7 @@ class InputUnit(FlitFeeder):
                         self.router.route_jitter + 1
                     )
                 # post(): route completions fire once per packet per hop and
-                # are never cancelled, so the events are pool-recycled.
+                # are never cancelled.
                 self.router.sim.post(delay, self._route_done, transit)
             return
         self._try_allocate(transit)
@@ -183,16 +187,6 @@ class InputUnit(FlitFeeder):
                 self._advance_head()
         return transit.packet, is_head, is_tail
 
-    def flit_run_handle(self, link: Link, vc: int):
-        """Invite the epoch kernel's token runs to forward this packet's
-        body flits inline: the head transit stays at the front of the
-        queue until its tail is taken (which always goes through
-        :meth:`take_flit`), so the link may read ``flits_buffered``, bump
-        ``flits_forwarded`` and return credits on our input link directly
-        -- the exact effects of repeated ``take_flit`` calls on non-tail
-        flits."""
-        return ("unit", self.queue[0], self.in_link, self.vc)
-
     @property
     def occupancy(self) -> int:
         """Flits currently buffered in this input unit."""
@@ -231,14 +225,15 @@ class Router(FlitSink):
     def attach_in_link(self, port: int, link: Link) -> None:
         """Register ``link`` as the input channel for ``port``.
 
-        Creates one input unit per VC of the link.  The link must have been
-        built with this router as its sink and ``port`` as its sink port.
+        Creates one input unit per VC of the link and binds the link's
+        per-VC deliveries straight to them.
         """
         if port in self._input_units:
             raise ValueError(f"router {self.rid}: port {port} already attached")
         self._input_units[port] = [
             InputUnit(self, port, vc, link) for vc in range(link.vc_count)
         ]
+        link.set_sink(self, port)
 
     def attach_out_link(self, port: int, link: Link) -> None:
         if port in self.out_links:
@@ -252,9 +247,11 @@ class Router(FlitSink):
         self._input_units[port][vc].accept_flit(packet, is_head, is_tail)
 
     def flit_target(self, port: int, vc: int):
-        """Pre-bound accept for the epoch kernel's token runs: skips the
-        per-flit port/VC dictionary dispatch above."""
-        return self._input_units[port][vc].accept_flit
+        """The input unit's own accept, skipping the per-flit port/VC
+        dictionary dispatch above; ``None`` until :meth:`attach_in_link`
+        creates the port's units (it re-binds the link then)."""
+        units = self._input_units.get(port)
+        return units[vc].accept_flit if units is not None else None
 
     def route(self, packet: Packet, in_port: int, in_vc: int) -> List[RouteChoice]:
         return self.route_fn(self, packet, in_port, in_vc)

@@ -1,9 +1,8 @@
 """Simulation substrate: deterministic event kernel, RNG streams, barriers.
 
 Importing this package populates the scheduler registry: ``kernel``
-registers the ``bucket`` and ``heap`` baselines, ``epoch`` the
-token-batched kernel.  ``SCHEDULERS`` is kept as a lazy alias of
-:func:`~repro.sim.schedulers.scheduler_names` for pre-registry callers.
+registers the ``epoch`` ring kernel (the default) and the ``heap``
+specification.
 """
 
 from .barrier import Barrier
@@ -12,7 +11,6 @@ from .schedulers import (DEFAULT_SCHEDULER, Scheduler, register_scheduler,
                          resolve_scheduler, scheduler_descriptions,
                          scheduler_names)
 from .rng import RngFactory
-from . import epoch as _epoch  # noqa: F401  (registers the epoch scheduler)
 
 __all__ = [
     "Barrier",
@@ -20,7 +18,6 @@ __all__ = [
     "Event",
     "KernelProfile",
     "RngFactory",
-    "SCHEDULERS",
     "Scheduler",
     "Simulator",
     "register_scheduler",
@@ -28,10 +25,3 @@ __all__ = [
     "scheduler_descriptions",
     "scheduler_names",
 ]
-
-
-def __getattr__(name: str):
-    # Backwards compatibility: the pre-registry API was a tuple constant.
-    if name == "SCHEDULERS":
-        return scheduler_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

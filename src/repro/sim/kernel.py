@@ -8,35 +8,34 @@ are scheduled for the same cycle fire in the order they were scheduled, which
 makes every run bit-for-bit reproducible for a given seed.
 
 Scheduler implementations are pluggable (see :mod:`repro.sim.schedulers`);
-this module registers the two built-in baselines:
+this module registers the two built-in kernels:
 
-``"heap"``
-    The original single binary heap keyed by ``(cycle, seq)``.  Kept intact
-    as the measured baseline (``repro perf`` compares against it) and as the
-    executable specification the parity tests diff the fast paths against.
-
-``"bucket"`` (the default)
+``"epoch"`` (the default)
     A hybrid calendar queue.  Almost every event in a flit-level run is
     scheduled a small constant number of cycles ahead (``cycles_per_flit``
     is 1-4, route delays ~1, NIC overheads a few cycles), so events landing
     within ``_WINDOW`` cycles of *now* go into a ring of per-cycle FIFO
-    lists: scheduling is a plain ``list.append`` and dispatch walks the
-    list -- no heap sift, no Python-level ``Event.__lt__`` calls.  Far
-    events (retransmit timeouts, barriers, fault plans, light-traffic
-    compute gaps) fall back to the binary heap and are merged back in when
-    their cycle comes up.  Combined with the :meth:`Simulator.post`
-    free-list (recycling the millions of short-lived ``Event`` objects per
-    run), this is the kernel fast path.
+    lists.  Fire-and-forget work (:meth:`EpochSimulator.post`, the hot
+    path) is stored as a bare ``(fn, args)`` record: scheduling is one
+    ``list.append`` and dispatch unpacks the tuple -- no ``Event``
+    allocation, no heap sift, no Python-level ``Event.__lt__`` calls.
+    Cancellable events (``schedule`` / ``at``) are real :class:`Event`
+    objects in the same ring slots, so within a slot list order *is*
+    scheduling order.  Far events (retransmit timeouts, barriers, fault
+    plans, light-traffic compute gaps) fall back to a binary heap and are
+    merged back in when their cycle comes up.
 
-``repro.sim.epoch`` registers a third scheduler, ``"epoch"``, which keeps
-the same ring but posts fire-and-forget events as bare ``(fn, args)``
-tuples and lets links fuse per-flit token runs (see that module).
+``"heap"``
+    The original single binary heap keyed by ``(cycle, seq)``, one fresh
+    ``Event`` per scheduled callback.  Kept intact as the measured baseline
+    (``repro perf`` compares against it) and as the executable
+    specification the parity tests diff the ring kernel against.
 
 Ordering across the heap and ring stores is still global ``(cycle, seq)``
 order: a heap event for cycle *c* needed at least a ``_WINDOW``-cycle lead
 to land in the heap, so it was scheduled at a strictly earlier simulated
 time -- and therefore holds a strictly lower sequence number -- than every
-ring event for *c*.  Draining the heap before the ring at each cycle is
+ring entry for *c*.  Draining the heap before the ring at each cycle is
 exactly seq order, which the parity suite verifies workload-by-workload.
 
 Self-profiling (:meth:`Simulator.enable_profiling`) measures where the
@@ -54,38 +53,21 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from .schedulers import (DEFAULT_SCHEDULER, Scheduler, register_scheduler,
-                         resolve_scheduler, scheduler_names)
+                         resolve_scheduler)
 
-#: Span of the bucket ring in cycles (power of two so the slot index is a
+#: Span of the calendar ring in cycles (power of two so the slot index is a
 #: mask).  Events scheduled fewer than ``_WINDOW`` cycles ahead take the
 #: ring fast path; everything else falls back to the heap.
 _WINDOW = 64
 _MASK = _WINDOW - 1
 
-#: Upper bound on the :meth:`Simulator.post` free list, so a burst of
-#: simultaneously-pending events cannot pin memory forever.
-_FREE_MAX = 4096
-
-
-def __getattr__(name: str):
-    # Backwards compatibility: the pre-registry API was a module-level
-    # tuple.  Resolved lazily so late-registered schedulers appear.
-    if name == "SCHEDULERS":
-        return scheduler_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`.
 
     Cancellation is O(1): the event is flagged and skipped when popped.
-    Events created through :meth:`Simulator.post` are *pooled*: the kernel
-    recycles them through a free list after they fire, which is why
-    ``post`` never hands the object out.
     """
 
-    __slots__ = ("cycle", "seq", "fn", "args", "cancelled", "_fired",
-                 "_pooled", "_sim")
+    __slots__ = ("cycle", "seq", "fn", "args", "cancelled", "_fired", "_sim")
 
     def __init__(self, cycle: int, seq: int, fn: Callable[..., Any], args: tuple):
         self.cycle = cycle
@@ -94,7 +76,6 @@ class Event:
         self.args = args
         self.cancelled = False
         self._fired = False
-        self._pooled = False
         self._sim: Optional["Simulator"] = None
 
     def cancel(self) -> None:
@@ -204,7 +185,6 @@ class Simulator(Scheduler):
         self._now = 0
         self._seq = 0
         self._heap: List[Event] = []
-        self._free: List[Event] = []
         self._running = False
         self._live = 0
         self._profile: Optional[KernelProfile] = None
@@ -270,8 +250,8 @@ class HeapSimulator(Simulator):
 
     def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`.  The heap kernel is the
-        preserved baseline: one fresh allocation per event, exactly as the
-        original kernel behaved -- no pooling, no recycling."""
+        preserved baseline: one fresh ``Event`` per call, exactly as the
+        original kernel behaved."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         self.at(self._now + delay, fn, *args)
@@ -345,9 +325,19 @@ class HeapSimulator(Simulator):
             profile.loop_seconds += clock() - loop_start
 
 
-class RingKernel(Simulator):
-    """Shared machinery for ring-based kernels (``bucket``, ``epoch``):
-    the ``_WINDOW``-cycle calendar ring plus the far-event heap."""
+class EpochSimulator(Simulator):
+    """The ring kernel (see the module docstring): a ``_WINDOW``-cycle
+    calendar ring of per-cycle lists plus the far-event heap.
+
+    A ring entry is either a bare ``(fn, args)`` record from :meth:`post`
+    or a cancellable :class:`Event` from :meth:`at`.  Records carry no seq
+    -- their position in the slot is their order -- so ``post`` is an
+    append and the drain is an unpack.
+    """
+
+    name = "epoch"
+    description = ("calendar ring draining bare (fn, args) records, heap "
+                   "for far events (the default)")
 
     def __init__(self, scheduler: Optional[str] = None) -> None:
         super().__init__(scheduler)
@@ -391,49 +381,27 @@ class RingKernel(Simulator):
             heapq.heappush(self._heap, event)
         return event
 
-
-class BucketSimulator(RingKernel):
-    """The hybrid calendar-queue kernel (see the module docstring)."""
-
-    name = "bucket"
-    description = ("calendar-queue ring for near events + heap fallback, "
-                   "with pooled fire-and-forget events (the default)")
-
     def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule fire-and-forget: like :meth:`schedule`, but returns no
         handle and the event can never be cancelled.
 
         This is the hot-path API.  Links, routers, processors and the NIC
         ack pumps schedule millions of short-lived events per run and never
-        cancel one; ``post`` recycles those :class:`Event` objects through
-        a free list instead of allocating each time.  Recycled events are
-        never handed out, so a stale reference can never cancel (or
-        observe) a later occupant -- anything that might need cancelling
-        must use :meth:`schedule` / :meth:`at`, which always return a
-        fresh, never-recycled Event.
+        cancel one.  Near events (flit times, route delays, NIC overheads)
+        append a bare ``(fn, args)`` record to the ring slot.  Far events
+        become real Events in the heap, where ``(cycle, seq)`` comparison
+        is needed for ordering.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        cycle = self._now + delay
-        free = self._free
-        if free:
-            event = free.pop()
-            event.cycle = cycle
-            event.seq = self._seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event._fired = False
-        else:
-            event = Event(cycle, self._seq, fn, args)
-            event._pooled = True
-            event._sim = self
-        self._seq += 1
         self._live += 1
         if delay < _WINDOW:
-            self._buckets[cycle & _MASK].append(event)
+            self._buckets[(self._now + delay) & _MASK].append((fn, args))
             self._nbucket += 1
         else:
+            event = Event(self._now + delay, self._seq, fn, args)
+            event._sim = self
+            self._seq += 1
             heapq.heappush(self._heap, event)
 
     def run_until(self, cycle: int) -> None:
@@ -441,9 +409,9 @@ class BucketSimulator(RingKernel):
         self._running = True
         try:
             if self._profile is None:
-                self._run_buckets(cycle)
+                self._run_ring(cycle)
             else:
-                self._run_buckets_profiled(cycle)
+                self._run_ring_profiled(cycle)
         finally:
             self._running = False
         self._now = max(self._now, cycle)
@@ -456,18 +424,17 @@ class BucketSimulator(RingKernel):
         self._running = True
         try:
             if self._profile is None:
-                self._run_buckets(None)
+                self._run_ring(None)
             else:
-                self._run_buckets_profiled(None)
+                self._run_ring_profiled(None)
         finally:
             self._running = False
 
-    def _run_buckets(self, bound: Optional[int]) -> None:
+    def _run_ring(self, bound: Optional[int]) -> None:
         """The calendar-queue event loop: identical firing order to the
-        heap loops, with pooled-event recycling."""
+        heap loops."""
         heap = self._heap
         buckets = self._buckets
-        free = self._free
         heappop = heapq.heappop
         while True:
             c = self._next_event_cycle()
@@ -475,9 +442,9 @@ class BucketSimulator(RingKernel):
                 return
             self._now = c
             # Heap first: every heap event for this cycle was scheduled at
-            # an earlier simulated time than every bucket event for it
-            # (it needed a >= _WINDOW lead to be in the heap at all), so it
-            # carries a lower seq.  Handlers can only add *bucket* events
+            # an earlier simulated time than every ring entry for it (it
+            # needed a >= _WINDOW lead to be in the heap at all), so it
+            # carries a lower seq.  Handlers can only add *ring* entries
             # for the current cycle, so this drain cannot starve.
             while heap and heap[0].cycle == c:
                 event = heappop(heap)
@@ -485,31 +452,27 @@ class BucketSimulator(RingKernel):
                     event._fired = True
                     self._live -= 1
                     event.fn(*event.args)
-                if event._pooled and len(free) < _FREE_MAX:
-                    event.fn = None
-                    event.args = ()
-                    free.append(event)
             bucket = buckets[c & _MASK]
             i = 0
             while i < len(bucket):  # handlers may append same-cycle events
-                event = bucket[i]
+                entry = bucket[i]
                 i += 1
-                if not event.cancelled:
-                    event._fired = True
+                if type(entry) is tuple:
                     self._live -= 1
-                    event.fn(*event.args)
-                if event._pooled and len(free) < _FREE_MAX:
-                    event.fn = None
-                    event.args = ()
-                    free.append(event)
+                    fn, args = entry
+                    fn(*args)
+                elif not entry.cancelled:
+                    entry._fired = True
+                    self._live -= 1
+                    entry.fn(*entry.args)
             self._nbucket -= i
             del bucket[:]
 
-    def _run_buckets_profiled(self, bound: Optional[int]) -> None:
-        """Timed twin of :meth:`_run_buckets` (per-handler wall-clock)."""
+    def _run_ring_profiled(self, bound: Optional[int]) -> None:
+        """Timed twin of :meth:`_run_ring`, with the same per-event
+        accounting as the heap kernel (honest cross-kernel events/sec)."""
         heap = self._heap
         buckets = self._buckets
-        free = self._free
         heappop = heapq.heappop
         profile = self._profile
         clock = time.perf_counter
@@ -529,26 +492,25 @@ class BucketSimulator(RingKernel):
                         event.fn(*event.args)
                         profile.note(event.fn, clock() - start)
                         profile.events += 1
-                    if event._pooled and len(free) < _FREE_MAX:
-                        event.fn = None
-                        event.args = ()
-                        free.append(event)
                 bucket = buckets[c & _MASK]
                 i = 0
                 while i < len(bucket):
-                    event = bucket[i]
+                    entry = bucket[i]
                     i += 1
-                    if not event.cancelled:
-                        event._fired = True
+                    if type(entry) is tuple:
+                        self._live -= 1
+                        fn, args = entry
+                        start = clock()
+                        fn(*args)
+                        profile.note(fn, clock() - start)
+                        profile.events += 1
+                    elif not entry.cancelled:
+                        entry._fired = True
                         self._live -= 1
                         start = clock()
-                        event.fn(*event.args)
-                        profile.note(event.fn, clock() - start)
+                        entry.fn(*entry.args)
+                        profile.note(entry.fn, clock() - start)
                         profile.events += 1
-                    if event._pooled and len(free) < _FREE_MAX:
-                        event.fn = None
-                        event.args = ()
-                        free.append(event)
                 self._nbucket -= i
                 del bucket[:]
         finally:
@@ -556,7 +518,6 @@ class BucketSimulator(RingKernel):
 
 
 # Registration order is presentation order (CLI choices, perf tables):
-# keep the historical ("bucket", "heap") prefix; epoch appends on import
-# of repro.sim.epoch.
-register_scheduler(BucketSimulator)
+# the default kernel first, then the heap spec it is measured against.
+register_scheduler(EpochSimulator)
 register_scheduler(HeapSimulator)

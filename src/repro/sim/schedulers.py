@@ -1,9 +1,7 @@
 """Scheduler registry: the pluggable event-queue API of the kernel.
 
-Historically the kernel exposed a hardcoded ``SCHEDULERS`` tuple that
-``kernel.py``, ``experiments/spec.py`` and ``cli.py`` each imported and
-range-checked independently; adding a scheduler meant editing three
-files.  This module replaces the tuple with one registry:
+Spec validation, the CLI and the kernel itself all consult one registry,
+so adding a scheduler edits no other file:
 
 * :class:`Scheduler` is the interface a kernel implementation provides
   (schedule / post / cancel-via-:class:`~repro.sim.kernel.Event` /
@@ -13,11 +11,11 @@ files.  This module replaces the tuple with one registry:
   validation, CLI choices and ``Simulator(scheduler=...)`` dispatch all
   derive from.
 
-``repro.sim.kernel`` registers ``"bucket"`` (the default) and ``"heap"``;
-``repro.sim.epoch`` registers ``"epoch"``.  Importing :mod:`repro.sim`
+``repro.sim.kernel`` registers ``"epoch"`` (the default ring kernel) and
+``"heap"`` (the executable specification).  Importing :mod:`repro.sim`
 populates the registry.  Registration order is presentation order
-everywhere (CLI ``choices``, the ``repro perf`` table), so built-ins
-keep their historical positions and additions append.
+everywhere (CLI ``choices``, the ``repro perf`` table): built-ins first,
+additions append.
 
 This module deliberately imports nothing from :mod:`repro.sim.kernel`:
 implementations import the interface, never the other way around, so a
@@ -28,8 +26,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
-#: Scheduler used when ``Simulator()`` is built without an explicit name.
-DEFAULT_SCHEDULER = "bucket"
+#: Scheduler used when ``Simulator()``, ``ExperimentSpec`` or ``repro run``
+#: is given no explicit kernel name.
+DEFAULT_SCHEDULER = "epoch"
 
 _REGISTRY: Dict[str, Type["Scheduler"]] = {}
 
@@ -48,15 +47,10 @@ class Scheduler:
         Registry key, reported by :attr:`scheduler`.
     ``description``
         One line for ``--help`` texts and docs.
-    ``link_streams``
-        True when the kernel supports the epoch-style link token
-        streams (:mod:`repro.links.link` opens per-link flit runs only
-        when the kernel advertises this capability).
     """
 
     name: str = ""
     description: str = ""
-    link_streams: bool = False
 
     # -------------------------------------------------------- core protocol
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any):

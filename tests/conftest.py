@@ -7,7 +7,28 @@ import pytest
 from repro.networks import build_network
 from repro.nic import NifdyNIC, NifdyParams, PlainNIC
 from repro.packets import FLIT_BYTES, Packet, PacketKind
-from repro.sim import RngFactory, Simulator
+from repro.sim import RngFactory, Simulator, scheduler_names
+from repro.sim import kernel as sim_kernel
+
+#: Calendar-ring size of the ``"bucket"`` kernel case (see
+#: :func:`kernel_case`).
+NARROW_RING = 4
+
+#: The cases kernel-parametrized tests run under: every registered kernel,
+#: plus ``"bucket"`` -- the ring kernel with its calendar ring cut to
+#: ``NARROW_RING`` buckets.  Most events then overflow to the far heap and
+#: must merge back into the ring in ``(cycle, seq)`` order, a path that
+#: full-size runs reach only for timeouts, barriers and fault plans.
+KERNEL_CASES = scheduler_names() + ("bucket",)
+
+
+def kernel_case(case, monkeypatch):
+    """Set up kernel ``case`` for one test; return the kernel name to run."""
+    if case != "bucket":
+        return case
+    monkeypatch.setattr(sim_kernel, "_WINDOW", NARROW_RING)
+    monkeypatch.setattr(sim_kernel, "_MASK", NARROW_RING - 1)
+    return "epoch"
 
 
 def drain_all(sim, nics, expected, horizon=500_000, poll_every=25):

@@ -298,3 +298,48 @@ class TestAccountingHonesty:
         sim.run()
         assert len(sink.flits) == 4
         assert link.utilization(sim.now) == pytest.approx(1.0)
+
+
+class TestSinkBinding:
+    """Each VC's delivery is bound once, to the sink's per-VC target."""
+
+    def test_link_built_before_attach_delivers_into_the_vcs_unit(self):
+        from repro.routers.base import Router
+
+        sim = Simulator()
+        router = Router(sim, 0, route_fn=lambda *a: [], route_delay=10)
+        link = Link(sim, "in", 4, 2, 8, sink=router, sink_port=3)
+        router.attach_in_link(3, link)
+        pkt = packet(flits=2)
+        link.allocate_vc(pkt, OnePacketFeeder(pkt), [1])
+        link.notify_flit_ready(1)
+        # Both flits arrive by cycle 2, well before routing completes (and
+        # finds no route).
+        sim.run_until(3)
+        units = router._input_units[3]
+        assert not units[0].queue
+        assert [t.packet for t in units[1].queue] == [pkt]
+        assert units[1].occupancy == 2
+
+    def test_set_sink_rebinds_a_nic_ejection_link(self):
+        from repro.nic.base import BaseNIC
+
+        class EjectionRecorder(BaseNIC):
+            def __init__(self, sim):
+                super().__init__(sim, node_id=0)
+                self.ejected = []
+
+            def _on_packet_ejected(self, packet, vc, port):
+                self.ejected.append((packet, vc, port))
+
+        sim = Simulator()
+        link = Link(sim, "ej", 4, 2, 8, sink=None, sink_port=0)
+        nic = EjectionRecorder(sim)
+        link.set_sink(nic, 2)
+        pkt = packet(flits=3)
+        link.allocate_vc(pkt, OnePacketFeeder(pkt), [1])
+        link.notify_flit_ready(1)
+        sim.run()
+        assert nic.ejected == [(pkt, 1, 2)]
+        assert nic._ej_flits[(2, 1)] == 0
+        assert nic.packets_ejected == 1

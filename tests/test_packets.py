@@ -1,5 +1,7 @@
 """Tests for packet formats and the traffic-layer packet factory."""
 
+import dataclasses
+
 import pytest
 
 from repro.packets import (
@@ -25,6 +27,12 @@ class TestPacket:
         assert make_packet(size_bytes=32).flits == 8
         assert make_packet(size_bytes=33).flits == 9
         assert make_packet(size_bytes=1).flits == 1
+
+    def test_replace_recomputes_flit_count(self):
+        original = make_packet(size_bytes=32)
+        bigger = dataclasses.replace(original, size_bytes=9 * FLIT_BYTES + 1)
+        assert bigger.flits == 10
+        assert original.flits == 8
 
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):

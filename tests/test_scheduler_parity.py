@@ -1,8 +1,8 @@
 """Scheduler parity: every registered kernel must be indistinguishable
 from the heap baseline.
 
-A non-heap scheduler (the bucket calendar ring, the epoch token-run
-kernel) is only allowed to exist because it changes *nothing* observable:
+A non-heap scheduler (the default epoch calendar-ring kernel) is only
+allowed to exist because it changes *nothing* observable:
 same-cycle events fire in scheduling order, cross-cycle events fire in
 time order, and every workload produces bit-identical results.  This
 suite enforces that the hard way -- it runs every registered traffic
@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from conftest import KERNEL_CASES, kernel_case
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.nic import CollectiveParams
 from repro.obs import Observability, metrics_json
@@ -78,8 +79,9 @@ WORKLOADS = {
     ),
 }
 
-#: Every kernel that must match the heap baseline.
-CHALLENGERS = tuple(k for k in scheduler_names() if k != "heap")
+#: Every kernel case that must match the heap baseline (``"bucket"`` is
+#: the ring kernel cut to a few buckets, see ``conftest.KERNEL_CASES``).
+CHALLENGERS = tuple(k for k in KERNEL_CASES if k != "heap")
 
 
 def test_parity_suite_covers_every_registered_workload():
@@ -90,7 +92,7 @@ def test_parity_suite_covers_every_registered_workload():
 def test_parity_suite_covers_every_registered_kernel():
     """A scheduler added to the registry is automatically matrixed here."""
     assert "heap" in scheduler_names()
-    assert CHALLENGERS  # at least bucket and epoch
+    assert "epoch" in CHALLENGERS  # the default kernel
 
 
 def _canonical_metrics(name: str, kernel: str) -> str:
@@ -114,9 +116,9 @@ def _canonical_metrics(name: str, kernel: str) -> str:
 
 @pytest.mark.parametrize("kernel", CHALLENGERS)
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_kernel_metrics_byte_identical_to_heap(name, kernel):
+def test_kernel_metrics_byte_identical_to_heap(name, kernel, monkeypatch):
     heap = _canonical_metrics(name, "heap")
-    challenger = _canonical_metrics(name, kernel)
+    challenger = _canonical_metrics(name, kernel_case(kernel, monkeypatch))
     assert challenger == heap, (
         f"workload {name!r}: {kernel} scheduler diverged from the heap "
         "baseline (metrics JSON not byte-identical)"
@@ -146,15 +148,16 @@ def _canonical_spray_metrics(kernel: str) -> str:
 
 
 @pytest.mark.parametrize("kernel", CHALLENGERS)
-def test_spraying_fabric_parity(kernel):
-    assert _canonical_spray_metrics(kernel) == _canonical_spray_metrics("heap")
+def test_spraying_fabric_parity(kernel, monkeypatch):
+    heap = _canonical_spray_metrics("heap")
+    assert _canonical_spray_metrics(kernel_case(kernel, monkeypatch)) == heap
 
 
 def _canonical_spray_heavy_metrics(kernel: str) -> str:
     """Heavy traffic on the spraying fabric under the plain NIC: two VCs
-    per net keep same-pair packets in flight at once, so a token run's
-    delivery regularly re-enters its own link, closes the run and opens
-    the next packet's."""
+    per net keep same-pair packets in flight at once, so a flit's
+    delivery regularly re-enters its own link and grants the next
+    packet's head in the same call stack."""
     spec = ExperimentSpec(
         network="fattree-spray",
         traffic=TrafficSpec("heavy"),
@@ -172,16 +175,16 @@ def _canonical_spray_heavy_metrics(kernel: str) -> str:
 
 
 @pytest.mark.parametrize("kernel", CHALLENGERS)
-def test_spraying_fabric_heavy_parity(kernel):
+def test_spraying_fabric_heavy_parity(kernel, monkeypatch):
     heap = _canonical_spray_heavy_metrics("heap")
     assert json.loads(heap)["totals"]["delivered"] == 113
-    assert _canonical_spray_heavy_metrics(kernel) == heap
+    assert _canonical_spray_heavy_metrics(kernel_case(kernel, monkeypatch)) == heap
 
 
 def _canonical_mesh_metrics(kernel: str) -> str:
     """A torus (cyclic credit chains, VC-class dateline routing) under the
-    plain NIC: exercises the single-VC-per-direction links where epoch
-    token runs cover almost all flit traffic."""
+    plain NIC: exercises the single-VC-per-direction links' arbitration
+    shortcut and cyclic credit-return re-entry."""
     spec = ExperimentSpec(
         network="torus2d",
         traffic=TrafficSpec("hotspot", HotSpotConfig(packets_per_node=12)),
@@ -199,14 +202,15 @@ def _canonical_mesh_metrics(kernel: str) -> str:
 
 
 @pytest.mark.parametrize("kernel", CHALLENGERS)
-def test_torus_parity(kernel):
-    assert _canonical_mesh_metrics(kernel) == _canonical_mesh_metrics("heap")
+def test_torus_parity(kernel, monkeypatch):
+    heap = _canonical_mesh_metrics("heap")
+    assert _canonical_mesh_metrics(kernel_case(kernel, monkeypatch)) == heap
 
 
 def test_long_window_epoch_smoke():
     """A >=200k-cycle window runs to completion under the epoch kernel and
-    matches heap exactly -- the 'previously truncated' configuration class
-    the token runs were built to unlock."""
+    matches heap exactly: far events keep crossing the ring/heap boundary
+    for the whole run."""
     results = {}
     for kernel in ("heap", "epoch"):
         spec = ExperimentSpec(
