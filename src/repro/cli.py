@@ -407,7 +407,7 @@ def _cmd_chaos(args) -> int:
     the recorded failure reproduces, 2 if it does not.
     """
     # Deferred: repro.validate pulls in the whole experiments stack.
-    from .farm import DEFAULT_EXECUTOR
+    from .farm.executors import DEFAULT_EXECUTOR
     from .validate import ChaosConfig, ChaosEngine, replay_artifact
 
     if args.replay:
@@ -464,28 +464,23 @@ def _cmd_farm(args) -> int:
     """Run (or resume) a fault-tolerant offered-load campaign.
 
     The campaign is the Section-1 operating-range grid (``--gaps``), run
-    through the :class:`~repro.farm.FarmEngine`: a pluggable execution
-    backend (``--executor``), per-point retry with backoff, poison-point
-    quarantine, and a crash-surviving manifest checkpointed after every
-    settled point.  The campaign id is a deterministic function of the
-    grid, so re-issuing the same command after *any* interruption --
-    Ctrl-C, SIGTERM, power loss -- resumes from the manifest instead of
-    starting over; ``--resume FILE`` does the same from an explicit
-    manifest, needing no grid flags at all.
+    through the :class:`~repro.experiments.SweepEngine` with a named
+    execution backend (``--executor``), per-point retry with backoff,
+    poison-point quarantine, and a crash-surviving manifest checkpointed
+    after every settled point.  The campaign id is a deterministic
+    function of the grid, so re-issuing the same command after *any*
+    interruption -- Ctrl-C, SIGTERM, power loss -- resumes from the
+    manifest instead of starting over; ``--resume FILE`` does the same
+    from an explicit manifest, needing no grid flags at all.
 
     The per-point table goes to stdout and is byte-identical however the
     campaign was scheduled (serial, parallel, interrupted-and-resumed)
     -- the property the CI farm-smoke job diffs.  Progress, the manifest
     path, and farm statistics go to stderr.
     """
-    from .farm import (
-        DEFAULT_EXECUTOR,
-        FarmEngine,
-        FarmPolicy,
-        ManifestMismatch,
-        RunManifest,
-        campaign_id_for,
-    )
+    from .experiments import FarmPolicy
+    from .farm.executors import DEFAULT_EXECUTOR
+    from .farm.manifest import ManifestMismatch, RunManifest, campaign_id_for
 
     policy = FarmPolicy(
         retries=args.retries, poison_after=args.poison_after, seed=args.seed,
@@ -536,7 +531,7 @@ def _cmd_farm(args) -> int:
         status = "cache" if point.cached else ("ERROR" if point.error else "ran")
         print(f"  [{done}/{total}] {point.label}: {status}", file=sys.stderr)
 
-    engine = FarmEngine(
+    engine = SweepEngine(
         executor=executor,
         jobs=args.jobs,
         cache=not args.no_cache,
@@ -1030,7 +1025,7 @@ class _ExecutorNames:
     otherwise list the choices while the parser is built."""
 
     def __iter__(self):
-        from .farm import executor_names
+        from .farm.executors import executor_names
 
         return iter(executor_names())
 

@@ -1,18 +1,31 @@
-"""The sweep engine: parallel, cache-backed execution of experiment specs.
+"""The sweep engine: cached, retrying, resumable execution of experiment specs.
 
 The paper's evaluation is sweeps -- Table 3 parameter grids, Figure 4
 machine sizes, the Section 1 operating-range curve -- and every point is an
-independent simulation.  :class:`SweepEngine` exploits that: it executes an
-iterable of :class:`~repro.experiments.spec.ExperimentSpec` across a
-``ProcessPoolExecutor``, consults an on-disk result cache first, isolates
-per-point failures (a crashed point becomes an errored :class:`SweepPoint`
-instead of killing the sweep), and reports progress through a callback
-and/or a :class:`repro.obs.EventBus`.
+independent simulation.  :class:`SweepEngine` is the one engine that runs
+them.  Each point goes through three stages:
+
+1. **Cache.**  An on-disk result cache answers points it has seen under
+   the current code.
+2. **Resume ledger.**  With a :class:`~repro.farm.manifest.RunManifest`,
+   points a previous (interrupted) run already settled come from the
+   manifest, and every newly settled point is checkpointed into it.
+   Without one, no ledger is written.
+3. **Executor.**  The rest run in-process, or on a backend from the
+   :mod:`~repro.farm.executors` registry: the shared ``pool`` of worker
+   processes, or one ``subprocess`` interpreter per point.  A
+   :class:`FarmPolicy` decides whether a failed attempt is retried,
+   after what backoff, and when a point that keeps killing its worker is
+   quarantined as ``poisoned``.
+
+A failed point becomes an errored :class:`SweepPoint` instead of killing
+the sweep, and progress is reported through a callback and/or a
+:class:`repro.obs.EventBus`.
 
 Determinism: each spec carries its own seed and the simulation derives all
 randomness from it (``RngFactory``), so a point's result is identical
-whether it runs serially, in a worker process, or comes from the cache --
-the property the CI parallel-smoke job asserts.
+whether it runs serially, in a worker process, or comes from the cache or
+a manifest -- the property the CI sweep-smoke and farm-smoke jobs assert.
 
 Cache layout (``benchmarks/results/.cache/`` by default, override with the
 ``cache_dir`` argument or ``REPRO_SWEEP_CACHE``)::
@@ -33,10 +46,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..nic import NifdyParams
@@ -113,8 +129,8 @@ class SweepPoint:
     #: The worker process executing (or co-resident with) this point died
     #: hard -- ``os._exit``, segfault, OOM kill -- rather than raising.
     worker_died: bool = False
-    #: The farm quarantined this point after it killed workers repeatedly
-    #: (see :class:`repro.farm.FarmPolicy`); never set by the bare engine.
+    #: The engine quarantined this point after it killed workers
+    #: repeatedly (see :class:`FarmPolicy`); needs a retry budget.
     poisoned: bool = False
 
     @property
@@ -128,14 +144,22 @@ class SweepPoint:
 
 @dataclass
 class SweepStats:
-    """What one engine (cumulatively) did: the cache-hit ledger."""
+    """What one engine (cumulatively) did.
+
+    ``resumed`` counts points settled from a manifest; ``worker_deaths``
+    counts worker-killing *attempts* (hard deaths and watchdog timeouts),
+    so a retried point can contribute more than one.
+    """
 
     points: int = 0
     cache_hits: int = 0
     executed: int = 0
+    resumed: int = 0
     errors: int = 0
     timeouts: int = 0
     worker_deaths: int = 0
+    retries: int = 0
+    poisoned: int = 0
     wall_s: float = 0.0
 
     @property
@@ -147,12 +171,85 @@ class SweepStats:
             "points": self.points,
             "cache_hits": self.cache_hits,
             "executed": self.executed,
+            "resumed": self.resumed,
             "errors": self.errors,
             "timeouts": self.timeouts,
             "worker_deaths": self.worker_deaths,
+            "retries": self.retries,
+            "poisoned": self.poisoned,
             "hit_rate": round(self.hit_rate, 4),
             "wall_s": round(self.wall_s, 3),
         }
+
+
+@dataclass
+class FarmPolicy:
+    """Retry/poison/backoff knobs of one sweep.
+
+    ``retries`` bounds *extra* attempts per point (total attempts =
+    ``retries + 1``).  ``poison_after`` is the worker-death count that
+    quarantines a point as ``poisoned``.  Unset, it is the whole attempt
+    budget -- a point that kills a worker on every attempt is quarantined
+    exactly when its budget runs out -- but only if that budget included
+    a retry: with ``retries=0`` a hang stays ``timed_out`` and a death
+    stays ``worker_died``.  ``retry_errors`` opts plain (deterministic)
+    in-point exceptions into the retry loop -- off by default, because
+    retrying a deterministic failure only burns wall clock.
+    """
+
+    retries: int = 2
+    poison_after: Optional[int] = None
+    backoff_base: float = 0.05
+    backoff_factor: float = 2.0
+    backoff_max: float = 2.0
+    backoff_jitter: float = 0.5
+    seed: int = 0
+    retry_errors: bool = False
+
+    @property
+    def max_attempts(self) -> int:
+        return 1 + max(0, self.retries)
+
+    @property
+    def poison_threshold(self) -> Optional[int]:
+        """Worker deaths that quarantine a point; ``None``: never."""
+        if self.poison_after is not None:
+            return max(1, self.poison_after)
+        return self.max_attempts if self.retries > 0 else None
+
+    def as_dict(self) -> Dict:
+        return {
+            "retries": self.retries,
+            "poison_after": self.poison_after,
+            "backoff_base": self.backoff_base,
+            "backoff_factor": self.backoff_factor,
+            "backoff_max": self.backoff_max,
+            "backoff_jitter": self.backoff_jitter,
+            "seed": self.seed,
+            "retry_errors": self.retry_errors,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: Dict) -> "FarmPolicy":
+        names = {f for f in cls.__dataclass_fields__}  # noqa: C401
+        return cls(**{k: v for k, v in doc.items() if k in names})
+
+
+def backoff_delay(policy: FarmPolicy, index: int, attempt: int) -> float:
+    """Seconds to wait before retry ``attempt`` (1-based) of point
+    ``index``: capped exponential with deterministic downward jitter.
+
+    The jitter RNG is seeded from ``(policy.seed, index, attempt)``
+    alone, so the schedule is a pure function of the campaign -- an
+    interrupted-and-resumed sweep backs off exactly like an uninterrupted
+    one, and distinct points never thundering-herd the machine.
+    """
+    if attempt <= 0:
+        return 0.0
+    base = policy.backoff_base * (policy.backoff_factor ** (attempt - 1))
+    delay = min(policy.backoff_max, base)
+    rng = random.Random(policy.seed * 1_000_003 + index * 8191 + attempt)
+    return delay * (1.0 - policy.backoff_jitter * rng.random())
 
 
 class ResultCache:
@@ -251,24 +348,50 @@ def _safe_hash(spec: ExperimentSpec) -> Optional[str]:
         return None
 
 
+def _from_ledger(spec: ExperimentSpec, ps) -> SweepPoint:
+    """Rebuild a settled point from its manifest entry."""
+    if ps.state == "done" and ps.result is not None:
+        return _point_from(spec, ps.result, cached=True)
+    result = {
+        "error": ps.error or f"point settled as {ps.state}",
+        "timed_out": ps.state == "timed_out",
+        "poisoned": ps.state == "poisoned",
+        "worker_died": ps.worker_deaths > 0,
+    }
+    return _point_from(spec, result, cached=False)
+
+
 class SweepEngine:
-    """Executes iterables of specs: cache first, then a process pool.
+    """Executes iterables of specs: cache, then resume ledger, then executor.
 
-    ``jobs``: worker processes (``<= 1`` runs serially in-process, which is
-    also the fallback for non-portable specs).  ``cache``: consult/populate
-    the on-disk result cache.  ``progress``: ``(done, total, point) ->
-    None`` called after every point resolves.  ``bus``: an optional
-    :class:`repro.obs.EventBus` receiving one ``sweep_point`` /
-    ``sweep_cache_hit`` / ``sweep_error`` event per point, so sweep
-    progress rides the same instrumentation rails as everything else.
+    ``jobs``: points in flight at once.  ``cache``/``cache_dir``: consult
+    and populate the on-disk result cache.  ``progress``: ``(done, total,
+    point) -> None`` called after every point settles.  ``bus``: an
+    optional :class:`repro.obs.EventBus` receiving one ``sweep_point`` /
+    ``sweep_cache_hit`` / ``sweep_error`` event per settled point, plus
+    ``farm_dispatch`` per attempt and ``farm_retry`` / ``farm_poison`` /
+    ``farm_resume`` as they happen.
 
-    ``point_timeout`` (seconds, default off) bounds each point's wall
-    clock: a hung or crashed worker degrades to an errored
-    :class:`SweepPoint` carrying a diagnosis (``timed_out=True``, never
-    cached) instead of wedging the sweep; points merely *queued* behind
-    the hung one are rescued into a fresh pool.  Enforcing a timeout
-    requires a worker process, so portable specs go through the pool even
-    at ``jobs=1``; non-portable specs still run in-process, untimed.
+    ``executor``: a :mod:`~repro.farm.executors` registry name or
+    instance.  Unset, points run in-process when ``jobs == 1`` and there
+    is no ``point_timeout``, otherwise on the ``pool`` backend.  Specs
+    with opaque traffic callables always run in-process.
+
+    ``point_timeout`` (seconds, default off) is the per-point liveness
+    watchdog: a hung worker is killed and the point settles ``timed_out``
+    (never cached) instead of wedging the sweep.  Enforcing it takes a
+    worker process, which is why it selects the pool even at ``jobs=1``.
+
+    ``policy``: a :class:`FarmPolicy`; unset means no retries.
+    ``manifest``: a :class:`~repro.farm.manifest.RunManifest` to resume
+    from and checkpoint into after every settled point; unset, nothing is
+    written.  ``sleep`` is injectable so tests can assert the backoff
+    schedule without waiting it out.
+
+    On :class:`KeyboardInterrupt` the engine reverts in-flight points to
+    ``pending`` (the interrupted attempt does not count against their
+    budget), flushes a final checkpoint, kills the backend's workers,
+    and re-raises for the CLI to exit 130.
     """
 
     def __init__(
@@ -279,64 +402,131 @@ class SweepEngine:
         progress: Optional[Callable[[int, int, SweepPoint], None]] = None,
         bus: Optional[EventBus] = None,
         point_timeout: Optional[float] = None,
+        executor=None,
+        policy: Optional[FarmPolicy] = None,
+        manifest=None,
+        sleep: Callable[[float], None] = time.sleep,
     ):
         self.jobs = max(1, int(jobs))
+        if executor is None and (self.jobs > 1 or point_timeout is not None):
+            executor = "pool"
+        if isinstance(executor, str):
+            from ..farm.executors import resolve_executor
+
+            executor = resolve_executor(executor)()
+        #: The execution backend; ``None`` runs every point in-process.
+        self.executor = executor
         self.cache = ResultCache(cache_dir or DEFAULT_CACHE_DIR) if cache else None
         self.progress = progress
         self.bus = bus
         self.point_timeout = point_timeout
+        self.policy = policy or FarmPolicy(retries=0)
+        self.manifest = manifest
         self.stats = SweepStats()
+        self._sleep = sleep
+        self._lock = threading.Lock()
+        self._interrupt = threading.Event()
 
     # ----------------------------------------------------------------- run
     def run(self, specs: Iterable[ExperimentSpec]) -> List[SweepPoint]:
-        """Execute every spec; results come back in input order."""
+        """Execute (or finish) every spec; results come back in input order."""
         specs = list(specs)
         started = time.perf_counter()
         total = len(specs)
         points: List[Optional[SweepPoint]] = [None] * total
         done = 0
+        manifest = self.manifest
+        if manifest is not None:
+            manifest.verify_resumable(specs)
+            ledger = manifest.points
+        else:
+            # Per-point retry bookkeeping, shaped like the manifest's
+            # PointState, kept in memory only.
+            ledger = [
+                SimpleNamespace(label=spec.label or spec.describe(),
+                                state="pending", attempts=0, worker_deaths=0,
+                                error=None, result=None)
+                for spec in specs
+            ]
+        self._interrupt.clear()
 
-        def settle(index: int, point: SweepPoint) -> None:
-            nonlocal done
-            points[index] = point
-            done += 1
-            self.stats.points += 1
-            if point.error is not None:
-                self.stats.errors += 1
-                if point.timed_out:
-                    self.stats.timeouts += 1
-                if point.worker_died:
-                    self.stats.worker_deaths += 1
-            elif point.cached:
-                self.stats.cache_hits += 1
-            else:
-                self.stats.executed += 1
-            if self.bus is not None:
-                kind = (
-                    EventKind.SWEEP_ERROR if point.error is not None
-                    else EventKind.SWEEP_CACHE_HIT if point.cached
-                    else EventKind.SWEEP_POINT
+        def checkpoint() -> None:
+            if manifest is not None:
+                stats = self.stats.as_dict()
+                stats["wall_s"] = round(
+                    time.perf_counter() - started + self.stats.wall_s, 3
                 )
-                self.bus.emit(done, kind, -1, info=point.label)
-            if self.progress is not None:
-                self.progress(done, total, point)
+                manifest.checkpoint(stats)
+
+        def settle(index: int, point: SweepPoint, *, from_resume=False) -> None:
+            """Record one settled point (thread-safe) and checkpoint."""
+            nonlocal done
+            with self._lock:
+                points[index] = point
+                done += 1
+                stats = self.stats
+                stats.points += 1
+                if from_resume:
+                    stats.resumed += 1
+                if point.error is not None:
+                    stats.errors += 1
+                    if point.poisoned:
+                        stats.poisoned += 1
+                    elif point.timed_out:
+                        stats.timeouts += 1
+                elif not from_resume:
+                    if point.cached:
+                        stats.cache_hits += 1
+                    else:
+                        stats.executed += 1
+                checkpoint()
+                if self.bus is not None:
+                    kind = (
+                        EventKind.SWEEP_ERROR if point.error is not None
+                        else EventKind.SWEEP_CACHE_HIT if point.cached
+                        else EventKind.SWEEP_POINT
+                    )
+                    self.bus.emit(done, kind, -1, info=point.label)
+                if self.progress is not None:
+                    self.progress(done, total, point)
+
+        # Interrupted attempts leave points marked "running"; they never
+        # settled, so they go back on the queue with their budget intact.
+        for ps in ledger:
+            if ps.state == "running":
+                ps.state = "pending"
 
         pending: List[int] = []  # indices that need actual execution
         for index, spec in enumerate(specs):
+            ps = ledger[index]
+            if ps.state != "pending":  # settled by an earlier run
+                settle(index, _from_ledger(spec, ps), from_resume=True)
+                self._emit(EventKind.FARM_RESUME, index,
+                           f"{ps.label}: {ps.state} (from manifest)")
+                continue
             if self.cache is not None and self._cacheable(spec):
                 hit = self.cache.get(spec)
                 if hit is not None:
+                    ps.state = "done"
+                    ps.result = hit
                     settle(index, _point_from(spec, hit, cached=True))
                     continue
             pending.append(index)
 
-        if self.jobs > 1 or self.point_timeout is not None:
-            self._run_parallel(specs, pending, settle)
-        else:
-            for index in pending:
-                self._run_one(specs[index], index, settle)
-
-        self.stats.wall_s += time.perf_counter() - started
+        checkpoint()  # the manifest file exists early
+        try:
+            self._dispatch(specs, ledger, pending, settle)
+        except KeyboardInterrupt:
+            self._stop()
+            for ps in ledger:
+                if ps.state == "running":
+                    ps.state = "pending"
+            raise
+        finally:
+            if self.executor is not None:
+                self.executor.shutdown()
+            checkpoint()
+            self.stats.wall_s += time.perf_counter() - started
         return [p for p in points if p is not None]
 
     # ------------------------------------------------------------- internals
@@ -351,117 +541,109 @@ class SweepEngine:
             return False
         return spec.observe is None or not spec.observe.validate
 
-    def _finish_executed(self, spec: ExperimentSpec, result: Dict,
-                         index: int, settle) -> None:
-        if (
-            self.cache is not None and self._cacheable(spec)
-            and "error" not in result
-        ):
-            self.cache.put(spec, result)
-        settle(index, _point_from(spec, result, cached=False))
+    def _stop(self) -> None:
+        self._interrupt.set()
+        if self.executor is not None:
+            self.executor.interrupt()
 
-    def _run_one(self, spec: ExperimentSpec, index: int, settle) -> None:
-        self._finish_executed(spec, _execute_in_process(spec), index, settle)
+    def _dispatch(self, specs, ledger, pending, settle) -> None:
+        remote: List[int] = []
+        local: List[int] = []  # opaque traffic callables cannot cross processes
+        for index in pending:
+            portable = self.executor is not None and specs[index].portable
+            (remote if portable else local).append(index)
+        jobs = min(self.jobs, len(remote))
+        if remote:
+            self.executor.start(jobs)
+        if jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-    def _run_parallel(self, specs, pending, settle) -> None:
-        portable = [i for i in pending if specs[i].portable]
-        local = [i for i in pending if not specs[i].portable]
-        while portable:
-            # Each generation settles everything except points that were
-            # still queued when a timeout forced the pool down; those are
-            # rescued into a fresh pool.  Every generation with survivors
-            # settles at least one point, so this terminates.
-            portable = self._run_pool(specs, portable, settle)
-        for i in local:  # opaque traffic callables cannot cross processes
-            self._run_one(specs[i], i, settle)
-
-    def _run_pool(self, specs, indices, settle) -> List[int]:
-        """One pool generation.  The first timeout or pool break settles
-        ONLY the point we were waiting on; every other unresolved future is
-        rescued into the next generation, because the executor's call-queue
-        prefetch marks queued futures as running, making "starved behind
-        the failure" indistinguishable from "genuinely failing" here.
-
-        * Timeout: the waited point is provably stuck (it had the full
-          bound); it settles ``timed_out`` and the stuck worker is
-          terminated.
-        * :class:`BrokenProcessPool` (a worker died hard -- ``os._exit``,
-          segfault, OOM kill -- which poisons the *whole* executor): the
-          waited point settles errored with a ``worker_died`` marker and is
-          never cached.  With several workers the victim can be collateral
-          rather than the killer, but a rescued killer breaks its own next
-          generation and settles there, so attribution converges.
-
-        Either way a generation with survivors settles at least one point,
-        so the rescue loop terminates."""
-        # Imported here, the only place that uses them: a serial sweep or a
-        # single run never starts a pool and should not pay for loading one.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FuturesTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        rescue: List[int] = []
-        hung = False       # a worker is wedged and must be terminated
-        degraded = False   # this pool is done taking new results
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(indices)))
-        try:
-            futures = {}
-            for i in indices:
+            with ThreadPoolExecutor(max_workers=jobs) as threads:
+                futures = [
+                    threads.submit(self._run_point, specs[index], index,
+                                   ledger[index], settle)
+                    for index in remote
+                ]
                 try:
-                    futures[i] = pool.submit(
-                        _execute_spec_dict, specs[i].to_dict()
-                    )
-                except Exception:  # noqa: BLE001 - pool broke mid-submit
-                    if not futures:
-                        raise  # a fresh pool that cannot start at all
-                    rescue.append(i)  # the break settles via a wait below
-            for i, future in futures.items():
-                if degraded:
-                    if future.done() and not future.cancelled():
-                        try:  # finished before the failure was detected
-                            result = future.result(timeout=0)
-                        except BrokenProcessPool:
-                            rescue.append(i)
-                            continue
-                        except Exception:  # noqa: BLE001
-                            result = {"error": traceback.format_exc()}
-                    else:
+                    for future in futures:
+                        future.result()
+                except KeyboardInterrupt:
+                    # Kill the workers before leaving the block, which
+                    # waits for the dispatcher threads.
+                    self._stop()
+                    for future in futures:
                         future.cancel()
-                        rescue.append(i)
-                        continue
-                else:
-                    try:
-                        result = future.result(timeout=self.point_timeout)
-                    except FuturesTimeout:
-                        hung = degraded = True
-                        result = {
-                            "error": (
-                                f"point exceeded the {self.point_timeout}s "
-                                "wall-clock timeout (worker hung or "
-                                "crashed); worker terminated, point not "
-                                "cached"
-                            ),
-                            "timed_out": True,
-                        }
-                    except BrokenProcessPool:
-                        degraded = True
-                        result = {
-                            "error": (
-                                "worker process died abruptly while this "
-                                "point was in flight (hard exit, segfault, "
-                                "or OOM kill); queued points rescued into "
-                                "a fresh pool, point not cached"
-                            ),
-                            "worker_died": True,
-                        }
-                    except Exception:  # noqa: BLE001 - pool/pickling failures
-                        result = {"error": traceback.format_exc()}
-                self._finish_executed(specs[i], result, i, settle)
-        finally:
-            if hung:
-                # The stuck worker would otherwise block shutdown (and
-                # interpreter exit) indefinitely.
-                for proc in list(getattr(pool, "_processes", {}).values()):
-                    proc.terminate()
-            pool.shutdown(wait=not degraded, cancel_futures=degraded)
-        return rescue
+                    raise
+        else:
+            local = remote + local  # one point at a time, on this thread
+        for index in local:
+            self._run_point(specs[index], index, ledger[index], settle)
+
+    def _run_point(self, spec: ExperimentSpec, index: int, ps, settle) -> None:
+        """One point's full retry loop (may run on a dispatcher thread);
+        ``ps`` is its ledger entry."""
+        policy = self.policy
+        while True:
+            if self._interrupt.is_set():
+                return  # stays pending; a resume re-dispatches it
+            ps.state = "running"
+            ps.attempts += 1
+            self._emit(EventKind.FARM_DISPATCH, index,
+                       f"{ps.label}: attempt {ps.attempts}")
+            if self.executor is None or not spec.portable:
+                result = _execute_in_process(spec)
+            else:
+                result = self.executor.run_point(
+                    spec.to_dict(), self.point_timeout
+                )
+            if self._interrupt.is_set() and "error" in result:
+                # The attempt was killed by the interrupt, not the
+                # workload: it does not count against the budget.
+                ps.attempts -= 1
+                ps.state = "pending"
+                return
+            if "error" not in result:
+                ps.state = "done"
+                ps.error = None
+                ps.result = result
+                if self.cache is not None and self._cacheable(spec):
+                    self.cache.put(spec, result)
+                settle(index, _point_from(spec, result, cached=False))
+                return
+            worker_killing = bool(
+                result.get("worker_died") or result.get("timed_out")
+            )
+            if worker_killing:
+                ps.worker_deaths += 1
+                with self._lock:
+                    self.stats.worker_deaths += 1
+            threshold = policy.poison_threshold
+            if threshold is not None and ps.worker_deaths >= threshold:
+                ps.state = "poisoned"
+                ps.error = result["error"]
+                result = dict(result, poisoned=True)
+                self._emit(EventKind.FARM_POISON, index,
+                           f"{ps.label}: quarantined after "
+                           f"{ps.worker_deaths} worker death(s)")
+                settle(index, _point_from(spec, result, cached=False))
+                return
+            retryable = worker_killing or policy.retry_errors
+            if retryable and ps.attempts < policy.max_attempts:
+                delay = backoff_delay(policy, index, ps.attempts)
+                with self._lock:
+                    self.stats.retries += 1
+                self._emit(EventKind.FARM_RETRY, index,
+                           f"{ps.label}: attempt {ps.attempts} failed "
+                           f"({'worker death' if worker_killing else 'error'}"
+                           f"), backing off {delay:.3f}s")
+                if delay > 0:
+                    self._sleep(delay)
+                continue
+            ps.state = "timed_out" if result.get("timed_out") else "errored"
+            ps.error = result["error"]
+            settle(index, _point_from(spec, result, cached=False))
+            return
+
+    def _emit(self, kind: str, index: int, info: str) -> None:
+        if self.bus is not None:
+            self.bus.emit(index, kind, -1, info=info)

@@ -30,7 +30,6 @@ the packet, the metrics record it, and the sender's driver is notified.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -220,21 +219,10 @@ def describe_stall(nics, processors, metrics) -> str:
     return "\n".join(lines)
 
 
-#: Legacy keyword arguments accepted by the deprecation shim: every
-#: :class:`ExperimentSpec` field except the two positional ones and the
-#: cosmetic label.
-_LEGACY_KWARGS = frozenset(
-    f.name for f in ExperimentSpec.__dataclass_fields__.values()
-) - {"network", "traffic", "label"}
-
-
-def run_experiment(spec, traffic=None, **legacy_kwargs) -> ExperimentResult:
+def run_experiment(spec: ExperimentSpec, *extra, **kwargs) -> ExperimentResult:
     """Run one experiment described by an :class:`ExperimentSpec`.
 
-    The canonical form is ``run_experiment(spec)``.  The pre-spec form
-    ``run_experiment(network, traffic_factory, **kwargs)`` is still
-    accepted but deprecated: it emits a single :class:`DeprecationWarning`
-    and forwards to the spec path.
+    The spec is the only argument: anything else raises ``TypeError``.
 
     ``spec.run_cycles`` set: run exactly that horizon and report
     throughput (Figures 2/3).  Unset: run until every driver is done and
@@ -259,30 +247,17 @@ def run_experiment(spec, traffic=None, **legacy_kwargs) -> ExperimentResult:
     live handles (``bus``/``sampler``/``tracer``/``kernel_profile``)
     filled in for the exporters.
     """
-    if isinstance(spec, ExperimentSpec):
-        if traffic is not None or legacy_kwargs:
-            raise TypeError(
-                "run_experiment(spec) takes no further arguments; put "
-                "everything in the ExperimentSpec"
-            )
-        return _run_spec(spec)
-    if traffic is None:
+    if not isinstance(spec, ExperimentSpec):
         raise TypeError(
-            "run_experiment takes an ExperimentSpec, or (legacy) a network "
-            "name plus a traffic factory"
+            "run_experiment takes an ExperimentSpec, not "
+            f"{type(spec).__name__}"
         )
-    unknown = set(legacy_kwargs) - _LEGACY_KWARGS
-    if unknown:
-        raise TypeError(f"unknown run_experiment argument(s): {sorted(unknown)}")
-    warnings.warn(
-        "run_experiment(network, traffic, **kwargs) is deprecated; build an "
-        "ExperimentSpec and call run_experiment(spec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_spec(
-        ExperimentSpec(network=spec, traffic=traffic, **legacy_kwargs)
-    )
+    if extra or kwargs:
+        raise TypeError(
+            "run_experiment(spec) takes no further arguments; put "
+            "everything in the ExperimentSpec"
+        )
+    return _run_spec(spec)
 
 
 def _run_spec(spec: ExperimentSpec) -> ExperimentResult:

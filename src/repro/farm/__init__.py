@@ -1,53 +1,15 @@
-"""The fault-tolerant sweep farm: pluggable executors, resumable
-manifests, crash-surviving campaigns.
+"""Execution backends and run manifests for the sweep engine.
 
-Built over :mod:`repro.experiments`' sweep machinery: the farm reuses
-the spec/cache/point vocabulary and adds execution backends
-(:mod:`~repro.farm.executors`), a per-point retry/poison policy, and an
-on-disk run manifest that makes ``repro farm --resume`` safe after any
-kind of death -- the worker's or the farm's own.
+:class:`~repro.experiments.engine.SweepEngine` is the one engine; this
+package holds what it plugs in for long hostile campaigns:
+
+* :mod:`repro.farm.executors` -- the executor registry: the shared
+  ``pool`` of worker processes and the crash-containing ``subprocess``
+  backend (one ``python -m repro.farm.worker`` interpreter per point).
+* :mod:`repro.farm.manifest` -- the resumable, checkpointed run manifest
+  that makes ``repro farm --resume`` safe after any kind of death -- the
+  worker's or the engine's own.
+
+Nothing is imported eagerly: the worker interpreter and a plain sweep
+load only the modules they use, so import the submodule you need.
 """
-
-from .engine import (
-    FarmEngine,
-    FarmPolicy,
-    FarmStats,
-    backoff_delay,
-    campaign_id_for,
-)
-from .executors import (
-    DEFAULT_EXECUTOR,
-    FarmExecutor,
-    PoolExecutor,
-    SubprocessExecutor,
-    executor_descriptions,
-    executor_names,
-    register_executor,
-    resolve_executor,
-)
-from .manifest import (
-    DEFAULT_CAMPAIGN_DIR,
-    ManifestMismatch,
-    PointState,
-    RunManifest,
-)
-
-__all__ = [
-    "DEFAULT_CAMPAIGN_DIR",
-    "DEFAULT_EXECUTOR",
-    "FarmEngine",
-    "FarmExecutor",
-    "FarmPolicy",
-    "FarmStats",
-    "ManifestMismatch",
-    "PointState",
-    "PoolExecutor",
-    "RunManifest",
-    "SubprocessExecutor",
-    "backoff_delay",
-    "campaign_id_for",
-    "executor_descriptions",
-    "executor_names",
-    "register_executor",
-    "resolve_executor",
-]

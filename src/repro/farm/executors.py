@@ -1,9 +1,8 @@
-"""Executor registry: the pluggable point-execution backends of the farm.
+"""Executor registry: how the sweep engine executes a single point.
 
-The sweep engine hardcodes one execution strategy (a shared
-``ProcessPoolExecutor``).  The farm separates *what to run and how to
-recover* (:class:`~repro.farm.engine.FarmEngine`) from *how a single point
-is executed* (this module), behind the same registry idiom as
+:class:`~repro.experiments.engine.SweepEngine` decides *what to run and
+how to recover* (cache, resume ledger, retries); this module decides *how
+a single point is executed*, behind the same registry idiom as
 :mod:`repro.sim.schedulers`: implementations carry a ``name`` class
 attribute, :func:`register_executor` is a decorator, re-registering the
 same class is a no-op, and a name collision raises.
@@ -11,12 +10,16 @@ same class is a no-op, and a name collision raises.
 Two backends ship with the package:
 
 ``pool``
-    A shared :class:`~concurrent.futures.ProcessPoolExecutor`.  Cheapest
-    per point (workers are reused across points), but a hard worker death
-    (``os._exit``, segfault, OOM kill) poisons the whole executor -- the
-    backend regenerates the pool and reports the waited point as
-    ``worker_died``; co-resident in-flight points may be reported as
-    collateral ``worker_died`` and heal through the farm's retry loop.
+    A shared :class:`~concurrent.futures.ProcessPoolExecutor`, the only
+    process pool in the package.  Cheapest per point (workers are reused
+    across points), but a hard worker death (``os._exit``, segfault, OOM
+    kill) or a watchdog kill breaks the whole executor.  The backend then
+    regenerates the pool: the point that observed the break first is
+    reported (``worker_died`` or ``timed_out``) and co-resident in-flight
+    points are resubmitted to the fresh generation.  With several workers
+    the reported victim can be collateral rather than the killer, but a
+    resubmitted killer breaks its own next generation, so attribution
+    converges.
 
 ``subprocess``
     One fresh interpreter per point (``python -m repro.farm.worker``).
@@ -56,7 +59,7 @@ from ..experiments.engine import _execute_spec_dict
 
 _REGISTRY: Dict[str, Type["FarmExecutor"]] = {}
 
-#: Backend used when a farm is built without an explicit name.
+#: Backend ``repro farm`` and ``repro chaos`` use without ``--executor``.
 DEFAULT_EXECUTOR = "pool"
 
 
@@ -148,18 +151,19 @@ def resolve_executor(name: str) -> Type[FarmExecutor]:
 class PoolExecutor(FarmExecutor):
     """Shared process pool; cheapest per point, coarse crash attribution.
 
-    A hard worker death breaks the whole ``ProcessPoolExecutor``, so the
-    backend keeps a *generation* counter: the first ``run_point`` to
-    observe a break (or a watchdog timeout) tears the pool down and builds
-    a fresh generation; threads waiting on the dead generation report
-    their points as collateral ``worker_died`` and the farm's retry loop
-    heals them.
+    A hard worker death breaks the whole ``ProcessPoolExecutor``, and a
+    watchdog kill terminates its workers, so the backend keeps a
+    *generation* counter.  The first ``run_point`` to observe a break (or
+    to time out) tears the pool down, builds a fresh generation and
+    reports its point; threads whose points were merely in flight on the
+    dead generation resubmit them to the fresh one.  Every break settles
+    one point, so the resubmission terminates.
     """
 
     name = "pool"
     description = (
-        "shared process pool; fastest, but a hard crash takes collateral "
-        "in-flight points with it (healed by retry)"
+        "shared process pool; fastest, but a hard crash is charged to the "
+        "first point that observes it (co-resident points are resubmitted)"
     )
     contains_crashes = False
 
@@ -167,25 +171,32 @@ class PoolExecutor(FarmExecutor):
         self._jobs = 1
         self._pool: Optional[ProcessPoolExecutor] = None
         self._generation = 0
+        self._interrupted = False
         self._lock = threading.Lock()
 
     def start(self, jobs: int) -> None:
         self._jobs = max(1, int(jobs))
-        with self._lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self._jobs)
+        self._interrupted = False
+        # Under the fork start method the first submit forks every worker.
+        # Do it here, on the caller's thread, before the engine starts its
+        # dispatcher threads: a process forked while other threads run
+        # can inherit a lock one of them held and deadlock on it.
+        pool, _ = self._current()
+        pool.submit(int)
 
-    def _current(self) -> Tuple[ProcessPoolExecutor, int]:
+    def _current(self) -> Tuple[Optional[ProcessPoolExecutor], int]:
+        """The live pool and its generation; no pool once interrupted."""
         with self._lock:
-            if self._pool is None:
+            if self._pool is None and not self._interrupted:
                 self._pool = ProcessPoolExecutor(max_workers=self._jobs)
             return self._pool, self._generation
 
-    def _degrade(self, generation: int, kill: bool) -> None:
-        """Replace the pool, once per observed generation."""
+    def _degrade(self, generation: int, kill: bool) -> bool:
+        """Replace the pool, once per observed generation.  True for the
+        caller that did it, false when another thread already had."""
         with self._lock:
             if self._generation != generation or self._pool is None:
-                return  # another thread already regenerated
+                return False
             pool, self._pool = self._pool, None
             self._generation += 1
         if kill:
@@ -193,57 +204,63 @@ class PoolExecutor(FarmExecutor):
             for proc in list(getattr(pool, "_processes", {}).values()):
                 proc.terminate()
         pool.shutdown(wait=False, cancel_futures=True)
+        return True
 
     def run_point(
         self, spec_dict: Dict, timeout: Optional[float] = None
     ) -> Dict:
-        pool, generation = self._current()
-        try:
-            future = pool.submit(_execute_spec_dict, spec_dict)
-        except Exception:  # noqa: BLE001 - pool broke between points
-            self._degrade(generation, kill=False)
-            return {
-                "error": "process pool was broken before dispatch; "
-                         "pool regenerated",
-                "worker_died": True,
-            }
-        try:
-            return future.result(timeout=timeout)
-        except FuturesTimeout:
-            self._degrade(generation, kill=True)
-            return {
-                "error": (
-                    f"point exceeded the {timeout}s liveness watchdog; "
-                    "pool generation terminated, point not cached"
-                ),
-                "timed_out": True,
-            }
-        except BrokenProcessPool:
-            self._degrade(generation, kill=False)
-            return {
-                "error": (
-                    "worker process died abruptly while this point was in "
-                    "flight (hard exit, segfault, or OOM kill); pool "
-                    "regenerated -- the victim may be collateral under "
-                    "the shared-pool backend"
-                ),
-                "worker_died": True,
-            }
-        except Exception:  # noqa: BLE001 - cancellation, pickling failures
-            return {"error": traceback.format_exc()}
+        while True:
+            pool, generation = self._current()
+            if pool is None:
+                return {"error": "sweep interrupted before dispatch"}
+            try:
+                future = pool.submit(_execute_spec_dict, spec_dict)
+            except Exception:  # noqa: BLE001 - pool broke between points
+                if not self._degrade(generation, kill=False):
+                    continue  # another point already regenerated it
+                return {
+                    "error": "process pool was broken before dispatch; "
+                             "pool regenerated",
+                    "worker_died": True,
+                }
+            try:
+                return future.result(timeout=timeout)
+            except FuturesTimeout:
+                self._degrade(generation, kill=True)
+                return {
+                    "error": (
+                        f"point exceeded the {timeout}s wall-clock timeout "
+                        "(liveness watchdog); pool generation terminated, "
+                        "point not cached"
+                    ),
+                    "timed_out": True,
+                }
+            except BrokenProcessPool:
+                if not self._degrade(generation, kill=False):
+                    continue  # collateral of a break charged elsewhere
+                return {
+                    "error": (
+                        "worker process died abruptly while this point was "
+                        "in flight (hard exit, segfault, or OOM kill); pool "
+                        "regenerated -- with several workers the victim may "
+                        "be collateral"
+                    ),
+                    "worker_died": True,
+                }
+            except Exception:  # noqa: BLE001 - cancellation, pickling failures
+                return {"error": traceback.format_exc()}
 
     def interrupt(self) -> None:
         with self._lock:
+            self._interrupted = True
             generation = self._generation
-            has_pool = self._pool is not None
-        if has_pool:
-            self._degrade(generation, kill=True)
+        self._degrade(generation, kill=True)
 
     def shutdown(self) -> None:
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 # --------------------------------------------------------------------------
@@ -324,8 +341,9 @@ class SubprocessExecutor(FarmExecutor):
                 proc.communicate()
                 return {
                     "error": (
-                        f"point exceeded the {timeout}s liveness "
-                        "watchdog; worker killed, point not cached"
+                        f"point exceeded the {timeout}s wall-clock "
+                        "timeout (liveness watchdog); worker killed, point "
+                        "not cached"
                     ),
                     "timed_out": True,
                 }

@@ -1,13 +1,13 @@
-"""Run manifests: the crash-surviving ledger of a farm campaign.
+"""Run manifests: the crash-surviving ledger of a campaign.
 
 A campaign is an ordered list of specs plus, for each, where it stands:
 ``pending`` / ``running`` / ``done`` / ``errored`` / ``timed_out`` /
-``poisoned``.  The farm checkpoints this ledger to one JSON file
-(atomic tmp + ``os.replace``, like every archive in this repo) after
-every settled point, so the file on disk is *always* a consistent
-snapshot -- kill the farm at any instant and ``repro farm --resume
-<manifest>`` picks up from the last checkpoint, re-executing nothing
-that already settled.
+``poisoned``.  A :class:`~repro.experiments.engine.SweepEngine` given a
+manifest checkpoints this ledger to one JSON file (atomic tmp +
+``os.replace``, like every archive in this repo) after every settled
+point, so the file on disk is *always* a consistent snapshot -- kill the
+campaign at any instant and ``repro farm --resume <manifest>`` picks up
+from the last checkpoint, re-executing nothing that already settled.
 
 The on-disk shape is the results schema's :class:`~repro.report.schema.
 CampaignRecord` (kind ``repro-campaign``), so ``load_record`` sniffs
@@ -24,15 +24,16 @@ Two safety latches guard a resume:
 * **Code identity.**  The manifest stores the
   :func:`~repro.experiments.engine.code_version` it ran under; resuming
   under different code invalidates the settled results (the simulator
-  changed -- results may differ), so the farm starts the campaign over.
+  changed -- results may differ), so the campaign starts over.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..experiments.engine import code_version
 from ..experiments.spec import ExperimentSpec
@@ -46,6 +47,22 @@ from ..report.schema import (
 
 #: Default manifest directory, next to the sweep cache.
 DEFAULT_CAMPAIGN_DIR = Path("benchmarks/results/campaigns")
+
+
+def campaign_id_for(specs: Iterable[ExperimentSpec], executor: str) -> str:
+    """A deterministic campaign id: hash of the ordered spec hashes plus
+    the executor name.  Re-issuing the same campaign produces the same
+    id (and therefore the same default manifest path), which is what
+    makes ``repro farm`` resume naturally after a crash."""
+    digest = hashlib.sha256()
+    digest.update(executor.encode())
+    for spec in specs:
+        try:
+            digest.update(spec.content_hash().encode())
+        except Exception:  # noqa: BLE001 - non-portable spec
+            digest.update(repr(spec.label).encode())
+        digest.update(b"\0")
+    return digest.hexdigest()[:12]
 
 
 class ManifestMismatch(ValueError):

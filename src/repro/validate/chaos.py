@@ -9,10 +9,11 @@ searches for them mechanically.  Each *trial* is a seeded-random
 fail/repair windows over *real* link names enumerated from the topology,
 node pauses) against a random workload and random NIFDY parameters -- run
 with the :class:`~repro.validate.InvariantMonitor` attached, fanned out
-through the :class:`~repro.farm.FarmEngine` (cache off: validated
-results must not alias unvalidated cache entries; ``point_timeout`` turns
-a wedged trial into a reported failure).  The farm buys the gauntlet
-fault tolerance of its own: a trial that kills its worker outright is
+through the :class:`~repro.experiments.SweepEngine` on a named executor
+backend (cache off: validated results must not alias unvalidated cache
+entries; ``point_timeout`` turns a wedged trial into a reported
+failure).  A retry policy and a manifest buy the gauntlet fault
+tolerance of its own: a trial that kills its worker outright is
 retried and, failing that, quarantined instead of taking the batch down,
 and an interrupted batch resumes from its manifest (written under
 ``<artifact_dir>/campaigns/``) rather than starting over.
@@ -63,7 +64,12 @@ from ..traffic import (
     SyntheticConfig,
     TrafficSpec,
 )
-from ..experiments import ExperimentSpec, run_experiment
+from ..experiments import (
+    ExperimentSpec,
+    FarmPolicy,
+    SweepEngine,
+    run_experiment,
+)
 
 ARTIFACT_KIND = "repro-chaos-reproducer"
 ARTIFACT_VERSION = 1
@@ -100,10 +106,10 @@ class ChaosConfig:
     watchdog_cycles: int = 100_000
     max_retries: int = 25
     jobs: int = 1
-    #: Per-trial wall-clock bound (seconds): the farm's liveness watchdog.
+    #: Per-trial wall-clock bound (seconds): the engine's liveness watchdog.
     point_timeout: Optional[float] = None
-    #: Farm execution backend for the trial fan-out (see
-    #: :func:`repro.farm.executor_names`).
+    #: Execution backend for the trial fan-out (see
+    #: :func:`repro.farm.executors.executor_names`).
     executor: str = "pool"
     #: Extra attempts per trial when the trial kills its worker.
     retries: int = 1
@@ -427,19 +433,17 @@ class ChaosEngine:
     def run(self, progress: Optional[Callable] = None) -> ChaosReport:
         """Run the batch; shrink and archive every failure found.
 
-        ``progress`` is forwarded to the underlying farm:
+        ``progress`` is forwarded to the underlying engine:
         ``(done, total, point) -> None`` after each trial resolves.
 
-        The batch runs on a :class:`~repro.farm.FarmEngine` with a
+        The batch runs on a :class:`~repro.experiments.SweepEngine` with a
         manifest under ``<artifact_dir>/campaigns/``: kill the batch at
         any point and re-running the same config resumes it.  A manifest
         from a *finished* batch is discarded (each chaos invocation is a
         fresh campaign); only interrupted batches resume.
         """
-        # Deferred: repro.farm imports the experiments stack.
-        from ..farm import (
-            FarmEngine,
-            FarmPolicy,
+        # Deferred: the manifest loads the results schema.
+        from ..farm.manifest import (
             ManifestMismatch,
             RunManifest,
             campaign_id_for,
@@ -464,7 +468,7 @@ class ChaosEngine:
                 campaign, specs, cfg.executor, policy.as_dict(),
                 path=manifest_path,
             )
-        engine = FarmEngine(
+        engine = SweepEngine(
             executor=cfg.executor, jobs=cfg.jobs, cache=False,
             policy=policy, point_timeout=cfg.point_timeout,
             progress=progress, manifest=manifest,

@@ -1,11 +1,13 @@
-"""Tests for the fault-tolerant sweep farm (repro.farm).
+"""Tests for the sweep engine's fault-tolerant side: executor backends
+(repro.farm.executors), retry policies and resumable manifests
+(repro.farm.manifest).
 
-The farm exists to survive exactly the failures a test module cannot
+These features exist to survive exactly the failures a test module cannot
 fake from the outside: workers dying hard mid-point, campaigns killed
 mid-flight, retry schedules that must replay identically after a
 resume.  The crash-point traffic (registered in the package so fresh
 worker interpreters can build it) stages those failures on purpose;
-the assertions here are the acceptance criteria of the farm -- a
+the assertions here are the acceptance criteria of the campaign path -- a
 crashed-and-resumed campaign must end byte-identical to an
 uninterrupted serial baseline, with zero re-executions of settled
 points.
@@ -15,21 +17,26 @@ import json
 
 import pytest
 
-from repro.experiments import ExperimentSpec, SweepEngine, heavy_synthetic
-from repro.farm import (
-    DEFAULT_EXECUTOR,
-    FarmEngine,
-    FarmExecutor,
+from repro.experiments import (
+    ExperimentSpec,
     FarmPolicy,
-    ManifestMismatch,
-    PointState,
-    RunManifest,
-    backoff_delay,
-    campaign_id_for,
+    SweepEngine,
+    heavy_synthetic,
+)
+from repro.experiments.engine import backoff_delay
+from repro.farm.executors import (
+    DEFAULT_EXECUTOR,
+    FarmExecutor,
     executor_descriptions,
     executor_names,
     register_executor,
     resolve_executor,
+)
+from repro.farm.manifest import (
+    ManifestMismatch,
+    PointState,
+    RunManifest,
+    campaign_id_for,
 )
 from repro.report.schema import CampaignRecord, load_record, sniff_kind
 from repro.traffic import CrashPointConfig, TrafficSpec
@@ -206,7 +213,7 @@ class TestManifest:
 
 
 class TestFarmEngine:
-    """Pool-backend behaviour that needs no staged crash."""
+    """The engine on a named backend: behaviour that needs no staged crash."""
 
     def grid(self):
         return [small_spec(seed=s, label=f"seed={s}") for s in (1, 2, 3)]
@@ -214,7 +221,7 @@ class TestFarmEngine:
     def test_matches_sweep_engine_results(self, tmp_path):
         specs = self.grid()
         baseline = SweepEngine(jobs=1, cache=False).run(specs)
-        farm = FarmEngine(executor="pool", cache=False)
+        farm = SweepEngine(executor="pool", cache=False)
         points = farm.run(specs)
         assert [point_tuple(p) for p in points] == \
             [point_tuple(p) for p in baseline]
@@ -223,8 +230,8 @@ class TestFarmEngine:
 
     def test_plain_error_is_not_retried(self, tmp_path):
         bad = small_spec(nic_mode="warp", label="bad")
-        farm = FarmEngine(executor="pool", cache=False,
-                          manifest=RunManifest.new("c", [bad], "pool", {}))
+        farm = SweepEngine(executor="pool", cache=False,
+                           manifest=RunManifest.new("c", [bad], "pool", {}))
         (point,) = farm.run([bad])
         assert point.error is not None and "ValueError" in point.error
         assert farm.manifest.points[0].attempts == 1
@@ -235,8 +242,9 @@ class TestFarmEngine:
         bad = small_spec(nic_mode="warp", label="bad")
         policy = FarmPolicy(retries=2, retry_errors=True, seed=5)
         slept = []
-        farm = FarmEngine(executor="pool", cache=False, policy=policy,
-                          sleep=slept.append)
+        farm = SweepEngine(executor="pool", cache=False, policy=policy,
+                           sleep=slept.append,
+                           manifest=RunManifest.new("c", [bad], "pool", {}))
         (point,) = farm.run([bad])
         assert point.error is not None
         assert farm.manifest.points[0].attempts == policy.max_attempts
@@ -247,7 +255,7 @@ class TestFarmEngine:
     def test_resume_executes_nothing(self, tmp_path):
         specs = self.grid()
         path = tmp_path / "c.json"
-        first = FarmEngine(
+        first = SweepEngine(
             executor="pool", cache=False,
             manifest=RunManifest.new(
                 campaign_id_for(specs, "pool"), specs, "pool",
@@ -257,8 +265,8 @@ class TestFarmEngine:
         cold = first.run(specs)
         assert first.stats.executed == len(specs)
 
-        second = FarmEngine(executor="pool", cache=False,
-                            manifest=RunManifest.load(path))
+        second = SweepEngine(executor="pool", cache=False,
+                             manifest=RunManifest.load(path))
         warm = second.run(specs)
         assert second.stats.resumed == len(specs)
         assert second.stats.executed == 0
@@ -272,7 +280,7 @@ class TestFarmEngine:
             campaign_id_for(specs, "pool"), specs, "pool",
             FarmPolicy().as_dict(), path=path,
         )
-        FarmEngine(executor="pool", cache=False, manifest=manifest).run(specs)
+        SweepEngine(executor="pool", cache=False, manifest=manifest).run(specs)
 
         # Fake an interruption: points 1 and 2 never settled.
         doc = json.loads(path.read_text())
@@ -280,8 +288,8 @@ class TestFarmEngine:
             entry.update(state="pending", attempts=0, result=None)
         path.write_text(json.dumps(doc))
 
-        resumed = FarmEngine(executor="pool", cache=False,
-                             manifest=RunManifest.load(path))
+        resumed = SweepEngine(executor="pool", cache=False,
+                              manifest=RunManifest.load(path))
         points = resumed.run(specs)
         assert resumed.stats.resumed == 1
         assert resumed.stats.executed == 2
@@ -296,17 +304,17 @@ class TestFarmEngine:
         bus.subscribe(None, lambda e: seen.append(e.kind))
         bad = small_spec(nic_mode="warp", label="bad")
         policy = FarmPolicy(retries=1, retry_errors=True)
-        FarmEngine(executor="pool", cache=False, policy=policy, bus=bus,
-                   sleep=lambda s: None).run([bad])
+        SweepEngine(executor="pool", cache=False, policy=policy, bus=bus,
+                    sleep=lambda s: None).run([bad])
         assert seen == [EventKind.FARM_DISPATCH, EventKind.FARM_RETRY,
-                        EventKind.FARM_DISPATCH]
+                        EventKind.FARM_DISPATCH, EventKind.SWEEP_ERROR]
 
     def test_cache_hit_skips_dispatch(self, tmp_path):
         spec = small_spec()
-        warmup = FarmEngine(executor="pool", cache_dir=tmp_path)
+        warmup = SweepEngine(executor="pool", cache_dir=tmp_path)
         warmup.run([spec])
         assert warmup.stats.executed == 1
-        again = FarmEngine(executor="pool", cache_dir=tmp_path)
+        again = SweepEngine(executor="pool", cache_dir=tmp_path)
         (point,) = again.run([spec])
         assert again.stats.cache_hits == 1 and again.stats.executed == 0
         assert point.cached
@@ -335,7 +343,7 @@ class TestCrashSurvival:
         flag = tmp_path / "armed.flag"
         truth = self.baseline(tmp_path, flag)
         specs = self.campaign(tmp_path, flag)
-        farm = FarmEngine(
+        farm = SweepEngine(
             executor="subprocess", cache=False,
             policy=FarmPolicy(retries=2, backoff_base=0.0),
             manifest=RunManifest.new("kill1", specs, "subprocess", {},
@@ -356,8 +364,8 @@ class TestCrashSurvival:
         from repro.traffic.crashpoint import CRASH_EXIT_CODE
 
         spec = crash_spec()  # no flag: crashes on every attempt
-        farm = FarmEngine(executor="subprocess", cache=False,
-                          policy=FarmPolicy(retries=0))
+        farm = SweepEngine(executor="subprocess", cache=False,
+                           policy=FarmPolicy(retries=0))
         (point,) = farm.run([spec])
         assert point.worker_died and point.error is not None
         assert f"status {CRASH_EXIT_CODE}" in point.error
@@ -365,7 +373,7 @@ class TestCrashSurvival:
     def test_persistent_crasher_is_poisoned(self, tmp_path):
         spec = crash_spec()
         policy = FarmPolicy(retries=3, backoff_base=0.0)
-        farm = FarmEngine(
+        farm = SweepEngine(
             executor="subprocess", cache=False, policy=policy,
             manifest=RunManifest.new("poison", [spec], "subprocess", {},
                                      path=tmp_path / "poison.json"),
@@ -376,7 +384,7 @@ class TestCrashSurvival:
         assert farm.stats.worker_deaths == policy.poison_threshold
         assert farm.manifest.points[0].state == "poisoned"
         # Quarantine is durable: a resume does not touch the point again.
-        resumed = FarmEngine(
+        resumed = SweepEngine(
             executor="subprocess", cache=False, policy=policy,
             manifest=RunManifest.load(tmp_path / "poison.json"),
         )
@@ -387,11 +395,25 @@ class TestCrashSurvival:
     def test_poison_after_caps_deaths_below_budget(self, tmp_path):
         spec = crash_spec()
         policy = FarmPolicy(retries=5, poison_after=2, backoff_base=0.0)
-        farm = FarmEngine(executor="subprocess", cache=False, policy=policy)
+        farm = SweepEngine(
+            executor="subprocess", cache=False, policy=policy,
+            manifest=RunManifest.new("cap", [spec], "subprocess", {}),
+        )
         (point,) = farm.run([spec])
         assert point.poisoned
         assert farm.stats.worker_deaths == 2
         assert farm.manifest.points[0].attempts == 2
+
+    def test_hang_without_retry_budget_is_timed_out_not_poisoned(self):
+        # retries=0 leaves no budget to quarantine over: a hang must keep
+        # the plain timeout verdict a sweep without a policy reports.
+        slow = small_spec(run_cycles=500_000_000, label="slow")
+        engine = SweepEngine(executor="pool", cache=False, point_timeout=1.0,
+                             policy=FarmPolicy(retries=0))
+        (point,) = engine.run([slow])
+        assert point.timed_out and not point.poisoned
+        assert engine.stats.timeouts == 1 and engine.stats.poisoned == 0
+        assert engine.stats.errors == 1
 
     def test_pool_backend_contains_hard_death(self, tmp_path):
         # The shared pool breaks on a hard death; the backend must
@@ -399,8 +421,8 @@ class TestCrashSurvival:
         flag = tmp_path / "armed.flag"
         truth = self.baseline(tmp_path, flag)
         specs = self.campaign(tmp_path, flag)
-        farm = FarmEngine(executor="pool", cache=False,
-                          policy=FarmPolicy(retries=2, backoff_base=0.0))
+        farm = SweepEngine(executor="pool", cache=False,
+                           policy=FarmPolicy(retries=2, backoff_base=0.0))
         points = farm.run(specs)
         assert [point_tuple(p) for p in points] == truth
         assert farm.stats.worker_deaths >= 1

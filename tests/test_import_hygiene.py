@@ -4,6 +4,8 @@ Graph analysis, numpy, the process pool, the report generator, the farm
 and the analysis models cost import time a run never uses.  Each case
 runs in a fresh interpreter and fails when any of them was loaded, so an
 eager import added later shows up here instead of as slower start-up.
+The subprocess worker and a parallel sweep get the same treatment for
+what they do not use: the report package and the run manifest.
 """
 
 import json
@@ -52,10 +54,50 @@ CLI_RUN = (
 )
 
 
-def _loaded_after(program: str):
+#: One point through ``python -m repro.farm.worker``'s entry point.
+WORKER = (
+    "import io, json, runpy, sys\n"
+    "from repro.experiments.spec import ExperimentSpec\n"
+    "from repro.experiments.workloads import heavy_synthetic\n"
+    "spec = ExperimentSpec(network='fattree', traffic=heavy_synthetic(),"
+    " num_nodes=16, nic_mode='nifdy', run_cycles=300, seed=1)\n"
+    "sys.stdin = io.StringIO(json.dumps(spec.to_dict()))\n"
+    "real, sys.stdout = sys.stdout, io.StringIO()\n"
+    "try:\n"
+    "    runpy.run_module('repro.farm.worker', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code\n"
+    "out, sys.stdout = sys.stdout.getvalue(), real\n"
+    "assert json.loads(out)['delivered'] > 0, out\n"
+)
+
+#: What the worker must not load: the report package, the manifest and
+#: the executors that start it, and the process pool.
+OFF_WORKER_PATH = (
+    "concurrent.futures.process",
+    "repro.report",
+    "repro.farm.manifest",
+    "repro.farm.executors",
+)
+
+PARALLEL_SWEEP = (
+    "from repro.experiments import SweepEngine, nifdy_param_specs\n"
+    "from repro.nic import NifdyParams\n"
+    "specs = nifdy_param_specs('fattree', [NifdyParams(opt_size=2,"
+    " pool_size=4)], num_nodes=16, run_cycles=300, seed=1,"
+    " combine_light_and_heavy=False)\n"
+    "points = SweepEngine(jobs=2, cache=False).run(specs)\n"
+    "assert all(p.ok for p in points), [p.error for p in points]\n"
+)
+
+#: A sweep without a manifest writes no ledger, so it needs neither.
+OFF_SWEEP_PATH = ("repro.report", "repro.farm.manifest")
+
+
+def _loaded_after(program: str, names=OFF_RUN_PATH):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", program + REPORT_LOADED.format(names=OFF_RUN_PATH)],
+        [sys.executable, "-c", program + REPORT_LOADED.format(names=names)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -65,3 +107,11 @@ def _loaded_after(program: str):
                          ids=["run_experiment", "cli_run"])
 def test_run_path_imports(program):
     assert _loaded_after(program) == []
+
+
+def test_worker_imports_only_the_run_path():
+    assert _loaded_after(WORKER, OFF_WORKER_PATH) == []
+
+
+def test_parallel_sweep_skips_report_and_manifest():
+    assert _loaded_after(PARALLEL_SWEEP, OFF_SWEEP_PATH) == []

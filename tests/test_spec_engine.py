@@ -263,7 +263,10 @@ class TestSweepEngine:
         engine.run([small_spec()])
         engine.run([small_spec()])
         assert calls == [(1, 1), (1, 1)]
-        assert seen == [EventKind.SWEEP_POINT, EventKind.SWEEP_CACHE_HIT]
+        # One dispatched attempt, its settlement, then the cache hit
+        # (a cache hit dispatches nothing).
+        assert seen == [EventKind.FARM_DISPATCH, EventKind.SWEEP_POINT,
+                        EventKind.SWEEP_CACHE_HIT]
 
 
 class TestPointTimeout:
