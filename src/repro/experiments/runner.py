@@ -50,7 +50,7 @@ from ..nic import (
     ReorderTolerantNIC,
     RetransmittingNifdyNIC,
 )
-from ..node import CM5_TIMING, Processor, Timing, TrafficDriver
+from ..node import CM5_TIMING, Done, Processor, Timing, TrafficDriver
 from ..sim import Barrier, RngFactory, Simulator
 from .configs import best_params
 from .spec import ExperimentSpec
@@ -67,17 +67,11 @@ TrafficFactory = Callable[[int, int, RngFactory, bool], TrafficDriver]
 
 
 class IdleDriver(TrafficDriver):
-    """Driver for unpopulated nodes: no work, but the processor still polls
-    (used when a workload runs on a subset of a larger fabric, like the
-    paper's 32-node C-shift on the CM-5 fat tree)."""
+    """Driver for unpopulated nodes (a workload on a subset of a larger
+    fabric, like the paper's 32-node C-shift on the CM-5 fat tree)."""
 
     def next_action(self):
-        from ..node import Done
-
         return Done()
-
-    def on_packet(self, packet):
-        raise RuntimeError("idle node received a data packet")
 
 
 @dataclass
@@ -231,7 +225,8 @@ def run_experiment(spec: ExperimentSpec, *extra, **kwargs) -> ExperimentResult:
 
     ``active_nodes`` runs the workload on only the first N nodes of a
     larger fabric (a partially-populated machine, like the paper's 32-node
-    CM-5 runs); the remaining nodes idle but stay responsive.
+    CM-5 runs); the remaining nodes are parked: their processors never run
+    (``busy_cycles == 0``), and a data packet reaching one raises.
 
     ``fault_plan`` injects structured faults (see :mod:`repro.faults`); the
     NIFDY modes then use the retransmitting NIC.  ``watchdog_cycles`` is
@@ -391,8 +386,11 @@ def _run_spec(spec: ExperimentSpec) -> ExperimentResult:
     if spec.track_congestion:
         tracker = CongestionTracker(sim, metrics, spec.congestion_sample_every)
         tracker.start()
-    for proc in processors:
+    for proc in processors[:active]:
         proc.start()
+    for node in range(active, num_nodes):
+        processors[node].done = True
+        nics[node].park()
 
     completed = True
     stall_report = None

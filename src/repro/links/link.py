@@ -50,10 +50,9 @@ def _rr_orders(n: int):
 
 
 class FlitFeeder:
-    """Upstream side of a link: supplies flits for an allocated VC."""
-
-    def has_flit_ready(self, link: "Link", vc: int) -> bool:
-        raise NotImplementedError
+    """Upstream side of a link: supplies flits for an allocated VC, one
+    :meth:`take_flit` per flit announced with :meth:`Link.notify_flit_ready`.
+    """
 
     def take_flit(self, link: "Link", vc: int):
         """Remove and return ``(packet, is_head, is_tail)`` for this VC."""
@@ -94,6 +93,7 @@ class Link:
         "_feeders",
         "_vcs_by_net",
         "_credits",
+        "_ready",
         "_dropping",
         "_vc_capacity",
         "_busy",
@@ -159,6 +159,9 @@ class Link:
         self._feeders: List[Optional[FlitFeeder]] = [None] * vc_count
         self._vcs_by_net = {}
         self._credits = [vc_buffer_flits] * vc_count
+        #: Flits the feeder of each VC has announced but the wire has not
+        #: yet taken: the upstream twin of ``_credits``.
+        self._ready = [0] * vc_count
         self._dropping = [False] * vc_count
         self._vc_capacity = vc_buffer_flits
         self._busy = False
@@ -310,7 +313,8 @@ class Link:
             if self._owners[vc] is None:
                 self._owners[vc] = packet
                 self._feeders[vc] = feeder
-                self._dropping[vc] = self._decide_drop(packet)
+                if self.drop_prob > 0.0 or self.fault_drop_prob > 0.0:
+                    self._dropping[vc] = self._decide_drop(packet)
                 return vc
         return None
 
@@ -319,8 +323,9 @@ class Link:
         self._alloc_waiters.append(fn)
 
     # ------------------------------------------------------------ data path
-    def notify_flit_ready(self, vc: int) -> None:
-        """Feeder signals that ``vc`` may now have work; try to transfer."""
+    def notify_flit_ready(self, vc: int, n: int = 1) -> None:
+        """Feeder announces ``n`` more flits on ``vc``; try to transfer."""
+        self._ready[vc] += n
         if not self._busy:
             self._kick()
 
@@ -337,34 +342,25 @@ class Link:
         # repair() and for the cyclic-topology re-entry described below.
         if self._busy:
             return
-        feeders = self._feeders
+        ready = self._ready
         dropping_flags = self._dropping
         credits = self._credits
         if self.vc_count == 1:
             # Single-VC fast path (every mesh/butterfly wire): no
             # arbitration loop, no round-robin pointer to maintain.
-            feeder = feeders[0]
-            if (
-                feeder is None
-                or (credits[0] <= 0 and not dropping_flags[0])
-                or not feeder.has_flit_ready(self, 0)
-            ):
+            if not ready[0] or (credits[0] <= 0 and not dropping_flags[0]):
                 return
             chosen = 0
         else:
             chosen = -1
             for vc in self._rr_orders[self._rr]:
-                feeder = feeders[vc]
-                if feeder is None:
-                    continue
-                if credits[vc] <= 0 and not dropping_flags[vc]:
-                    continue
-                if feeder.has_flit_ready(self, vc):
+                if ready[vc] and (credits[vc] > 0 or dropping_flags[vc]):
                     chosen = vc
                     break
             if chosen < 0:
                 return
             self._rr = chosen + 1 if chosen + 1 < self.vc_count else 0
+        ready[chosen] -= 1
         if not dropping_flags[chosen]:
             credits[chosen] -= 1
         # Mark the wire busy BEFORE taking the flit: take_flit returns a
@@ -378,7 +374,7 @@ class Link:
         if last is not None and now - last < self.cycles_per_flit:
             raise RuntimeError(f"{self.name}: wire overclocked (double transfer)")
         self._last_start = now
-        packet, is_head, is_tail = feeder.take_flit(self, chosen)
+        packet, is_head, is_tail = self._feeders[chosen].take_flit(self, chosen)
         self.flits_carried += 1
         self.busy_cycles += self.cycles_per_flit
         self._post(
@@ -393,6 +389,9 @@ class Link:
             # Release the VC before delivering the tail flit: delivery may
             # trigger the downstream packet to advance and a waiter to want
             # this VC in the same cycle.
+            if self._ready[vc]:
+                raise RuntimeError(f"{self.name}: VC {vc} released with "
+                                   "announced flits untaken")
             self._owners[vc] = None
             self._feeders[vc] = None
             self._dropping[vc] = False

@@ -27,6 +27,7 @@ The processor-facing interface is uniform:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..links import FlitFeeder, FlitSink, Link
@@ -43,6 +44,17 @@ class _InjectionStream:
     def __init__(self, packet: Packet):
         self.packet = packet
         self.flits_sent = 0
+
+
+class _ParkedArrivals(deque):
+    """Arrivals FIFO of a parked NIC: queueing a packet there raises."""
+
+    def __init__(self, node_id: int):
+        super().__init__()
+        self.node_id = node_id
+
+    def append(self, packet: Packet) -> None:
+        raise RuntimeError(f"idle node {self.node_id} received data: {packet}")
 
 
 class BaseNIC(FlitFeeder, FlitSink):
@@ -146,7 +158,7 @@ class BaseNIC(FlitFeeder, FlitSink):
                 self.obs.emit_packet(
                     self.sim.now, EventKind.INJECT, self.node_id, packet
                 )
-        link.notify_flit_ready(vc)
+        link.notify_flit_ready(vc, packet.flits)
         return True
 
     def _injection_port_free(self, net: int) -> bool:
@@ -174,9 +186,6 @@ class BaseNIC(FlitFeeder, FlitSink):
         self._inj_link_for(net).add_alloc_waiter(_fire)
 
     # FlitFeeder interface ---------------------------------------------------
-    def has_flit_ready(self, link: Link, vc: int) -> bool:
-        return (id(link), vc) in self._inj_streams
-
     def take_flit(self, link: Link, vc: int):
         stream = self._inj_streams[(id(link), vc)]
         stream.flits_sent += 1
@@ -262,6 +271,13 @@ class BaseNIC(FlitFeeder, FlitSink):
 
     def receive(self) -> Optional[Packet]:
         raise NotImplementedError
+
+    def park(self) -> None:
+        """This node is unpopulated: its processor never runs, so a data
+        packet becoming receivable here is a bug and raises at once.  Every
+        variant keeps the processor's arrivals FIFO in ``_arrivals``; acks
+        and collective packets never enter it."""
+        self._arrivals = _ParkedArrivals(self.node_id)
 
     def accepted(self, packet: Packet) -> None:
         """Processor finished its receive overhead for ``packet``."""

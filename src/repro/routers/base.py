@@ -101,8 +101,9 @@ class InputUnit(FlitFeeder):
             return
         transit = self.queue[0]
         if transit.out_link is not None:
-            transit.out_link.notify_flit_ready(transit.out_vc)
-            return
+            # Only a new head gets here, and only a head gets an out link:
+            # announcing its flits again would double-count them.
+            raise RuntimeError(f"{transit.packet} already holds an out VC")
         if self.router.mode == STORE_AND_FORWARD and not transit.tail_arrived:
             return
         if not transit.route_ready:
@@ -132,15 +133,13 @@ class InputUnit(FlitFeeder):
         self._try_allocate(transit)
 
     def _try_allocate(self, transit: _Transit) -> None:
-        if transit.out_link is not None:
-            return
         for link, vc_candidates in transit.choices:
             vc = link.allocate_vc(transit.packet, self, vc_candidates)
             if vc is not None:
                 transit.out_link = link
                 transit.out_vc = vc
                 transit.waiting_for_vc = False
-                link.notify_flit_ready(vc)
+                link.notify_flit_ready(vc, transit.flits_buffered)
                 return
         if not transit.waiting_for_vc:
             transit.waiting_for_vc = True
@@ -164,16 +163,6 @@ class InputUnit(FlitFeeder):
         self._try_allocate(transit)
 
     # ---------------------------------------------------------- feeder side
-    def has_flit_ready(self, link: Link, vc: int) -> bool:
-        if not self.queue:
-            return False
-        transit = self.queue[0]
-        return (
-            transit.out_link is link
-            and transit.out_vc == vc
-            and transit.flits_buffered > 0
-        )
-
     def take_flit(self, link: Link, vc: int):
         transit = self.queue[0]
         transit.flits_buffered -= 1

@@ -344,26 +344,6 @@ class EpochSimulator(Simulator):
         self._buckets: List[List] = [[] for _ in range(_WINDOW)]
         self._nbucket = 0  # entries (incl. cancelled husks) in the ring
 
-    def _next_event_cycle(self) -> Optional[int]:
-        """Earliest cycle holding a queued event (husks included), or None.
-
-        With the ring non-empty the scan terminates within ``_WINDOW``
-        slots by construction; in flit-saturated runs it terminates in one
-        or two.
-        """
-        heap = self._heap
-        if self._nbucket:
-            buckets = self._buckets
-            c = self._now
-            while not buckets[c & _MASK]:
-                c += 1
-            if heap and heap[0].cycle < c:
-                return heap[0].cycle
-            return c
-        if heap:
-            return heap[0].cycle
-        return None
-
     def at(self, cycle: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run at absolute ``cycle``."""
         if cycle < self._now:
@@ -436,9 +416,21 @@ class EpochSimulator(Simulator):
         heap = self._heap
         buckets = self._buckets
         heappop = heapq.heappop
+        c = self._now
         while True:
-            c = self._next_event_cycle()
-            if c is None or (bound is not None and c >= bound):
+            # Next cycle holding a queued event (husks included).  With the
+            # ring non-empty the scan ends within _WINDOW slots by
+            # construction; in flit-saturated runs it ends in one or two.
+            if self._nbucket:
+                while not buckets[c & _MASK]:
+                    c += 1
+                if heap and heap[0].cycle < c:
+                    c = heap[0].cycle
+            elif heap:
+                c = heap[0].cycle
+            else:
+                return
+            if bound is not None and c >= bound:
                 return
             self._now = c
             # Heap first: every heap event for this cycle was scheduled at
@@ -452,11 +444,9 @@ class EpochSimulator(Simulator):
                     event._fired = True
                     self._live -= 1
                     event.fn(*event.args)
+            # List iteration sees the same-cycle entries handlers append.
             bucket = buckets[c & _MASK]
-            i = 0
-            while i < len(bucket):  # handlers may append same-cycle events
-                entry = bucket[i]
-                i += 1
+            for entry in bucket:
                 if type(entry) is tuple:
                     self._live -= 1
                     fn, args = entry
@@ -465,7 +455,7 @@ class EpochSimulator(Simulator):
                     entry._fired = True
                     self._live -= 1
                     entry.fn(*entry.args)
-            self._nbucket -= i
+            self._nbucket -= len(bucket)
             del bucket[:]
 
     def _run_ring_profiled(self, bound: Optional[int]) -> None:
@@ -477,10 +467,19 @@ class EpochSimulator(Simulator):
         profile = self._profile
         clock = time.perf_counter
         loop_start = clock()
+        c = self._now
         try:
             while True:
-                c = self._next_event_cycle()
-                if c is None or (bound is not None and c >= bound):
+                if self._nbucket:
+                    while not buckets[c & _MASK]:
+                        c += 1
+                    if heap and heap[0].cycle < c:
+                        c = heap[0].cycle
+                elif heap:
+                    c = heap[0].cycle
+                else:
+                    return
+                if bound is not None and c >= bound:
                     return
                 self._now = c
                 while heap and heap[0].cycle == c:
@@ -493,10 +492,7 @@ class EpochSimulator(Simulator):
                         profile.note(event.fn, clock() - start)
                         profile.events += 1
                 bucket = buckets[c & _MASK]
-                i = 0
-                while i < len(bucket):
-                    entry = bucket[i]
-                    i += 1
+                for entry in bucket:
                     if type(entry) is tuple:
                         self._live -= 1
                         fn, args = entry
@@ -511,7 +507,7 @@ class EpochSimulator(Simulator):
                         entry.fn(*entry.args)
                         profile.note(entry.fn, clock() - start)
                         profile.events += 1
-                self._nbucket -= i
+                self._nbucket -= len(bucket)
                 del bucket[:]
         finally:
             profile.loop_seconds += clock() - loop_start

@@ -13,12 +13,29 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.nic import NifdyParams
+from repro.node import Done, Send, TrafficDriver
+from repro.packets import Packet, PacketKind
 from repro.traffic import (
     CShiftConfig,
     Em3dConfig,
     RadixSortConfig,
     SyntheticConfig,
 )
+
+
+class _OneSend(TrafficDriver):
+    """Sends one scalar packet to ``dst`` (if any), then is done."""
+
+    def __init__(self, node, dst):
+        self.node = node
+        self.dst = dst
+
+    def next_action(self):
+        if self.dst is None:
+            return Done()
+        dst, self.dst = self.dst, None
+        return Send(Packet(src=self.node, dst=dst, kind=PacketKind.SCALAR,
+                           size_bytes=8))
 
 
 class TestSyntheticRuns:
@@ -115,6 +132,31 @@ class TestCompletionRuns:
         assert result.completed
         finish = max(d.scan_finished_cycle for d in result.drivers)
         assert finish > 0
+
+    def test_idle_processors_are_parked(self):
+        result = run_experiment(ExperimentSpec(
+            network="cm5", traffic=cshift(CShiftConfig(words_per_phase=24)),
+            num_nodes=16, active_nodes=8, nic_mode="nifdy", seed=1,
+        ))
+        assert result.completed
+        assert result.delivered == result.sent > 0
+        idle = result.processors[8:]
+        assert all(proc.done and proc.busy_cycles == 0 for proc in idle)
+        assert all(proc.busy_cycles > 0 for proc in result.processors[:8])
+
+    @pytest.mark.parametrize("mode", ["plain", "nifdy", "reorder-bitmap"])
+    def test_data_packet_to_an_idle_node_raises(self, mode):
+        def traffic(node, active, rngf, exploit):
+            # Node 0 sends one scalar packet to node 5, outside the 4
+            # active nodes; the others have no work.
+            return _OneSend(node, dst=5 if node == 0 else None)
+
+        spec = ExperimentSpec(
+            network="fattree", traffic=traffic, num_nodes=16,
+            active_nodes=4, nic_mode=mode, seed=1,
+        )
+        with pytest.raises(RuntimeError, match="idle node 5"):
+            run_experiment(spec)
 
     def test_incomplete_run_flagged(self):
         result = run_experiment(ExperimentSpec(

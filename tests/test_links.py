@@ -8,14 +8,12 @@ from repro.sim import RngFactory, Simulator
 
 
 class OnePacketFeeder(FlitFeeder):
-    """Feeds the flits of a single packet."""
+    """Feeds the flits of a single packet (announced by the test with
+    ``link.notify_flit_ready(vc, packet.flits)``)."""
 
     def __init__(self, packet):
         self.packet = packet
         self.sent = 0
-
-    def has_flit_ready(self, link, vc):
-        return self.sent < self.packet.flits
 
     def take_flit(self, link, vc):
         self.sent += 1
@@ -51,7 +49,7 @@ class TestTransfer:
         pkt = packet(flits=3)
         feeder = OnePacketFeeder(pkt)
         assert link.allocate_vc(pkt, feeder, [0]) == 0
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, pkt.flits)
         sim.run()
         assert len(sink.flits) == 3
         assert sink.flits[0][3] is True   # head flag
@@ -65,7 +63,7 @@ class TestTransfer:
         pkt = packet(flits=8)
         feeder = OnePacketFeeder(pkt)
         link.allocate_vc(pkt, feeder, [0])
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, pkt.flits)
         sim.run()
         assert sim.now == 8
 
@@ -76,7 +74,7 @@ class TestTransfer:
         pkt = packet(flits=2)
         feeder = OnePacketFeeder(pkt)
         link.allocate_vc(pkt, feeder, [0])
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, pkt.flits)
         sim.run()
         assert sim.now == 32
 
@@ -87,7 +85,7 @@ class TestTransfer:
         pkt = packet(flits=2)
         feeder = OnePacketFeeder(pkt)
         link.allocate_vc(pkt, feeder, [0])
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, pkt.flits)
         sim.run()
         assert link.flits_carried == 2
         assert link.packets_carried == 1
@@ -102,7 +100,7 @@ class TestCredits:
         pkt = packet(flits=5)
         feeder = OnePacketFeeder(pkt)
         link.allocate_vc(pkt, feeder, [0])
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, pkt.flits)
         sim.run()
         assert len(sink.flits) == 2  # buffer capacity reached
 
@@ -114,7 +112,7 @@ class TestCredits:
         pkt = packet(flits=5)
         feeder = OnePacketFeeder(pkt)
         link.allocate_vc(pkt, feeder, [0])
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, pkt.flits)
         sim.run()
         assert len(sink.flits) == 5
 
@@ -136,7 +134,7 @@ class TestVcAllocation:
         assert link.allocate_vc(first, feeder, [0]) == 0
         second = packet(flits=2, src=5)
         assert link.allocate_vc(second, OnePacketFeeder(second), [0]) is None
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, first.flits)
         sim.run()
         # tail delivered -> VC free again
         assert link.allocate_vc(second, OnePacketFeeder(second), [0]) == 0
@@ -151,7 +149,7 @@ class TestVcAllocation:
         link.allocate_vc(pkt, feeder, [0])
         fired = []
         link.add_alloc_waiter(lambda: fired.append(sim.now))
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, pkt.flits)
         sim.run()
         assert fired  # waiter fired when the VC released
 
@@ -163,8 +161,8 @@ class TestVcAllocation:
         a, b = packet(flits=3, src=1), packet(flits=3, src=2)
         link.allocate_vc(a, OnePacketFeeder(a), [0])
         link.allocate_vc(b, OnePacketFeeder(b), [1])
-        link.notify_flit_ready(0)
-        link.notify_flit_ready(1)
+        link.notify_flit_ready(0, a.flits)
+        link.notify_flit_ready(1, b.flits)
         sim.run()
         srcs = [f[2].src for f in sink.flits]
         # flits interleave; total time = 6 flit slots
@@ -182,6 +180,45 @@ class TestVcAllocation:
         assert link.vcs_for_net(1) == [2, 3]
 
 
+class TestReadinessCounts:
+    """The link takes exactly the flits its feeder announced."""
+
+    def test_k_announced_flits_give_k_transfers_then_release(self):
+        sim = Simulator()
+        sink = RecordingSink()
+        link = make_link(sim, sink, vcs=2)
+        sink.auto_credit_link = link
+        pkt = packet(flits=5)
+        feeder = OnePacketFeeder(pkt)
+        link.allocate_vc(pkt, feeder, [1])
+        released = []
+        link.add_alloc_waiter(lambda: released.append(feeder.sent))
+        # Announce in pieces, as a cut-through router does: what was
+        # buffered at allocation, then one flit at a time.
+        link.notify_flit_ready(1, 2)
+        sim.run()
+        assert feeder.sent == 2 and link.owner(1) is pkt
+        for _ in range(3):
+            link.notify_flit_ready(1)
+        sim.run()
+        assert feeder.sent == 5
+        assert [(f[1], f[3], f[4]) for f in sink.flits] == [
+            (1, True, False), (1, False, False), (1, False, False),
+            (1, False, False), (1, False, True),
+        ]
+        assert released == [5]
+        assert link.vc_free(1)
+
+    def test_over_announced_vc_raises_at_tail_release(self):
+        sim = Simulator()
+        link = make_link(sim, RecordingSink())
+        pkt = packet(flits=2)
+        link.allocate_vc(pkt, OnePacketFeeder(pkt), [0])
+        link.notify_flit_ready(0, pkt.flits + 1)
+        with pytest.raises(RuntimeError, match="announced"):
+            sim.run()
+
+
 class TestLossyLinks:
     def test_dropped_packet_consumes_wire_but_not_delivered(self):
         sim = Simulator()
@@ -191,7 +228,7 @@ class TestLossyLinks:
         pkt = packet(flits=4)
         feeder = OnePacketFeeder(pkt)
         link.allocate_vc(pkt, feeder, [0])
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, pkt.flits)
         sim.run()
         assert sink.flits == []
         assert link.packets_dropped == 1
@@ -208,7 +245,7 @@ class TestLossyLinks:
         ack = make_ack(0, 1, AckInfo())
         feeder = OnePacketFeeder(ack)
         link.allocate_vc(ack, feeder, [0])
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, ack.flits)
         sim.run()
         assert len(sink.flits) == ack.flits
 
@@ -219,7 +256,7 @@ class TestLossyLinks:
         sink.auto_credit_link = link
         pkt = packet(flits=4)
         link.allocate_vc(pkt, OnePacketFeeder(pkt), [0])
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, pkt.flits)
         sim.run()
         assert len(sink.flits) == 4
 
@@ -278,7 +315,7 @@ class TestAccountingHonesty:
         sink.auto_credit_link = link
         pkt = packet(flits=2)
         link.allocate_vc(pkt, OnePacketFeeder(pkt), [0])
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, pkt.flits)
         sim.run_until(1)  # first flit started at 0, still on the wire
         link.flits_carried = 0  # stats reset must not re-arm the wire
         link._busy = False      # simulate the bug the guard exists to catch
@@ -294,7 +331,7 @@ class TestAccountingHonesty:
         sink.auto_credit_link = link
         pkt = packet(flits=4)
         link.allocate_vc(pkt, OnePacketFeeder(pkt), [0])
-        link.notify_flit_ready(0)
+        link.notify_flit_ready(0, pkt.flits)
         sim.run()
         assert len(sink.flits) == 4
         assert link.utilization(sim.now) == pytest.approx(1.0)
@@ -312,7 +349,7 @@ class TestSinkBinding:
         router.attach_in_link(3, link)
         pkt = packet(flits=2)
         link.allocate_vc(pkt, OnePacketFeeder(pkt), [1])
-        link.notify_flit_ready(1)
+        link.notify_flit_ready(1, pkt.flits)
         # Both flits arrive by cycle 2, well before routing completes (and
         # finds no route).
         sim.run_until(3)
@@ -338,7 +375,7 @@ class TestSinkBinding:
         link.set_sink(nic, 2)
         pkt = packet(flits=3)
         link.allocate_vc(pkt, OnePacketFeeder(pkt), [1])
-        link.notify_flit_ready(1)
+        link.notify_flit_ready(1, pkt.flits)
         sim.run()
         assert nic.ejected == [(pkt, 1, 2)]
         assert nic._ej_flits[(2, 1)] == 0

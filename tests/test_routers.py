@@ -75,12 +75,9 @@ class InjectFeeder:
                 self.queue.pop(0)
                 self.current = pkt
                 self.sent = 0
-                self.link.notify_flit_ready(0)
+                self.link.notify_flit_ready(0, pkt.flits)
             else:
                 self.link.add_alloc_waiter(self._pump)
-
-    def has_flit_ready(self, link, vc):
-        return self.current is not None and self.sent < self.current.flits
 
     def take_flit(self, link, vc):
         self.sent += 1

@@ -207,6 +207,34 @@ def test_torus_parity(kernel, monkeypatch):
     assert _canonical_mesh_metrics(kernel_case(kernel, monkeypatch)) == heap
 
 
+def _canonical_idle_nodes_metrics(kernel: str) -> str:
+    """C-shift on half of a 16-node CM-5: the other 8 nodes are parked
+    (their processors never run) while their NICs and the routers above
+    them keep carrying traffic."""
+    spec = ExperimentSpec(
+        network="cm5",
+        traffic=TrafficSpec("cshift", CShiftConfig(words_per_phase=24)),
+        num_nodes=NODES,
+        active_nodes=8,
+        nic_mode="nifdy",
+        max_cycles=300_000,
+        seed=7,
+        kernel=kernel,
+        observe=Observability(events=True),
+    )
+    result = run_experiment(spec)
+    assert result.completed
+    metrics = metrics_json(result)
+    metrics.pop("self_profile", None)
+    return json.dumps(metrics, sort_keys=True)
+
+
+@pytest.mark.parametrize("kernel", CHALLENGERS)
+def test_idle_nodes_parity(kernel, monkeypatch):
+    heap = _canonical_idle_nodes_metrics("heap")
+    assert _canonical_idle_nodes_metrics(kernel_case(kernel, monkeypatch)) == heap
+
+
 def test_long_window_epoch_smoke():
     """A >=200k-cycle window runs to completion under the epoch kernel and
     matches heap exactly: far events keep crossing the ring/heap boundary
