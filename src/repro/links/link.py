@@ -50,12 +50,17 @@ def _rr_orders(n: int):
 
 
 class FlitFeeder:
-    """Upstream side of a link: supplies flits for an allocated VC, one
-    :meth:`take_flit` per flit announced with :meth:`Link.notify_flit_ready`.
+    """Upstream side of a link.  It announces flits with
+    :meth:`Link.notify_flit_ready`; the link sequences them itself and
+    returns each taken flit's credit to ``credit_link``/``credit_vc``, the
+    buffer the flit leaves (``None`` for a NIC: no upstream buffer).
     """
 
-    def take_flit(self, link: "Link", vc: int):
-        """Remove and return ``(packet, is_head, is_tail)`` for this VC."""
+    credit_link: Optional["Link"] = None
+    credit_vc = 0
+
+    def tail_taken(self, link: "Link", vc: int) -> None:
+        """The wire took this packet's tail flit (once per packet)."""
         raise NotImplementedError
 
 
@@ -94,6 +99,8 @@ class Link:
         "_vcs_by_net",
         "_credits",
         "_ready",
+        "_nready",
+        "_sent",
         "_dropping",
         "_vc_capacity",
         "_busy",
@@ -114,7 +121,6 @@ class Link:
         "flits_carried",
         "packets_carried",
         "packets_dropped",
-        "busy_cycles",
         "obs",
     )
 
@@ -162,6 +168,10 @@ class Link:
         #: Flits the feeder of each VC has announced but the wire has not
         #: yet taken: the upstream twin of ``_credits``.
         self._ready = [0] * vc_count
+        #: ``sum(_ready)``: a kick with nothing announced cannot move a flit.
+        self._nready = 0
+        #: Flits taken from each VC's current owner (head/tail sequencing).
+        self._sent = [0] * vc_count
         self._dropping = [False] * vc_count
         self._vc_capacity = vc_buffer_flits
         self._busy = False
@@ -195,7 +205,6 @@ class Link:
         self.flits_carried = 0
         self.packets_carried = 0
         self.packets_dropped = 0
-        self.busy_cycles = 0
         #: Protocol event bus; None = un-instrumented (the common case).
         self.obs = None
 
@@ -234,6 +243,10 @@ class Link:
 
     def owner(self, vc: int) -> Optional[Packet]:
         return self._owners[vc]
+
+    def flits_taken(self, vc: int) -> int:
+        """Flits the wire has taken from ``vc``'s current owner."""
+        return self._sent[vc]
 
     def fail(self) -> None:
         """Take this link out of service (Section 1.1: network faults).
@@ -326,6 +339,7 @@ class Link:
     def notify_flit_ready(self, vc: int, n: int = 1) -> None:
         """Feeder announces ``n`` more flits on ``vc``; try to transfer."""
         self._ready[vc] += n
+        self._nready += n
         if not self._busy:
             self._kick()
 
@@ -334,7 +348,7 @@ class Link:
         if self._credits[vc] >= self._vc_capacity:
             raise RuntimeError(f"{self.name}: credit overflow on VC {vc}")
         self._credits[vc] += 1
-        if not self._busy:
+        if self._nready and not self._busy:
             self._kick()
 
     def _kick(self) -> None:
@@ -361,29 +375,43 @@ class Link:
                 return
             self._rr = chosen + 1 if chosen + 1 < self.vc_count else 0
         ready[chosen] -= 1
+        self._nready -= 1
         if not dropping_flags[chosen]:
             credits[chosen] -= 1
-        # Mark the wire busy BEFORE taking the flit: take_flit returns a
-        # credit upstream, and on cyclic topologies that credit-return chain
-        # can run all the way around a ring and re-enter this link's _kick
-        # within the same call stack.  Claiming the wire first makes the
-        # re-entry a no-op instead of a double transfer.
+        # Mark the wire busy BEFORE taking the flit: the taken flit returns
+        # a credit upstream, and on cyclic topologies that credit-return
+        # chain can run all the way around a ring and re-enter this link's
+        # _kick within the same call stack.  Claiming the wire first makes
+        # the re-entry a no-op instead of a double transfer.
         self._busy = True
         now = self.sim._now
         last = self._last_start
         if last is not None and now - last < self.cycles_per_flit:
             raise RuntimeError(f"{self.name}: wire overclocked (double transfer)")
         self._last_start = now
-        packet, is_head, is_tail = self._feeders[chosen].take_flit(self, chosen)
+        self._sent[chosen] = sent = self._sent[chosen] + 1
+        feeder = self._feeders[chosen]
+        up = feeder.credit_link
+        if up is not None:
+            # The flit left the feeder's buffer: return_credit, inlined.
+            up_vc = feeder.credit_vc
+            up_credits = up._credits
+            if up_credits[up_vc] >= up._vc_capacity:
+                raise RuntimeError(f"{up.name}: credit overflow on VC {up_vc}")
+            up_credits[up_vc] += 1
+            if up._nready and not up._busy:
+                up._kick()
         self.flits_carried += 1
-        self.busy_cycles += self.cycles_per_flit
-        self._post(
-            self.cycles_per_flit, self._complete_cb, chosen, packet, is_head,
-            is_tail,
-        )
+        if sent == self._owners[chosen].flits:
+            feeder.tail_taken(self, chosen)
+        self._post(self.cycles_per_flit, self._complete_cb, chosen)
 
-    def _complete(self, vc: int, packet: Packet, is_head: bool, is_tail: bool) -> None:
+    def _complete(self, vc: int) -> None:
+        # One flit on the wire at a time: this is the last one _kick took.
         self._busy = False
+        packet = self._owners[vc]
+        sent = self._sent[vc]
+        is_tail = sent == packet.flits
         dropping = self._dropping[vc]
         if is_tail:
             # Release the VC before delivering the tail flit: delivery may
@@ -394,6 +422,7 @@ class Link:
                                    "announced flits untaken")
             self._owners[vc] = None
             self._feeders[vc] = None
+            self._sent[vc] = 0
             self._dropping[vc] = False
             self.packets_carried += 1
             if dropping:
@@ -410,11 +439,16 @@ class Link:
                 for fn in waiters:
                     fn()
         if not dropping:
-            self._accept[vc](packet, is_head, is_tail)
-        if not self._busy:
+            self._accept[vc](packet, sent == 1, is_tail)
+        if self._nready and not self._busy:
             self._kick()
 
     # ------------------------------------------------------------- metrics
+    @property
+    def busy_cycles(self) -> int:
+        """Wire-cycles spent carrying flits (``cycles_per_flit`` is fixed)."""
+        return self.flits_carried * self.cycles_per_flit
+
     def utilization(self, elapsed_cycles: int) -> float:
         """Ratio of busy wire-cycles to elapsed cycles.
 

@@ -36,16 +36,6 @@ from ..packets import Packet, PacketKind
 from ..sim import Simulator
 
 
-class _InjectionStream:
-    """One packet currently streaming onto an injection-link VC."""
-
-    __slots__ = ("packet", "flits_sent")
-
-    def __init__(self, packet: Packet):
-        self.packet = packet
-        self.flits_sent = 0
-
-
 class _ParkedArrivals(deque):
     """Arrivals FIFO of a parked NIC: queueing a packet there raises."""
 
@@ -66,8 +56,6 @@ class BaseNIC(FlitFeeder, FlitSink):
         self._inj_links: List[Link] = []
         self._inj_by_net: Dict[int, Link] = {}
         self._ej_links: Dict[int, Link] = {}
-        # injection: at most one stream per (link, VC)
-        self._inj_streams: Dict[Tuple[int, int], _InjectionStream] = {}
         self._port_retries: set = set()
         # ejection: per-(port, VC) partial packet flit counts
         self._ej_flits: Dict[Tuple[int, int], int] = {}
@@ -135,17 +123,9 @@ class BaseNIC(FlitFeeder, FlitSink):
         logical network is busy.
         """
         link = self._inj_link_for(packet.logical_net)
-        lid = id(link)
-        candidates = [
-            vc for vc in link.vcs_for_net(packet.logical_net)
-            if (lid, vc) not in self._inj_streams
-        ]
-        if not candidates:
-            return False
-        vc = link.allocate_vc(packet, self, candidates)
+        vc = link.allocate_vc(packet, self, link.vcs_for_net(packet.logical_net))
         if vc is None:
             return False
-        self._inj_streams[(lid, vc)] = _InjectionStream(packet)
         packet.injected_cycle = self.sim.now
         if (
             packet.is_data
@@ -162,15 +142,10 @@ class BaseNIC(FlitFeeder, FlitSink):
         return True
 
     def _injection_port_free(self, net: int) -> bool:
-        """True when some VC of ``net`` is both unclaimed by us and released
-        by the link (a finished packet's VC frees only once its tail flit has
-        fully crossed the wire, a few cycles after our stream ends)."""
+        """True when the link has released some VC of ``net`` (only once
+        the last packet's tail flit has fully crossed the wire)."""
         link = self._inj_link_for(net)
-        lid = id(link)
-        return any(
-            (lid, vc) not in self._inj_streams and link.vc_free(vc)
-            for vc in link.vcs_for_net(net)
-        )
+        return any(link.vc_free(vc) for vc in link.vcs_for_net(net))
 
     def _retry_when_port_frees(self, key: str, net: int, fn: Callable[[], None]) -> None:
         """Re-run ``fn`` when an injection VC releases (at most one pending
@@ -186,17 +161,10 @@ class BaseNIC(FlitFeeder, FlitSink):
         self._inj_link_for(net).add_alloc_waiter(_fire)
 
     # FlitFeeder interface ---------------------------------------------------
-    def take_flit(self, link: Link, vc: int):
-        stream = self._inj_streams[(id(link), vc)]
-        stream.flits_sent += 1
-        is_head = stream.flits_sent == 1
-        is_tail = stream.flits_sent == stream.packet.flits
-        if is_tail:
-            del self._inj_streams[(id(link), vc)]
-            self.packets_injected += 1
-            # Let the subclass queue the next packet for this VC.
-            self.sim.post(0, self._dispatch_injection_complete, stream.packet)
-        return stream.packet, is_head, is_tail
+    def tail_taken(self, link: Link, vc: int) -> None:
+        self.packets_injected += 1
+        # Let the subclass queue the next packet for this VC.
+        self.sim.post(0, self._dispatch_injection_complete, link.owner(vc))
 
     def _dispatch_injection_complete(self, packet: Packet) -> None:
         """Route a finished injection to its owner.

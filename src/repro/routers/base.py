@@ -39,8 +39,7 @@ class _Transit:
 
     __slots__ = (
         "packet",
-        "flits_buffered",
-        "flits_forwarded",
+        "flits_arrived",
         "tail_arrived",
         "route_ready",
         "routing_scheduled",
@@ -52,8 +51,7 @@ class _Transit:
 
     def __init__(self, packet: Packet):
         self.packet = packet
-        self.flits_buffered = 0
-        self.flits_forwarded = 0
+        self.flits_arrived = 0
         self.tail_arrived = False
         self.route_ready = False
         self.routing_scheduled = False
@@ -66,13 +64,17 @@ class _Transit:
 class InputUnit(FlitFeeder):
     """Buffer + forwarding state machine for one (port, VC) of a router."""
 
-    __slots__ = ("router", "port", "vc", "in_link", "queue")
+    __slots__ = ("router", "port", "vc", "in_link", "credit_link",
+                 "credit_vc", "queue")
 
     def __init__(self, router: "Router", port: int, vc: int, in_link: Link):
         self.router = router
         self.port = port
         self.vc = vc
         self.in_link = in_link
+        # A flit the out link takes frees one slot of this buffer.
+        self.credit_link = in_link
+        self.credit_vc = vc
         self.queue: Deque[_Transit] = deque()
 
     # ----------------------------------------------------------- sink side
@@ -85,7 +87,7 @@ class InputUnit(FlitFeeder):
                 f"router {self.router.rid} port {self.port} vc {self.vc}: "
                 f"interleaved flits of {packet} into {transit.packet}"
             )
-        transit.flits_buffered += 1
+        transit.flits_arrived += 1
         if is_tail:
             transit.tail_arrived = True
         if transit is self.queue[0]:
@@ -139,7 +141,8 @@ class InputUnit(FlitFeeder):
                 transit.out_link = link
                 transit.out_vc = vc
                 transit.waiting_for_vc = False
-                link.notify_flit_ready(vc, transit.flits_buffered)
+                # Nothing has been taken yet: every arrived flit is ready.
+                link.notify_flit_ready(vc, transit.flits_arrived)
                 return
         if not transit.waiting_for_vc:
             transit.waiting_for_vc = True
@@ -163,23 +166,17 @@ class InputUnit(FlitFeeder):
         self._try_allocate(transit)
 
     # ---------------------------------------------------------- feeder side
-    def take_flit(self, link: Link, vc: int):
-        transit = self.queue[0]
-        transit.flits_buffered -= 1
-        transit.flits_forwarded += 1
-        is_head = transit.flits_forwarded == 1
-        is_tail = transit.flits_forwarded == transit.packet.flits
-        self.in_link.return_credit(self.vc)
-        if is_tail:
-            self.queue.popleft()
-            if self.queue:
-                self._advance_head()
-        return transit.packet, is_head, is_tail
+    def tail_taken(self, link: Link, vc: int) -> None:
+        self.queue.popleft()
+        if self.queue:
+            self._advance_head()
 
     @property
     def occupancy(self) -> int:
-        """Flits currently buffered in this input unit."""
-        return sum(t.flits_buffered for t in self.queue)
+        """Flits buffered here: arrived minus what the out link has taken."""
+        return sum(t.flits_arrived - (t.out_link.flits_taken(t.out_vc)
+                                      if t.out_link is not None else 0)
+                   for t in self.queue)
 
 
 class Router(FlitSink):

@@ -218,9 +218,9 @@ class Simulator(Scheduler):
         return self.at(self._now + delay, fn, *args)
 
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still queued.  O(1): a live
-        count is maintained on schedule/cancel/pop (the liveness watchdog
-        polls this every check interval)."""
+        """Not-yet-cancelled events still queued, O(1) (a live count kept
+        on schedule/cancel/pop).  A test/debug query: the runner's watchdog
+        compares a (delivered, abandoned, flits_carried) signature."""
         return self._live
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -78,7 +78,7 @@ class Scheduler:
         raise NotImplementedError
 
     def pending_events(self) -> int:
-        """Not-yet-cancelled events still queued (liveness watchdog)."""
+        """Not-yet-cancelled events still queued (a test/debug query)."""
         raise NotImplementedError
 
 

@@ -1,6 +1,7 @@
 """Tests for the link layer: bandwidth pacing, credits, VC allocation."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.links import FlitFeeder, FlitSink, Link
 from repro.packets import Packet, PacketKind
@@ -9,15 +10,15 @@ from repro.sim import RngFactory, Simulator
 
 class OnePacketFeeder(FlitFeeder):
     """Feeds the flits of a single packet (announced by the test with
-    ``link.notify_flit_ready(vc, packet.flits)``)."""
+    ``link.notify_flit_ready(vc, packet.flits)``); no upstream buffer."""
 
     def __init__(self, packet):
         self.packet = packet
-        self.sent = 0
+        self.tails = 0
 
-    def take_flit(self, link, vc):
-        self.sent += 1
-        return self.packet, self.sent == 1, self.sent == self.packet.flits
+    def tail_taken(self, link, vc):
+        assert link.owner(vc) is self.packet
+        self.tails += 1
 
 
 class RecordingSink(FlitSink):
@@ -192,22 +193,24 @@ class TestReadinessCounts:
         feeder = OnePacketFeeder(pkt)
         link.allocate_vc(pkt, feeder, [1])
         released = []
-        link.add_alloc_waiter(lambda: released.append(feeder.sent))
+        link.add_alloc_waiter(lambda: released.append(len(sink.flits)))
         # Announce in pieces, as a cut-through router does: what was
         # buffered at allocation, then one flit at a time.
         link.notify_flit_ready(1, 2)
         sim.run()
-        assert feeder.sent == 2 and link.owner(1) is pkt
+        assert link.flits_taken(1) == 2 and link.owner(1) is pkt
+        assert feeder.tails == 0
         for _ in range(3):
             link.notify_flit_ready(1)
         sim.run()
-        assert feeder.sent == 5
+        assert link.flits_carried == 5 and feeder.tails == 1
         assert [(f[1], f[3], f[4]) for f in sink.flits] == [
             (1, True, False), (1, False, False), (1, False, False),
             (1, False, False), (1, False, True),
         ]
-        assert released == [5]
-        assert link.vc_free(1)
+        # The VC releases as the tail lands, before it is delivered.
+        assert released == [4]
+        assert link.vc_free(1) and link.flits_taken(1) == 0
 
     def test_over_announced_vc_raises_at_tail_release(self):
         sim = Simulator()
@@ -299,9 +302,10 @@ class TestAccountingHonesty:
         # Regression: utilization() used to min(1.0, ...) -- hiding exactly
         # the double-transfer accounting bugs the overclock guard hunts.
         sim = Simulator()
-        link = make_link(sim, RecordingSink())
-        link.busy_cycles = 150
-        assert link.utilization(100) == pytest.approx(1.5)
+        link = make_link(sim, RecordingSink())  # 4 cycles per flit
+        link.flits_carried = 40
+        assert link.busy_cycles == 160
+        assert link.utilization(100) == pytest.approx(1.6)
         assert link.utilization(0) == 0.0
 
     def test_overclock_guard_survives_counter_reset(self):
@@ -380,3 +384,142 @@ class TestSinkBinding:
         assert nic.ejected == [(pkt, 1, 2)]
         assert nic._ej_flits[(2, 1)] == 0
         assert nic.packets_ejected == 1
+
+
+class ChainFeeder(FlitFeeder):
+    """Feeds a queue of packets onto one VC, announcing each packet's flits
+    in scheduled batches; each taken flit frees a credit on ``credit_link``."""
+
+    def __init__(self, sim, link, vc, packets, batches, upstream):
+        self.sim = sim
+        self.link = link
+        self.vc = vc
+        self.packets = list(packets)
+        self.batches = batches  # per packet: [(delay, n), ...]
+        self.credit_link = upstream
+        self.credit_vc = vc
+        self.tails = []
+
+    def start(self):
+        if not self.packets:
+            return
+        packet = self.packets[0]
+        if self.link.allocate_vc(packet, self, [self.vc]) is None:
+            self.link.add_alloc_waiter(self.start)
+            return
+        at = 0
+        for delay, n in self.batches[packet.uid]:
+            at += delay
+            self.sim.post(at, self.link.notify_flit_ready, self.vc, n)
+
+    def tail_taken(self, link, vc):
+        assert link is self.link and vc == self.vc
+        assert link.flits_taken(vc) == self.packets[0].flits
+        self.tails.append(self.packets.pop(0))
+        # The tail's credit went upstream before this call.
+        up = self.credit_link
+        owed = sum(pkt.flits for pkt in self.packets)
+        assert up._credits[vc] == up._vc_capacity - owed
+        self.sim.post(0, self.start)
+
+
+class DelayedCreditSink(FlitSink):
+    """Records every flit and returns its credit after a drawn delay."""
+
+    def __init__(self, sim, draw_delay):
+        self.sim = sim
+        self.link = None
+        self.draw_delay = draw_delay
+        self.flits = []
+
+    def accept_flit(self, port, vc, packet, is_head, is_tail):
+        link = self.link
+        assert link._nready == sum(link._ready)
+        self.flits.append((vc, packet, is_head, is_tail))
+        self.sim.post(self.draw_delay(), link.return_credit, vc)
+
+
+class TestLinkOwnedHandshake:
+    """The link sequences each VC's flits, returns their credits upstream
+    and calls ``tail_taken`` once per packet."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_random_announcements_and_credit_returns(self, data):
+        sim = Simulator()
+        sink = DelayedCreditSink(
+            sim, lambda: data.draw(st.integers(0, 12), label="credit delay"))
+        link = make_link(sim, sink, width=data.draw(st.sampled_from([1, 4])),
+                         vcs=3, buf=data.draw(st.integers(1, 3)))
+        sink.link = link
+        plans = data.draw(st.lists(
+            st.lists(st.integers(1, 6), max_size=4), min_size=3, max_size=3),
+            label="packet sizes per VC")
+        upstream = Link(sim, "up", 4, 3, 100, sink=None, sink_port=0)
+        feeders = []
+        for vc, sizes in enumerate(plans):
+            packets = [packet(flits=n, src=vc) for n in sizes]
+            batches = {}
+            for pkt in packets:
+                left, plan = pkt.flits, []
+                while left:
+                    n = data.draw(st.integers(1, left))
+                    plan.append((data.draw(st.integers(0, 6)), n))
+                    left -= n
+                batches[pkt.uid] = plan
+            # The feeder's buffer holds every flit it will send.
+            upstream._credits[vc] -= sum(sizes)
+            feeder = ChainFeeder(sim, link, vc, packets, batches, upstream)
+            feeders.append((feeder, packets))
+            feeder.start()
+        sim.run()
+
+        for vc, (feeder, packets) in enumerate(feeders):
+            expected = [
+                (vc, pkt, i == 0, i == pkt.flits - 1)
+                for pkt in packets for i in range(pkt.flits)
+            ]
+            assert [f for f in sink.flits if f[0] == vc] == expected
+            assert feeder.tails == packets
+        assert link.flits_carried == len(sink.flits)
+        assert link._nready == sum(link._ready) == 0
+        assert all(link.vc_free(vc) for vc in range(3))
+        assert link._sent == [0, 0, 0]
+        # Every taken flit freed exactly one upstream credit.
+        assert upstream._credits == [100, 100, 100]
+        assert link._credits == [link._vc_capacity] * 3
+
+
+class TestNicInjectionOwnership:
+    """The NIC reads injection-VC ownership from the link."""
+
+    def test_tail_on_the_wire_holds_the_only_request_vc(self):
+        from repro.nic.base import BaseNIC
+        from repro.packets import REQUEST_NET
+
+        sim = Simulator()
+        sink = RecordingSink()
+        link = Link(sim, "inj", 1, 2, 8, sink=sink, sink_port=0,
+                    net_of_vc=[REQUEST_NET, 1 - REQUEST_NET])
+        sink.auto_credit_link = link
+        nic = BaseNIC(sim, node_id=0)
+        nic.attach_injection(link)
+        (vc,) = link.vcs_for_net(REQUEST_NET)
+        first, second = packet(flits=2), packet(flits=2, src=0, dst=2)
+        assert first.logical_net == REQUEST_NET
+        assert nic._start_injection(first)
+        # Head taken at 0, tail taken at 4; the tail lands at 8.
+        sim.run_until(5)
+        assert link.flits_taken(vc) == 2 and nic.packets_injected == 1
+        assert nic._injection_port_free(REQUEST_NET) is False
+        assert nic._start_injection(second) is False
+        sim.run_until(8)
+        assert nic._start_injection(second) is False
+        sim.run_until(9)
+        assert link.vc_free(vc)
+        assert nic._injection_port_free(REQUEST_NET) is True
+        assert nic._start_injection(second) is True
+        sim.run()
+        assert [f[2] for f in sink.flits] == [first] * 2 + [second] * 2
+        assert nic.packets_injected == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.links import FlitSink, Link
+from repro.links import FlitFeeder, FlitSink, Link
 from repro.packets import Packet, PacketKind
 from repro.routers import CUTTHROUGH, STORE_AND_FORWARD, Router
 from repro.sim import Simulator
@@ -54,14 +54,13 @@ def line_of_routers(sim, count, mode=CUTTHROUGH, buf=2, route_delay=1, width=1):
     return routers, links, entry, sink
 
 
-class InjectFeeder:
+class InjectFeeder(FlitFeeder):
     """Puts packets onto a link directly (stands in for a NIC)."""
 
     def __init__(self, link):
         self.link = link
         self.queue = []
         self.current = None
-        self.sent = 0
 
     def send(self, packet):
         self.queue.append(packet)
@@ -74,20 +73,14 @@ class InjectFeeder:
             if vc is not None:
                 self.queue.pop(0)
                 self.current = pkt
-                self.sent = 0
                 self.link.notify_flit_ready(0, pkt.flits)
             else:
                 self.link.add_alloc_waiter(self._pump)
 
-    def take_flit(self, link, vc):
-        self.sent += 1
-        pkt = self.current
-        head = self.sent == 1
-        tail = self.sent == pkt.flits
-        if tail:
-            self.current = None
-            link.sim.schedule(0, self._pump)
-        return pkt, head, tail
+    def tail_taken(self, link, vc):
+        assert link.owner(vc) is self.current
+        self.current = None
+        link.sim.schedule(0, self._pump)
 
 
 def data_packet(flits=8, src=0, dst=99, uid_hint=None):
@@ -171,6 +164,42 @@ class TestBlocking:
         unit.accept_flit(p1, True, False)
         with pytest.raises(RuntimeError):
             unit.accept_flit(p2, False, False)
+
+
+class TestLinkTakesFlits:
+    """The out link takes a router's flits: it frees the in-link credit
+    and the input unit only counts arrivals."""
+
+    def test_credit_overflow_names_the_upstream_link(self):
+        sim = Simulator()
+        routers, links, entry, sink = line_of_routers(sim, 2, route_delay=50)
+        InjectFeeder(entry).send(data_packet())
+        sim.run_until(20)  # two flits buffered, routing still pending
+        assert routers[0]._input_units[0][0].queue[0].flits_arrived == 2
+        entry._credits[0] = entry._vc_capacity  # credit already returned
+        with pytest.raises(RuntimeError, match="^in: credit overflow on VC 0"):
+            sim.run()
+
+    def test_mid_packet_occupancy_is_arrived_minus_taken(self):
+        sim = Simulator()
+        sink = CollectorSink()
+        router = Router(sim, 0, eject_route)
+        entry = Link(sim, "in", 4, 1, 8, sink=router, sink_port=0)  # 1 cy/flit
+        router.attach_in_link(0, entry)
+        out = Link(sim, "out", 1, 1, 64, sink=sink, sink_port=0)   # 4 cy/flit
+        sink.link = out
+        router.attach_out_link(0, out)
+        InjectFeeder(entry).send(data_packet(flits=8))
+        sim.run_until(12)
+        unit = router._input_units[0][0]
+        (transit,) = unit.queue
+        taken = out.flits_taken(transit.out_vc)
+        assert transit.flits_arrived == 8 and 0 < taken < 8
+        assert unit.occupancy == 8 - taken == router.buffered_flits()
+        # The in link agrees: one credit outstanding per buffered flit.
+        assert entry._vc_capacity - entry._credits[0] == unit.occupancy
+        sim.run()
+        assert unit.occupancy == 0 and len(sink.packets) == 1
 
 
 class TestValidation:
