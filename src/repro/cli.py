@@ -76,17 +76,13 @@ from .experiments import (
     sweep_offered_load,
 )
 from .networks import EXTENSION_NETWORK_NAMES, NETWORK_NAMES
-from .nic import CollectiveParams, NifdyParams
+from .nic import NIC_MODES, CollectiveParams, NifdyParams
 from .obs import Observability, chrome_trace, metrics_json, write_json
 from .sim import DEFAULT_SCHEDULER, scheduler_names
 
 TRAFFIC_CHOICES = (
     "heavy", "light", "cshift", "em3d", "radix", "hotspot", "incast", "rpc",
     "allreduce",
-)
-NIC_CHOICES = (
-    "plain", "buffered", "nifdy", "nifdy-",
-    "reorder-window", "reorder-bitmap", "reorder-jain",
 )
 
 
@@ -122,7 +118,7 @@ def _cmd_list(args) -> int:
     for name in EXTENSION_NETWORK_NAMES:
         print(f"  {name}")
     print("traffic loads:", ", ".join(TRAFFIC_CHOICES))
-    print("NIC modes    :", ", ".join(NIC_CHOICES))
+    print("NIC modes    :", ", ".join(NIC_MODES))
     return 0
 
 
@@ -210,7 +206,7 @@ def _print_run_human(args, plan, result, observe) -> None:
           "(injection -> accept)")
     print(f"order violations : {result.order_violations}")
     engines = [nic.collective for nic in result.nics
-               if getattr(nic, "collective", None) is not None]
+               if nic.collective is not None]
     if engines:
         blat = result.metrics.barrier_latency
         print(f"collectives      : "
@@ -751,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--network", required=True,
                      choices=NETWORK_NAMES + EXTENSION_NETWORK_NAMES)
     run.add_argument("--traffic", default="heavy", choices=TRAFFIC_CHOICES)
-    run.add_argument("--nic", default="nifdy", choices=NIC_CHOICES)
+    run.add_argument("--nic", default="nifdy", choices=NIC_MODES)
     run.add_argument("--nodes", type=int, default=64)
     run.add_argument("--cycles", type=int, default=20_000,
                      help="measurement window for synthetic traffic")
@@ -835,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cycles", type=int, default=10_000,
                        help="measurement window per grid point")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--nic", default="plain", choices=NIC_CHOICES,
+    sweep.add_argument("--nic", default="plain", choices=NIC_MODES,
                        help="baseline NIC mode for load/sizes sweeps")
     sweep.add_argument("--opt-grid", default="2,4,8", metavar="O,O,...",
                        help="params sweep: OPT sizes to try")
@@ -959,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
     farm.add_argument("--cycles", type=int, default=10_000,
                       help="measurement window per grid point")
     farm.add_argument("--seed", type=int, default=0)
-    farm.add_argument("--nic", default="plain", choices=NIC_CHOICES,
+    farm.add_argument("--nic", default="plain", choices=NIC_MODES,
                       help="NIC mode for the offered-load grid")
     farm.add_argument("--gaps", default="800,400,200,100,0",
                       metavar="G,G,...",

@@ -6,18 +6,11 @@ for a fixed horizon (the synthetic throughput experiments) or to workload
 completion (C-shift, EM3D, radix sort), and returns an
 :class:`ExperimentResult`.
 
-NIC modes (matching the bars of Figures 2/3 and 6-9):
-
-=============  ============================================================
-``plain``      bare network interface, backpressure-only flow control
-``buffered``   NIFDY's buffer budget, no protocol ("buffers only")
-``nifdy-``     the NIFDY protocol, software NOT exploiting in-order delivery
-``nifdy``      protocol + in-order-aware communication library
-=============  ============================================================
-
-On topologies that deliver in order by construction (2D mesh with one VC,
-butterfly) the in-order-aware library is used for every mode, exactly as
-the paper does.
+The NIC mode names index :data:`repro.nic.NIC_MODES`: the paper's four
+bars (``plain``, ``buffered``, ``nifdy-``, ``nifdy``) plus the
+reorder-tolerant receivers.  On topologies that deliver in order by
+construction (2D mesh with one VC, butterfly) the in-order-aware library
+is used for every mode, exactly as the paper does.
 
 Fault injection: pass a :class:`~repro.faults.FaultPlan` and the runner
 attaches a :class:`~repro.faults.FaultInjector`, switches the NIFDY modes to
@@ -37,30 +30,11 @@ from ..faults import FaultInjector, FaultPlan
 from ..metrics import CongestionTracker, MetricsCollector, PacketTracer
 from ..networks import build_network
 from ..obs import EventBus, Observability, StateSampler
-from ..nic import (
-    REORDER_NIC_MODES,
-    BufferedNIC,
-    CollectiveEngine,
-    CollectiveTree,
-    HostCollective,
-    NifdyNIC,
-    NifdyParams,
-    PlainNIC,
-    ReorderParams,
-    ReorderTolerantNIC,
-    RetransmittingNifdyNIC,
-)
-from ..node import CM5_TIMING, Done, Processor, Timing, TrafficDriver
+from ..nic import NIC_MODES, CollectiveEngine, CollectiveTree, HostCollective
+from ..node import Done, Processor, TrafficDriver
 from ..sim import Barrier, RngFactory, Simulator
 from .configs import best_params
 from .spec import ExperimentSpec
-
-NIC_MODES = (
-    "plain", "buffered", "nifdy", "nifdy-",
-    # Reorder-tolerant receivers (the multipath scenario pack): same windowed
-    # sender, three receiver recovery policies.
-    "reorder-window", "reorder-bitmap", "reorder-jain",
-)
 
 #: A traffic factory: (node_id, num_nodes, rng_factory, exploit_inorder) -> driver.
 TrafficFactory = Callable[[int, int, RngFactory, bool], TrafficDriver]
@@ -130,39 +104,6 @@ class ExperimentResult:
         return out
 
 
-def make_nic_factory(
-    sim: Simulator,
-    nic_mode: str,
-    params: NifdyParams,
-    lossy: bool = False,
-    retx_timeout: int = 1000,
-    on_exhaust: str = "abandon",
-    max_retries: int = 50,
-    reorder_params: Optional[ReorderParams] = None,
-) -> Callable[[int], object]:
-    """NIC constructor for ``nic_mode`` (see module docstring)."""
-    if nic_mode == "plain":
-        return lambda node: PlainNIC(sim, node)
-    if nic_mode == "buffered":
-        total = params.total_buffers
-        return lambda node: BufferedNIC(sim, node, total_buffers=total)
-    if nic_mode in ("nifdy", "nifdy-"):
-        if lossy:
-            return lambda node: RetransmittingNifdyNIC(
-                sim, node, params, retx_timeout=retx_timeout,
-                on_exhaust=on_exhaust, max_retries=max_retries,
-            )
-        return lambda node: NifdyNIC(sim, node, params)
-    if nic_mode in REORDER_NIC_MODES:
-        policy = REORDER_NIC_MODES[nic_mode]
-        return lambda node: ReorderTolerantNIC(
-            sim, node, policy=policy, params=reorder_params,
-            retx_timeout=retx_timeout, on_exhaust=on_exhaust,
-            max_retries=max_retries,
-        )
-    raise ValueError(f"unknown NIC mode {nic_mode!r}; choose from {NIC_MODES}")
-
-
 def describe_stall(nics, processors, metrics) -> str:
     """Explain a quiescent-but-incomplete run: which node, which packet,
     which dialog.  This is the liveness watchdog's post-mortem."""
@@ -175,36 +116,9 @@ def describe_stall(nics, processors, metrics) -> str:
         issues = []
         if not proc.done:
             issues.append("driver not done")
-        if getattr(proc, "_paused", False):
+        if proc.paused:
             issues.append("processor paused")
-        hold = getattr(nic, "_hold", None)
-        if hold:
-            for key, held in list(hold.items())[:4]:
-                packet, _, tries = held[0], held[1], held[2]
-                if key[0] == "s":
-                    what = f"scalar to {packet.dst}"
-                elif key[0] == "r":
-                    what = f"stream seq {key[2]} to {packet.dst}"
-                else:
-                    what = f"bulk dialog {key[2]} seq {key[3]} to {packet.dst}"
-                issues.append(f"retransmitting {what} ({tries} tries so far)")
-        outstanding = getattr(nic, "opt", None)
-        if outstanding is not None and len(outstanding):
-            issues.append(
-                "unacked scalar destinations: "
-                + ", ".join(str(d) for d in sorted(outstanding))
-            )
-        dialogs = getattr(nic, "_rx_dialogs", None)
-        if dialogs:
-            for dialog in dialogs.values():
-                issues.append(
-                    f"rx dialog #{dialog.dialog} from {dialog.src} waiting for "
-                    f"seq {dialog.next_deliver_seq} "
-                    f"({len(dialog.buffers)} buffered)"
-                )
-        pool = getattr(nic, "pool", None)
-        if pool is not None and len(pool):
-            issues.append(f"{len(pool)} packet(s) queued in the pool")
+        issues += nic.stall_notes()
         if issues:
             lines.append(f"  node {node}: " + "; ".join(issues))
     if len(lines) == 1:
@@ -281,19 +195,15 @@ def _run_spec(spec: ExperimentSpec) -> ExperimentResult:
     )
     params = spec.nifdy_params or best_params(network)
     lossy = spec.drop_prob > 0.0 or fault_plan is not None
-    nic_factory = make_nic_factory(
-        sim, nic_mode, params, lossy=lossy, retx_timeout=spec.retx_timeout,
-        on_exhaust=spec.on_exhaust, max_retries=spec.max_retries,
-        reorder_params=spec.reorder_params,
+    mode = NIC_MODES[nic_mode]
+    nics = net.attach_nics(
+        lambda node: mode.build(
+            sim, node, params, spec.reorder_params, lossy,
+            retx_timeout=spec.retx_timeout, max_retries=spec.max_retries,
+            on_exhaust=spec.on_exhaust,
+        )
     )
-    nics = net.attach_nics(nic_factory)
-    # Reorder-tolerant receivers restore per-sender order, so software gets
-    # the in-order-aware library just like the NIFDY mode does.
-    exploit = (
-        net.delivers_in_order
-        or nic_mode == "nifdy"
-        or nic_mode in REORDER_NIC_MODES
-    )
+    exploit = net.delivers_in_order or mode.exploit_inorder
     active = spec.active_nodes if spec.active_nodes is not None else num_nodes
     if not 0 < active <= num_nodes:
         raise ValueError("active_nodes must be in 1..num_nodes")
@@ -363,9 +273,9 @@ def _run_spec(spec: ExperimentSpec) -> ExperimentResult:
             # layer (its chaos engine drives the SweepEngine).
             from ..validate.invariants import InvariantMonitor
 
-            # Order is gated per receiver (the monitor duck-types each
-            # node's NIC), so mixed guarantees on a reordering fabric are
-            # checked exactly where they hold.
+            # Order is gated per receiver (each NIC's guarantees_order),
+            # so mixed guarantees on a reordering fabric are checked
+            # exactly where they hold.
             observe.monitor = InvariantMonitor(
                 check_order=spec.check_order,
                 fabric_in_order=net.delivers_in_order,

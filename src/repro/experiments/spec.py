@@ -28,7 +28,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..faults import FaultPlan
-from ..nic import CollectiveParams, NifdyParams, ReorderParams
+from ..nic import (
+    EXHAUST_POLICIES,
+    NIC_MODES,
+    CollectiveParams,
+    NifdyParams,
+    ReorderParams,
+)
 from ..node import CM5_TIMING, Timing
 from ..obs import Observability
 from ..sim import DEFAULT_SCHEDULER, scheduler_names
@@ -100,6 +106,16 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; choose from "
                 f"{scheduler_names()}"
+            )
+        if self.nic_mode not in NIC_MODES:
+            raise ValueError(
+                f"unknown nic_mode {self.nic_mode!r}; choose from "
+                f"{tuple(NIC_MODES)}"
+            )
+        if self.on_exhaust not in EXHAUST_POLICIES:
+            raise ValueError(
+                f"unknown on_exhaust {self.on_exhaust!r}; choose from "
+                f"{EXHAUST_POLICIES}"
             )
 
     # ------------------------------------------------------------ ergonomics

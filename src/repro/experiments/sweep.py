@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..nic import CollectiveParams, NifdyParams, ReorderParams
+from ..nic import NIC_MODES, CollectiveParams, NifdyParams, ReorderParams
 from ..obs import Observability
 from ..traffic import AllReduceConfig, IncastConfig, SyntheticConfig
 from .engine import SweepEngine, SweepPoint
@@ -184,8 +184,11 @@ def sweep_offered_load(
 
 
 # ------------------------------------------------- reorder scenario pack
-#: The three receiver-side recovery variants the scenario pack compares.
-REORDER_VARIANT_MODES = ("reorder-window", "reorder-bitmap", "reorder-jain")
+#: The receiver-side recovery variants the scenario pack compares: every
+#: mode sized by ReorderParams.
+REORDER_VARIANT_MODES = tuple(
+    name for name, mode in NIC_MODES.items() if mode.takes_reorder_params
+)
 
 
 def reorder_variant_specs(

@@ -109,7 +109,12 @@ class MetricsCollector:
         self.delivered += 1
         if self.delivery_cycles is not None:
             self.delivery_cycles.append(packet.delivered_cycle)
-        if packet.injected_cycle >= 0:
+        if packet.abandoned_cycle >= 0:
+            # Its sender wrote it off, yet it arrived (a partition healed):
+            # undo the write-off; note_abandon already stopped counting it
+            # as pending at the receiver.
+            self.abandoned -= 1
+        elif packet.injected_cycle >= 0:
             self.pending_per_receiver[packet.dst] -= 1
         if packet.injected_cycle >= 0:
             self.network_latency.note(packet.delivered_cycle - packet.injected_cycle)

@@ -137,10 +137,8 @@ def degradation_report(
         sent=metrics.sent,
         delivered=metrics.delivered,
         abandoned=metrics.abandoned,
-        retransmissions=sum(getattr(nic, "retransmissions", 0) for nic in nics),
-        duplicates_dropped=sum(
-            getattr(nic, "duplicates_dropped", 0) for nic in nics
-        ),
+        retransmissions=sum(nic.retransmissions for nic in nics),
+        duplicates_dropped=sum(nic.duplicates_dropped for nic in nics),
         packets_dropped_by_links=sum(
             link.packets_dropped for link in network.links
         ),

@@ -66,9 +66,9 @@ class PacketTracer:
     def attach(self, nics) -> None:
         for nic in nics:
             prev_inject = nic.on_inject
-            prev_eject = getattr(nic, "on_eject", None)
+            prev_eject = nic.on_eject
             prev_accept = nic.on_accept
-            prev_abandon = getattr(nic, "on_abandon", None)
+            prev_abandon = nic.on_abandon
 
             def on_inject(packet, _prev=prev_inject):
                 self.note_inject(packet)

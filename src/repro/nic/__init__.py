@@ -14,20 +14,17 @@ from .bulk import (
     wire_decode_sequence,
     wire_encode_sequence,
 )
+from .modes import NIC_MODES, NicMode
 from .nifdy import NifdyNIC, NifdyParams
 from .opt import OutstandingPacketTable
 from .plain import BufferedNIC, PlainNIC
 from .pool import OutgoingPool
-from .reorder import (
-    REORDER_NIC_MODES,
-    REORDER_POLICIES,
-    ReorderParams,
-    ReorderTolerantNIC,
-)
-from .retransmit import RetransmittingNifdyNIC
+from .reorder import REORDER_POLICIES, ReorderParams, ReorderTolerantNIC
+from .retransmit import EXHAUST_POLICIES, RetransmitTimer, RetransmittingNifdyNIC
 
 __all__ = [
-    "REORDER_NIC_MODES",
+    "EXHAUST_POLICIES",
+    "NIC_MODES",
     "REORDER_POLICIES",
     "ReorderParams",
     "ReorderTolerantNIC",
@@ -40,11 +37,13 @@ __all__ = [
     "CollectiveParams",
     "CollectiveTree",
     "HostCollective",
+    "NicMode",
     "NifdyNIC",
     "NifdyParams",
     "OutgoingPool",
     "OutstandingPacketTable",
     "PlainNIC",
+    "RetransmitTimer",
     "RetransmittingNifdyNIC",
     "wire_decode_sequence",
     "wire_encode_sequence",

@@ -48,7 +48,32 @@ class _ParkedArrivals(deque):
 
 
 class BaseNIC(FlitFeeder, FlitSink):
-    """Plumbing shared by every NIC variant."""
+    """Plumbing shared by every NIC variant.
+
+    The class attributes below are the state observers, validators and the
+    stall report read.  A NIC without the mechanism keeps the default.
+    """
+
+    #: NIFDY tuning (:class:`~repro.nic.NifdyParams`) and the sender's OPT
+    #: and outgoing pool.
+    params = None
+    opt = None
+    pool = None
+    #: Receiver bulk dialogs by dialog id (NIFDY).
+    rx_dialogs = None
+    #: Receiver streams by source (reorder-tolerant receivers).
+    reorder_rx = None
+    #: The sender's :class:`~repro.nic.retransmit.RetransmitTimer`.
+    retx = None
+    # protocol counters
+    acks_sent = 0
+    acks_received = 0
+    bulk_grants = 0
+    bulk_rejects = 0
+    scalar_sent = 0
+    bulk_sent = 0
+    duplicates_dropped = 0
+    packets_abandoned = 0
 
     def __init__(self, sim: Simulator, node_id: int):
         self.sim = sim
@@ -226,6 +251,26 @@ class BaseNIC(FlitFeeder, FlitSink):
     def _on_packet_ejected(self, packet: Packet, vc: int, port: int) -> None:
         raise NotImplementedError
 
+    def _note_duplicate(self, packet: Packet) -> None:
+        """A retransmitting receiver dropped a copy it already had."""
+        self.duplicates_dropped += 1
+        if self.obs is not None:
+            self.obs.emit_packet(
+                self.sim.now, EventKind.DUPLICATE, self.node_id, packet
+            )
+
+    def _note_abandon(self, packet: Packet) -> None:
+        """A retransmitting sender gave up on ``packet``: count it and tell
+        the ``on_abandon`` hook and the bus."""
+        self.packets_abandoned += 1
+        packet.abandoned_cycle = self.sim.now
+        if self.on_abandon is not None:
+            self.on_abandon(packet)
+        if self.obs is not None:
+            self.obs.emit_packet(
+                self.sim.now, EventKind.ABANDON, self.node_id, packet
+            )
+
     # --------------------------------------------------- processor interface
     def try_send(self, packet: Packet) -> bool:
         raise NotImplementedError
@@ -263,3 +308,15 @@ class BaseNIC(FlitFeeder, FlitSink):
     def guarantees_order(self) -> bool:
         """Whether software may rely on per-sender in-order delivery."""
         return False
+
+    @property
+    def retransmissions(self) -> int:
+        return self.retx.retransmissions if self.retx is not None else 0
+
+    @property
+    def rtt_samples(self) -> int:
+        return self.retx.rtt_samples if self.retx is not None else 0
+
+    def stall_notes(self) -> List[str]:
+        """What protocol state this NIC still holds, for a stall report."""
+        return []

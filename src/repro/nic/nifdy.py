@@ -120,7 +120,7 @@ class NifdyNIC(BaseNIC):
         # ----- receiver side
         self._arrivals: Deque[Packet] = deque()
         self._stalled_scalar: Deque[Tuple[Packet, int]] = deque()
-        self._rx_dialogs: Dict[int, BulkReceiverDialog] = {}
+        self.rx_dialogs: Dict[int, BulkReceiverDialog] = {}
         self._free_dialogs: List[int] = list(range(self.params.dialogs))
         self._dialog_by_src: Dict[int, int] = {}
         self._ack_queue: Deque[Packet] = deque()
@@ -322,7 +322,7 @@ class NifdyNIC(BaseNIC):
             self.sim.post(self.params.nifdy_delay, self._process_ack, packet)
             return
         if packet.kind is PacketKind.BULK:
-            dialog = self._rx_dialogs.get(packet.dialog)
+            dialog = self.rx_dialogs.get(packet.dialog)
             if dialog is None:
                 raise RuntimeError(
                     f"node {self.node_id}: bulk packet for unknown dialog "
@@ -369,7 +369,7 @@ class NifdyNIC(BaseNIC):
                 self._enqueue_arrival(packet)
                 self._release_ejection(packet, vc, port)
                 progress = True
-            for dialog in list(self._rx_dialogs.values()):
+            for dialog in list(self.rx_dialogs.values()):
                 while True:
                     nxt = dialog.next_in_order()
                     if nxt is None:
@@ -388,7 +388,7 @@ class NifdyNIC(BaseNIC):
         interval = self.params.ack_interval
         if dialog.complete:
             self._emit_bulk_ack(dialog, terminate=True)
-            del self._rx_dialogs[dialog.dialog]
+            del self.rx_dialogs[dialog.dialog]
             del self._dialog_by_src[dialog.src]
             self._free_dialogs.append(dialog.dialog)
             if self.obs is not None:
@@ -410,7 +410,7 @@ class NifdyNIC(BaseNIC):
                 info.credits = self.params.window
             elif self._free_dialogs:
                 dialog_id = self._free_dialogs.pop()
-                self._rx_dialogs[dialog_id] = BulkReceiverDialog(
+                self.rx_dialogs[dialog_id] = BulkReceiverDialog(
                     packet.src, dialog_id, self.params.window
                 )
                 self._dialog_by_src[packet.src] = dialog_id
@@ -581,3 +581,19 @@ class NifdyNIC(BaseNIC):
     @property
     def pending_out(self) -> int:
         return len(self.pool) + (1 if self._data_streaming else 0)
+
+    def stall_notes(self) -> List[str]:
+        notes = []
+        if len(self.opt):
+            notes.append(
+                "unacked scalar destinations: "
+                + ", ".join(str(d) for d in sorted(self.opt))
+            )
+        for dialog in self.rx_dialogs.values():
+            notes.append(
+                f"rx dialog #{dialog.dialog} from {dialog.src} waiting for "
+                f"seq {dialog.next_deliver_seq} ({len(dialog.buffers)} buffered)"
+            )
+        if len(self.pool):
+            notes.append(f"{len(self.pool)} packet(s) queued in the pool")
+        return notes

@@ -36,12 +36,10 @@ waiting on them.
 
 from __future__ import annotations
 
-import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
-from ..obs.events import EventKind
 from ..packets import (
     AckInfo,
     Packet,
@@ -50,19 +48,12 @@ from ..packets import (
     REQUEST_NET,
     make_ack,
 )
-from ..sim import Event, Simulator
+from ..sim import Simulator
 from .base import BaseNIC
-from .retransmit import _BACKOFF_CAP, EXHAUST_POLICIES
+from .retransmit import RetransmitTimer
 
 #: Receiver recovery policies.
 REORDER_POLICIES = ("window", "bitmap", "dropcache")
-
-#: nic_mode name -> receiver policy (the experiment-facing spelling).
-REORDER_NIC_MODES = {
-    "reorder-window": "window",
-    "reorder-bitmap": "bitmap",
-    "reorder-jain": "dropcache",
-}
 
 
 @dataclass(frozen=True)
@@ -127,71 +118,44 @@ class ReorderTolerantNIC(BaseNIC):
         retx_timeout: int = 1000,
         max_retries: int = 50,
         on_exhaust: str = "raise",
-        adaptive_timeout: bool = True,
-        min_timeout: Optional[int] = None,
-        max_timeout: Optional[int] = None,
     ):
         super().__init__(sim, node_id)
         if policy not in REORDER_POLICIES:
             raise ValueError(
                 f"policy must be one of {REORDER_POLICIES}, got {policy!r}"
             )
-        if on_exhaust not in EXHAUST_POLICIES:
-            raise ValueError(
-                f"on_exhaust must be one of {EXHAUST_POLICIES}, got {on_exhaust!r}"
-            )
         self.policy = policy
         self.reorder_params = params or ReorderParams()
-        self.retx_timeout = retx_timeout
-        self.max_retries = max_retries
-        self.on_exhaust = on_exhaust
-        self.adaptive_timeout = adaptive_timeout
-        self.min_timeout = min_timeout if min_timeout is not None else max(
-            32, retx_timeout // 8
+        self.retx = RetransmitTimer(
+            self, retx_timeout, max_retries, on_exhaust,
+            self._requeue, lambda key: self._abandon_stream(key[1]),
         )
-        self.max_timeout = max_timeout if max_timeout is not None else (
-            retx_timeout * 64
-        )
-        # RTT estimator (Jacobson/Karels, as in RetransmittingNifdyNIC) ----
-        self._srtt: Optional[float] = None
-        self._rttvar = 0.0
-        self._rto = retx_timeout
         # sender ----------------------------------------------------------
         self._out: Deque[Packet] = deque()          # not yet committed
         self._staged: Optional[Packet] = None       # committed, next on wire
         self._retx_queue: Deque[Packet] = deque()   # timers refired
         self._next_seq: Dict[int, int] = {}         # dst -> next stream seq
         self._cum: Dict[int, int] = {}              # dst -> highest cum ack
-        #: key ("r", dst, seq) -> (packet, timer event, tries, armed cycle)
-        self._hold: Dict[Tuple, Tuple[Packet, Event, int, int]] = {}
         #: sacked: received out-of-order at the peer, timer stopped, kept
         #: only so a later stream abandonment can write them off too.
         self._sacked: Dict[Tuple[int, int], Packet] = {}
         # receiver --------------------------------------------------------
-        self._rx: Dict[int, _RxStream] = {}
+        #: Receiver streams by source.
+        self.reorder_rx: Dict[int, _RxStream] = {}
         self._cached = 0                            # buffered OOO, all srcs
         self._arrivals: Deque[Packet] = deque()
         self._ack_due: Dict[int, None] = {}
         self._ack_queue: Deque[Packet] = deque()
         # statistics ------------------------------------------------------
-        self.retransmissions = 0
-        self.duplicates_dropped = 0
         self.receiver_drops = 0
-        self.packets_abandoned = 0
         self.acks_sent = 0
         self.acks_received = 0
-        self.rtt_samples = 0
         self.max_reorder_buffered = 0
 
     # ------------------------------------------------------------- queries
     @property
     def guarantees_order(self) -> bool:
         return True
-
-    @property
-    def reorder_rx(self) -> Dict[int, _RxStream]:
-        """Receiver streams, exposed for the invariant monitor."""
-        return self._rx
 
     @property
     def reorder_cached(self) -> int:
@@ -201,10 +165,6 @@ class ReorderTolerantNIC(BaseNIC):
     @property
     def pending_out(self) -> int:
         return len(self._out) + (1 if self._staged is not None else 0)
-
-    @property
-    def current_timeout(self) -> int:
-        return self._rto if self.adaptive_timeout else self.retx_timeout
 
     def _unacked(self, dst: int) -> int:
         return self._next_seq.get(dst, 0) - (self._cum.get(dst, -1) + 1)
@@ -231,7 +191,7 @@ class ReorderTolerantNIC(BaseNIC):
             return self._staged
         while self._retx_queue:
             packet = self._retx_queue.popleft()
-            held = self._hold.get(("r", packet.dst, packet.seq))
+            held = self.retx.held.get(("r", packet.dst, packet.seq))
             if held is None or held[0] is not packet:
                 continue  # acked or abandoned while queued
             self._staged = packet
@@ -242,7 +202,7 @@ class ReorderTolerantNIC(BaseNIC):
                 seq = self._next_seq.get(packet.dst, 0)
                 self._next_seq[packet.dst] = seq + 1
                 packet.seq = seq
-                self._arm(("r", packet.dst, seq), packet)
+                self.retx.arm(("r", packet.dst, seq), packet)
                 self._staged = packet
                 return packet
         return None
@@ -252,7 +212,7 @@ class ReorderTolerantNIC(BaseNIC):
             packet = self._next_transmit()
             if packet is None:
                 return
-            held = self._hold.get(("r", packet.dst, packet.seq))
+            held = self.retx.held.get(("r", packet.dst, packet.seq))
             if held is None or held[0] is not packet:
                 # Acked or abandoned while staged: nothing left to send.
                 self._staged = None
@@ -273,66 +233,8 @@ class ReorderTolerantNIC(BaseNIC):
         else:
             self._pump_data()
 
-    # -------------------------------------------------- timers & estimator
-    def _retx_delay(self, key: Tuple, tries: int) -> int:
-        base = self._rto if self.adaptive_timeout else self.retx_timeout
-        delay = base << min(tries, _BACKOFF_CAP)
-        span = max(1, base // 8)
-        jitter = zlib.crc32(f"{self.node_id}|{key}|{tries}".encode()) % span
-        return min(self.max_timeout, delay + jitter)
-
-    def _note_rtt(self, sample: int) -> None:
-        self.rtt_samples += 1
-        if self._srtt is None:
-            self._srtt = float(sample)
-            self._rttvar = sample / 2.0
-        else:
-            err = sample - self._srtt
-            self._srtt += err / 8.0
-            self._rttvar += (abs(err) - self._rttvar) / 4.0
-        self._rto = int(
-            min(self.max_timeout, max(self.min_timeout, self._srtt + 4.0 * self._rttvar))
-        )
-
-    def _arm(self, key: Tuple, packet: Packet, tries: int = 0) -> None:
-        delay = self._retx_delay(key, tries)
-        event = self.sim.schedule(delay, self._timeout, key)
-        self._hold[key] = (packet, event, tries, self.sim.now)
-        if tries > 0 and self.obs is not None:
-            self.obs.emit(
-                self.sim.now, EventKind.BACKOFF, self.node_id,
-                uid=packet.uid, src=packet.src, dst=packet.dst,
-                info=f"try={tries} delay={delay}",
-            )
-
-    def _disarm(self, key: Tuple) -> None:
-        held = self._hold.pop(key, None)
-        if held is not None:
-            held[1].cancel()
-            if self.adaptive_timeout and held[2] == 0:
-                # Karn's rule: only clean samples feed the estimator.
-                self._note_rtt(self.sim.now - held[3])
-
-    def _timeout(self, key: Tuple) -> None:
-        held = self._hold.get(key)
-        if held is None:
-            return
-        packet, _, tries, _ = held
-        if tries >= self.max_retries:
-            if self.on_exhaust == "raise":
-                raise RuntimeError(
-                    f"node {self.node_id}: gave up retransmitting {packet} "
-                    f"after {tries} tries"
-                )
-            self._abandon_stream(key[1])
-            return
-        packet.is_retransmission = True
-        self.retransmissions += 1
-        if self.obs is not None:
-            self.obs.emit_packet(
-                self.sim.now, EventKind.RETRANSMIT, self.node_id, packet
-            )
-        self._arm(key, packet, tries + 1)
+    def _requeue(self, packet: Packet) -> None:
+        """A timer fired: send ``packet`` again ahead of new traffic."""
         self._retx_queue.append(packet)
         self._pump_data()
 
@@ -345,26 +247,19 @@ class ReorderTolerantNIC(BaseNIC):
         of NIFDY's dialog teardown); later packets carry a ``stream_base``
         past the hole so the receiver resynchronises.
         """
-        for key in [k for k in self._hold if k[1] == dst]:
-            held = self._hold.pop(key)
-            held[1].cancel()
-            self._count_abandon(held[0])
+        for key in [k for k in self.retx.held if k[1] == dst]:
+            self._note_abandon(self.retx.drop(key))
         for skey in [s for s in self._sacked if s[0] == dst]:
-            self._count_abandon(self._sacked.pop(skey))
+            self._note_abandon(self._sacked.pop(skey))
         if self._staged is not None and self._staged.dst == dst:
             self._staged = None
         self._cum[dst] = self._next_seq.get(dst, 0) - 1
         self._pump_data()
 
-    def _count_abandon(self, packet: Packet) -> None:
-        self.packets_abandoned += 1
-        packet.abandoned_cycle = self.sim.now
-        if self.on_abandon is not None:
-            self.on_abandon(packet)
-        if self.obs is not None:
-            self.obs.emit_packet(
-                self.sim.now, EventKind.ABANDON, self.node_id, packet
-            )
+    def stall_notes(self) -> List[str]:
+        return self.retx.stall_notes(
+            lambda key, packet: f"stream seq {key[2]} to {packet.dst}"
+        )
 
     # ------------------------------------------------------- ack handling
     def _process_ack(self, ack: Packet) -> None:
@@ -373,33 +268,26 @@ class ReorderTolerantNIC(BaseNIC):
         cum = info.acked_seq
         if cum is not None and cum > self._cum.get(peer, -1):
             for seq in range(self._cum.get(peer, -1) + 1, cum + 1):
-                self._disarm(("r", peer, seq))
+                self.retx.disarm(("r", peer, seq))
                 self._sacked.pop((peer, seq), None)
             self._cum[peer] = cum
         if info.sack:
             for seq in info.sack:
                 key = ("r", peer, seq)
-                held = self._hold.get(key)
+                held = self.retx.held.get(key)
                 if held is not None:
                     # Buffered at the peer: stop the timer (selective
                     # repeat), but remember the packet so a later stream
                     # abandonment still writes it off.
                     self._sacked[(peer, seq)] = held[0]
-                    self._disarm(key)
+                    self.retx.disarm(key)
         self._pump_data()
-
-    def _note_duplicate(self, packet: Packet) -> None:
-        self.duplicates_dropped += 1
-        if self.obs is not None:
-            self.obs.emit_packet(
-                self.sim.now, EventKind.DUPLICATE, self.node_id, packet
-            )
 
     # ------------------------------------------------------- receive path
     def _rx_stream(self, src: int) -> _RxStream:
-        st = self._rx.get(src)
+        st = self.reorder_rx.get(src)
         if st is None:
-            st = self._rx[src] = _RxStream()
+            st = self.reorder_rx[src] = _RxStream()
         return st
 
     def _on_packet_ejected(self, packet: Packet, vc: int, port: int) -> None:
@@ -481,7 +369,7 @@ class ReorderTolerantNIC(BaseNIC):
         progressed = True
         while progressed and len(self._arrivals) < self.reorder_params.arrivals_capacity:
             progressed = False
-            for src, st in self._rx.items():
+            for src, st in self.reorder_rx.items():
                 if len(self._arrivals) >= self.reorder_params.arrivals_capacity:
                     break
                 if st.stalled is not None:
@@ -516,7 +404,7 @@ class ReorderTolerantNIC(BaseNIC):
     # ---------------------------------------------------------- ack output
     def _flush_acks(self) -> None:
         for src in list(self._ack_due):
-            st = self._rx.get(src)
+            st = self.reorder_rx.get(src)
             if st is None:
                 continue
             sack = None

@@ -20,11 +20,13 @@ incremental credit count.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Optional, Tuple
+from collections import deque
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.events import EventKind
 from ..packets import AckInfo, Packet, PacketKind
 from ..sim import Event, Simulator
+from .base import BaseNIC
 from .nifdy import NifdyNIC, NifdyParams
 
 #: Give-up policies when a packet exhausts ``max_retries``.
@@ -34,17 +36,147 @@ EXHAUST_POLICIES = ("raise", "abandon")
 _BACKOFF_CAP = 6
 
 
+class RetransmitTimer:
+    """One sender's retransmission timers, shared by every retransmitting NIC.
+
+    Each held packet is keyed by a tuple the NIC chooses and carries one
+    timer.  ``retx_timeout`` seeds the timeout; acked, never-retransmitted
+    packets (Karn's rule) then feed a Jacobson/Karels estimator (SRTT gain
+    1/8, RTTVAR gain 1/4, RTO = SRTT + 4*RTTVAR, clamped to
+    ``[max(32, retx_timeout // 8), retx_timeout * 64]``), so the timer
+    tracks the loaded round-trip time instead of requiring the per-network
+    sweep the paper likens to Compressionless Routing's abort timeout.
+    Retries back off exponentially with deterministic jitter (reproducible
+    runs; no retransmission storms in lock-step).
+
+    On a timeout the packet is re-armed and handed to ``requeue(packet)``;
+    once it has used ``max_retries`` tries the timer either raises
+    (``on_exhaust="raise"``) or calls ``exhausted(key)``.
+    """
+
+    def __init__(
+        self,
+        nic: BaseNIC,
+        retx_timeout: int,
+        max_retries: int,
+        on_exhaust: str,
+        requeue: Callable[[Packet], None],
+        exhausted: Callable[[Tuple], None],
+    ):
+        if on_exhaust not in EXHAUST_POLICIES:
+            raise ValueError(
+                f"on_exhaust must be one of {EXHAUST_POLICIES}, got {on_exhaust!r}"
+            )
+        self.nic = nic
+        self.sim = nic.sim
+        self.retx_timeout = retx_timeout
+        self.max_retries = max_retries
+        self.on_exhaust = on_exhaust
+        self._requeue = requeue
+        self._exhausted = exhausted
+        self._floor = max(32, retx_timeout // 8)
+        self._cap = retx_timeout * 64
+        self._srtt: Optional[float] = None
+        self._rttvar = 0.0
+        self._rto = retx_timeout
+        #: key -> (packet, timer event, tries so far, cycle last armed)
+        self.held: Dict[Tuple, Tuple[Packet, Event, int, int]] = {}
+        self.retransmissions = 0
+        self.rtt_samples = 0
+
+    @property
+    def current_timeout(self) -> int:
+        """The base (pre-backoff) retransmission timeout in use right now."""
+        return self._rto
+
+    def note_rtt(self, sample: int) -> None:
+        """Fold one clean (never-retransmitted) RTT sample into the RTO."""
+        self.rtt_samples += 1
+        if self._srtt is None:
+            self._srtt = float(sample)
+            self._rttvar = sample / 2.0
+        else:
+            err = sample - self._srtt
+            self._srtt += err / 8.0
+            self._rttvar += (abs(err) - self._rttvar) / 4.0
+        self._rto = int(
+            min(self._cap, max(self._floor, self._srtt + 4.0 * self._rttvar))
+        )
+
+    def arm(self, key: Tuple, packet: Packet, tries: int = 0) -> None:
+        """Hold ``packet`` under ``key`` with a timer for attempt ``tries``:
+        the base timeout doubled per retry, plus a small deterministic
+        jitter so holders armed in the same cycle do not all fire together."""
+        base = self._rto
+        span = max(1, base // 8)
+        jitter = zlib.crc32(f"{self.nic.node_id}|{key}|{tries}".encode()) % span
+        delay = min(self._cap, (base << min(tries, _BACKOFF_CAP)) + jitter)
+        event = self.sim.schedule(delay, self._fire, key)
+        self.held[key] = (packet, event, tries, self.sim.now)
+        obs = self.nic.obs
+        if tries > 0 and obs is not None:
+            obs.emit(
+                self.sim.now, EventKind.BACKOFF, self.nic.node_id,
+                uid=packet.uid, src=packet.src, dst=packet.dst,
+                info=f"try={tries} delay={delay}",
+            )
+
+    def disarm(self, key: Tuple) -> None:
+        """The packet under ``key`` was acked: stop its timer."""
+        held = self.held.pop(key, None)
+        if held is not None:
+            held[1].cancel()
+            if held[2] == 0:
+                # Karn's rule: only never-retransmitted packets yield an
+                # unambiguous (send, ack) pairing worth sampling.
+                self.note_rtt(self.sim.now - held[3])
+
+    def drop(self, key: Tuple) -> Optional[Packet]:
+        """Stop holding ``key`` without an RTT sample (abandonment);
+        returns the packet, or None if nothing was held."""
+        held = self.held.pop(key, None)
+        if held is None:
+            return None
+        held[1].cancel()
+        return held[0]
+
+    def stall_notes(self, describe: Callable[[Tuple, Packet], str]) -> List[str]:
+        """Stall-report lines for the first few held packets; ``describe``
+        renders the NIC's own key format."""
+        return [
+            f"retransmitting {describe(key, held[0])} ({held[2]} tries so far)"
+            for key, held in list(self.held.items())[:4]
+        ]
+
+    def _fire(self, key: Tuple) -> None:
+        held = self.held.get(key)
+        if held is None:
+            return
+        packet, _, tries, _ = held
+        if tries >= self.max_retries:
+            if self.on_exhaust == "raise":
+                raise RuntimeError(
+                    f"node {self.nic.node_id}: gave up retransmitting {packet} "
+                    f"after {tries} tries"
+                )
+            self._exhausted(key)
+            return
+        packet.is_retransmission = True
+        self.retransmissions += 1
+        obs = self.nic.obs
+        if obs is not None:
+            obs.emit_packet(
+                self.sim.now, EventKind.RETRANSMIT, self.nic.node_id, packet
+            )
+        self.arm(key, packet, tries + 1)
+        self._requeue(packet)
+
+
 class RetransmittingNifdyNIC(NifdyNIC):
     """NIFDY with timers, retransmission, and duplicate elimination.
 
-    ``retx_timeout`` seeds the retransmission timer.  By default the timer
-    then *adapts*: acked (never-retransmitted) packets feed a Jacobson-style
-    estimator (SRTT gain 1/8, RTTVAR gain 1/4, RTO = SRTT + 4*RTTVAR), so
-    the timer tracks the loaded round-trip time instead of requiring the
-    per-network sweep the paper likens to Compressionless Routing's abort
-    timeout.  Retries back off exponentially with deterministic jitter
-    (reproducible runs; no retransmission storms in lock-step).
-    ``adaptive_timeout=False`` restores the fixed timer for ablations.
+    Every injected data packet is held in a :class:`RetransmitTimer` until
+    an ack covers it.
 
     When ``max_retries`` is exhausted the NIC either raises (the seed
     behaviour, ``on_exhaust="raise"``) or **degrades gracefully**
@@ -62,9 +194,6 @@ class RetransmittingNifdyNIC(NifdyNIC):
         retx_timeout: int = 1000,
         max_retries: int = 50,
         on_exhaust: str = "raise",
-        adaptive_timeout: bool = True,
-        min_timeout: Optional[int] = None,
-        max_timeout: Optional[int] = None,
     ):
         super().__init__(sim, node_id, params)
         if self.params.scalar_ack_on_insert:
@@ -74,41 +203,15 @@ class RetransmittingNifdyNIC(NifdyNIC):
             raise ValueError(
                 "scalar_ack_on_insert is incompatible with retransmission"
             )
-        if on_exhaust not in EXHAUST_POLICIES:
-            raise ValueError(
-                f"on_exhaust must be one of {EXHAUST_POLICIES}, got {on_exhaust!r}"
-            )
-        self.retx_timeout = retx_timeout
-        self.max_retries = max_retries
-        self.on_exhaust = on_exhaust
-        self.adaptive_timeout = adaptive_timeout
-        self.min_timeout = min_timeout if min_timeout is not None else max(
-            32, retx_timeout // 8
+        self.retx = RetransmitTimer(
+            self, retx_timeout, max_retries, on_exhaust,
+            self._requeue, self._abandon,
         )
-        self.max_timeout = max_timeout if max_timeout is not None else (
-            retx_timeout * 64
-        )
-        # RTT estimator state (Jacobson/Karels) -----------------------------
-        self._srtt: Optional[float] = None
-        self._rttvar = 0.0
-        self._rto = retx_timeout
         # sender side -------------------------------------------------------
-        #: key -> (packet, timer event, tries so far, cycle last armed)
-        self._hold: Dict[Tuple, Tuple[Packet, Event, int, int]] = {}
         self._next_bit: Dict[int, int] = {}       # per-destination scalar bit
         # receiver side -----------------------------------------------------
         self._last_acked_bit: Dict[int, int] = {}
         self._infifo_bits: Dict[int, int] = {}     # src -> bit in FIFO, if any
-        # statistics
-        self.retransmissions = 0
-        self.duplicates_dropped = 0
-        self.packets_abandoned = 0
-        self.rtt_samples = 0
-
-    @property
-    def current_timeout(self) -> int:
-        """The base (pre-backoff) retransmission timeout in use right now."""
-        return self._rto if self.adaptive_timeout else self.retx_timeout
 
     # ------------------------------------------------------------- sender
     def _commit_scalar(self, dst: int) -> Packet:
@@ -116,108 +219,35 @@ class RetransmittingNifdyNIC(NifdyNIC):
         bit = self._next_bit.get(dst, 0) ^ 1
         self._next_bit[dst] = bit
         packet.retx_bit = bit
-        self._arm(("s", dst), packet)
+        self.retx.arm(("s", dst), packet)
         return packet
 
     def _commit_bulk(self, dst: int, bulk) -> Packet:
         packet = super()._commit_bulk(dst, bulk)
-        self._arm(("b", packet.dst, packet.dialog, packet.seq), packet)
+        self.retx.arm(("b", packet.dst, packet.dialog, packet.seq), packet)
         return packet
 
     def _queue_control_exit(self, bulk) -> Packet:
         exit_packet = super()._queue_control_exit(bulk)
-        self._arm(
+        self.retx.arm(
             ("b", exit_packet.dst, exit_packet.dialog, exit_packet.seq),
             exit_packet,
         )
         return exit_packet
 
-    # -------------------------------------------------- timers & estimator
-    def _retx_delay(self, key: Tuple, tries: int) -> int:
-        """Timeout for attempt ``tries``: adaptive (or fixed) base, doubled
-        per retry, plus a small deterministic jitter so a burst of holders
-        armed in the same cycle do not all fire in the same cycle."""
-        base = self._rto if self.adaptive_timeout else self.retx_timeout
-        delay = base << min(tries, _BACKOFF_CAP)
-        span = max(1, base // 8)
-        jitter = zlib.crc32(f"{self.node_id}|{key}|{tries}".encode()) % span
-        return min(self.max_timeout, delay + jitter)
-
-    def _note_rtt(self, sample: int) -> None:
-        """Fold one clean (never-retransmitted) RTT sample into the RTO."""
-        self.rtt_samples += 1
-        if self._srtt is None:
-            self._srtt = float(sample)
-            self._rttvar = sample / 2.0
-        else:
-            err = sample - self._srtt
-            self._srtt += err / 8.0
-            self._rttvar += (abs(err) - self._rttvar) / 4.0
-        self._rto = int(
-            min(self.max_timeout, max(self.min_timeout, self._srtt + 4.0 * self._rttvar))
-        )
-
-    def _arm(self, key: Tuple, packet: Packet, tries: int = 0) -> None:
-        delay = self._retx_delay(key, tries)
-        event = self.sim.schedule(delay, self._timeout, key)
-        self._hold[key] = (packet, event, tries, self.sim.now)
-        if tries > 0 and self.obs is not None:
-            self.obs.emit(
-                self.sim.now, EventKind.BACKOFF, self.node_id,
-                uid=packet.uid, src=packet.src, dst=packet.dst,
-                info=f"try={tries} delay={delay}",
-            )
-
-    def _disarm(self, key: Tuple) -> None:
-        held = self._hold.pop(key, None)
-        if held is not None:
-            held[1].cancel()
-            if self.adaptive_timeout and held[2] == 0:
-                # Karn's rule: only never-retransmitted packets yield an
-                # unambiguous (send, ack) pairing worth sampling.
-                self._note_rtt(self.sim.now - held[3])
-
-    def _timeout(self, key: Tuple) -> None:
-        held = self._hold.get(key)
-        if held is None:
-            return
-        packet, _, tries, _ = held
-        if tries >= self.max_retries:
-            if self.on_exhaust == "raise":
-                raise RuntimeError(
-                    f"node {self.node_id}: gave up retransmitting {packet} "
-                    f"after {tries} tries"
-                )
-            self._abandon(key)
-            return
-        packet.is_retransmission = True
-        self.retransmissions += 1
-        if self.obs is not None:
-            self.obs.emit_packet(
-                self.sim.now, EventKind.RETRANSMIT, self.node_id, packet
-            )
-        self._arm(key, packet, tries + 1)
+    def _requeue(self, packet: Packet) -> None:
+        """A timer fired: re-inject ``packet`` ahead of new traffic."""
         self._control_queue.append(packet)
         self._pump_data()
-
-
-    def _note_duplicate(self, packet: Packet) -> None:
-        self.duplicates_dropped += 1
-        if self.obs is not None:
-            self.obs.emit_packet(
-                self.sim.now, EventKind.DUPLICATE, self.node_id, packet
-            )
 
     # ------------------------------------------------ graceful degradation
     def _abandon(self, key: Tuple) -> None:
         """Release a packet the network cannot deliver (partition, dead
         peer): free its protocol state so unrelated traffic keeps flowing,
         and record the loss instead of crashing the simulation."""
-        held = self._hold.pop(key, None)
-        if held is None:
+        packet = self.retx.drop(key)
+        if packet is None:
             return
-        packet = held[0]
-        held[1].cancel()
         if key[0] == "s":
             # Free the OPT entry so later packets to this destination may
             # try again (they get fresh timers of their own).
@@ -236,39 +266,41 @@ class RetransmittingNifdyNIC(NifdyNIC):
             # in-order window: give up on the whole dialog at once.
             dst, dialog = key[1], key[2]
             for other in [
-                k for k in self._hold
+                k for k in self.retx.held
                 if k[0] == "b" and k[1] == dst and k[2] == dialog
             ]:
                 self._abandon(other)
             bulk = self._bulk_out
             if bulk is not None and bulk.dst == dst and bulk.dialog == dialog:
                 self._bulk_out = None
-        try:
-            self._control_queue.remove(packet)
-        except ValueError:
-            pass
-        self.packets_abandoned += 1
-        packet.abandoned_cycle = self.sim.now
-        if self.on_abandon is not None:
-            self.on_abandon(packet)
-        if self.obs is not None:
-            self.obs.emit_packet(
-                self.sim.now, EventKind.ABANDON, self.node_id, packet
-            )
+        # The timer may have queued this packet more than once while the
+        # port was blocked: drop every copy, or one is injected later.
+        self._control_queue = deque(
+            p for p in self._control_queue if p is not packet
+        )
+        self._note_abandon(packet)
         self._pump_data()
+
+    def stall_notes(self) -> List[str]:
+        def describe(key: Tuple, packet: Packet) -> str:
+            if key[0] == "s":
+                return f"scalar to {packet.dst}"
+            return f"bulk dialog {key[2]} seq {key[3]} to {packet.dst}"
+
+        return self.retx.stall_notes(describe) + super().stall_notes()
 
     def _process_ack(self, ack: Packet) -> None:
         info = ack.ack
         peer = ack.src
         if info.for_scalar:
-            held = self._hold.get(("s", peer))
+            held = self.retx.held.get(("s", peer))
             if held is None or held[0].retx_bit != info.acked_bit:
                 # Duplicate or stale ack: the packet it covers has already
                 # been acked (and a newer one may be in flight) -- ignore.
                 self.acks_received += 1
                 self._note_duplicate(ack)
                 return
-            self._disarm(("s", peer))
+            self.retx.disarm(("s", peer))
         else:
             bulk = self._bulk_out
             current = (
@@ -280,7 +312,7 @@ class RetransmittingNifdyNIC(NifdyNIC):
                     # acked_seq is delivered, so the window refills to
                     # W - in_flight regardless of which acks were lost.
                     for seq in range(info.acked_seq + 1):
-                        self._disarm(("b", peer, info.dialog, seq))
+                        self.retx.disarm(("b", peer, info.dialog, seq))
                     in_flight = bulk.next_seq - (info.acked_seq + 1)
                     target = self.params.window - in_flight
                     info.credits = max(0, target - bulk.credits)
@@ -289,7 +321,7 @@ class RetransmittingNifdyNIC(NifdyNIC):
                 # behind: stop the stale packet timers it covers, or they
                 # would retransmit into a dead dialog until exhaustion.
                 for seq in range(info.acked_seq + 1):
-                    self._disarm(("b", peer, info.dialog, seq))
+                    self.retx.disarm(("b", peer, info.dialog, seq))
         super()._process_ack(ack)
 
     # ------------------------------------------------------------ receiver
@@ -314,7 +346,7 @@ class RetransmittingNifdyNIC(NifdyNIC):
                 return
             self._infifo_bits[src] = bit
         elif packet.kind is PacketKind.BULK:
-            dialog = self._rx_dialogs.get(packet.dialog)
+            dialog = self.rx_dialogs.get(packet.dialog)
             if dialog is None or dialog.src != packet.src:
                 # Dialog already torn down (and, on a src mismatch, its id
                 # re-granted to a different sender); the terminated ack was

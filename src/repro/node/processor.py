@@ -105,8 +105,8 @@ class Processor:
         self._reduce_pending = False
         self._mid_receive = False
         self._poll_deadline: Optional[int] = None
-        self._paused = False
         self._held_continuations = []
+        self.paused = False  # between pause() and resume()
         self.done = False
         self.packets_sent = 0
         self.packets_received = 0
@@ -123,13 +123,13 @@ class Processor:
         """Freeze this processor (a crashed/wedged node): no polls, no
         sends, no receives.  The NIC keeps running -- hardware survives a
         software hang -- so end-point backpressure builds up naturally."""
-        self._paused = True
+        self.paused = True
 
     def resume(self) -> None:
         """Un-freeze a paused processor, resuming exactly where it stopped."""
-        if not self._paused:
+        if not self.paused:
             return
-        self._paused = False
+        self.paused = False
         held, self._held_continuations = self._held_continuations, []
         for fn, args in held:
             self.sim.post(0, fn, *args)
@@ -285,7 +285,7 @@ class Processor:
     def _run_or_hold(self, fn, args) -> None:
         """Continuation trampoline: while paused, park pending continuations
         instead of running them; :meth:`resume` releases them in order."""
-        if self._paused:
+        if self.paused:
             self._held_continuations.append((fn, args))
             return
         fn(*args)

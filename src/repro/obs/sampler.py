@@ -85,15 +85,11 @@ class StateSampler:
         pools, opts, dialogs = [], [], []
         acks_out = 0
         for nic in self.nics:
-            pool = getattr(nic, "pool", None)
+            pool, opt, rx = nic.pool, nic.opt, nic.rx_dialogs
             pools.append(len(pool) if pool is not None else 0)
-            opt = getattr(nic, "opt", None)
             opts.append(len(opt) if opt is not None else 0)
-            rx = getattr(nic, "_rx_dialogs", None)
             dialogs.append(len(rx) if rx is not None else 0)
-            acks_out += getattr(nic, "acks_sent", 0) - getattr(
-                nic, "acks_received", 0
-            )
+            acks_out += nic.acks_sent - nic.acks_received
         self.pool_occupancy.append(pools)
         self.opt_fill.append(opts)
         self.open_dialogs.append(dialogs)

@@ -44,12 +44,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..faults import FaultEvent, FaultPlan
 from ..networks import build_network
-from ..nic import (
-    REORDER_NIC_MODES,
-    CollectiveParams,
-    NifdyParams,
-    ReorderParams,
-)
+from ..nic import NIC_MODES, CollectiveParams, NifdyParams, ReorderParams
 from ..obs import Observability
 from ..sim import Simulator
 from ..traffic import (
@@ -116,6 +111,13 @@ class ChaosConfig:
     #: Max simulation probes the shrinker may spend per failure.
     shrink_budget: int = 48
     artifact_dir: str = "benchmarks/results/chaos"
+
+    def __post_init__(self) -> None:
+        unknown = [m for m in self.nic_modes if m not in NIC_MODES]
+        if unknown:
+            raise ValueError(
+                f"unknown NIC mode(s) {unknown}; choose from {tuple(NIC_MODES)}"
+            )
 
 
 @dataclass
@@ -404,7 +406,7 @@ class ChaosEngine:
         nic_mode = rng.choice(cfg.nic_modes)
         reorder_params = (
             self._random_reorder_params(rng)
-            if nic_mode in REORDER_NIC_MODES else None
+            if NIC_MODES[nic_mode].takes_reorder_params else None
         )
         skew = rng.choice(cfg.path_skews)
         collective_params = CollectiveParams(

@@ -271,7 +271,7 @@ class InvariantMonitor:
         (its children plus its own) must already be folded in."""
         engine = None
         if 0 <= event.node < len(self._nics):
-            engine = getattr(self._nics[event.node], "collective", None)
+            engine = self._nics[event.node].collective
         if engine is None:
             return
         expected = len(engine.children) + 1
@@ -287,13 +287,13 @@ class InvariantMonitor:
     def _order_expected(self, node: int) -> bool:
         """Per-receiver gating: in-order delivery is a checkable guarantee
         when the fabric preserves order, or when *this* node's NIC restores
-        it (duck-typed capability) -- so a reorder-tolerant receiver on a
+        it (``guarantees_order``) -- so a reorder-tolerant receiver on a
         spraying fabric is still held to eventual in-order delivery, while a
         plain NIC on the same fabric is exempt."""
         if self.fabric_in_order:
             return True
         if 0 <= node < len(self._nics):
-            return bool(getattr(self._nics[node], "guarantees_order", False))
+            return self._nics[node].guarantees_order
         # No NICs registered (bus-only attachment): trust the caller's
         # check_order flag, as the pre-per-receiver monitor did.
         return True
@@ -302,51 +302,49 @@ class InvariantMonitor:
     def _check_node_state(self, nic, event: Optional[ObsEvent]) -> None:
         """Resource-bound invariants on one NIC, read-only.
 
-        Duck-typed like the :class:`~repro.obs.sampler.StateSampler`: NICs
-        without a pool/OPT (plain, buffered) have no bound to check.
+        NICs without NIFDY params (plain, buffered, reorder-tolerant) have
+        no OPT/pool/dialog bound to check.
         """
         cycle = event.cycle if event is not None else -1
-        node = getattr(nic, "node_id", -1)
-        streams = getattr(nic, "reorder_rx", None)
+        node = nic.node_id
+        streams = nic.reorder_rx
         if streams is not None:
             self._check_reorder_state(nic, streams, event, cycle, node)
-        params = getattr(nic, "params", None)
+        params = nic.params
         if params is None:
             return
-        opt = getattr(nic, "opt", None)
-        if opt is not None and len(opt) > params.opt_size:
+        opt = nic.opt
+        if len(opt) > params.opt_size:
             self._flag(Violation(
                 "opt_bound", cycle, node,
                 f"OPT holds {len(opt)} destinations, O={params.opt_size}",
                 event=event,
             ), once_key=("opt_bound", node))
-        pool = getattr(nic, "pool", None)
-        if pool is not None and len(pool) > params.pool_size:
+        pool = nic.pool
+        if len(pool) > params.pool_size:
             self._flag(Violation(
                 "pool_bound", cycle, node,
                 f"pool holds {len(pool)} packets, B={params.pool_size}",
                 event=event,
             ), once_key=("pool_bound", node))
-        dialogs = getattr(nic, "_rx_dialogs", None)
-        if dialogs is not None:
-            if len(dialogs) > params.dialogs:
+        dialogs = nic.rx_dialogs
+        if len(dialogs) > params.dialogs:
+            self._flag(Violation(
+                "dialog_bound", cycle, node,
+                f"{len(dialogs)} concurrent dialogs, D={params.dialogs}",
+                event=event,
+            ), once_key=("dialog_bound", node))
+        for dialog in dialogs.values():
+            if len(dialog.buffers) > dialog.window:
                 self._flag(Violation(
-                    "dialog_bound", cycle, node,
-                    f"{len(dialogs)} concurrent dialogs, D={params.dialogs}",
-                    event=event,
-                ), once_key=("dialog_bound", node))
-            for dialog in dialogs.values():
-                if len(dialog.buffers) > dialog.window:
-                    self._flag(Violation(
-                        "window_bound", cycle, node,
-                        f"dialog #{dialog.dialog} from {dialog.src} buffers "
-                        f"{len(dialog.buffers)} packets, W={dialog.window}",
-                        src=dialog.src, event=event,
-                    ), once_key=("window_bound", node, dialog.dialog))
+                    "window_bound", cycle, node,
+                    f"dialog #{dialog.dialog} from {dialog.src} buffers "
+                    f"{len(dialog.buffers)} packets, W={dialog.window}",
+                    src=dialog.src, event=event,
+                ), once_key=("window_bound", node, dialog.dialog))
 
     def _check_reorder_state(self, nic, streams, event, cycle, node) -> None:
-        """Reorder-tolerant receiver invariants, read-only (duck-typed on
-        the ``reorder_rx`` capability)."""
+        """Reorder-tolerant receiver invariants, read-only."""
         rp = nic.reorder_params
         buffered = 0
         for src, st in streams.items():
@@ -373,7 +371,7 @@ class InvariantMonitor:
                     f"{sorted(st.buffer)}",
                     src=src, event=event,
                 ), once_key=("bitmap_conservation", node, src))
-        cached = getattr(nic, "reorder_cached", buffered)
+        cached = nic.reorder_cached
         if cached != buffered:
             self._flag(Violation(
                 "no_cache_leak", cycle, node,
@@ -403,10 +401,8 @@ class InvariantMonitor:
         self._finished = True
         for nic in self._nics:
             self._check_node_state(nic, None)
-        acks_sent = sum(getattr(nic, "acks_sent", 0) for nic in self._nics)
-        acks_received = sum(
-            getattr(nic, "acks_received", 0) for nic in self._nics
-        )
+        acks_sent = sum(nic.acks_sent for nic in self._nics)
+        acks_received = sum(nic.acks_received for nic in self._nics)
         if self._nics and acks_received > acks_sent:
             self._flag(Violation(
                 "ack_conservation", cycle, -1,
@@ -417,10 +413,10 @@ class InvariantMonitor:
             # A completed run must not leave a collective half-combined:
             # every epoch that was entered must have been released.
             for nic in self._nics:
-                engine = getattr(nic, "collective", None)
+                engine = nic.collective
                 if engine is None or not engine.pending_epochs:
                     continue
-                node = getattr(nic, "node_id", -1)
+                node = nic.node_id
                 epochs = sorted(engine._epochs)
                 self._flag(Violation(
                     "collective_completion", cycle, node,
@@ -431,10 +427,10 @@ class InvariantMonitor:
             # reorder buffer: everything cached was either delivered (and
             # hence removed) or written off by its sender's abandonment.
             for nic in self._nics:
-                streams = getattr(nic, "reorder_rx", None)
+                streams = nic.reorder_rx
                 if streams is None:
                     continue
-                node = getattr(nic, "node_id", -1)
+                node = nic.node_id
                 for src, st in streams.items():
                     leaked = [
                         p for p in st.buffer.values() if p.abandoned_cycle < 0

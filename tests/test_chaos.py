@@ -234,6 +234,15 @@ class TestChaosCli:
         with pytest.raises(ValueError, match="not a chaos reproducer"):
             cli_main(["chaos", "--replay", str(bogus)])
 
+    def test_unknown_nic_mode_fails_before_any_trial(self, tmp_path):
+        artifacts = tmp_path / "chaos"
+        with pytest.raises(ValueError, match="unknown NIC mode"):
+            cli_main([
+                "chaos", "--nic-modes", "bogus", "--trials", "2", "--quiet",
+                "--artifact-dir", str(artifacts),
+            ])
+        assert not artifacts.exists()
+
     def test_batch_exit_codes(self, tmp_path, capsys):
         code = cli_main([
             "chaos", "--trials", "2", "--seed", "0", "--quiet",

@@ -229,7 +229,7 @@ class TestFarmEngine:
         assert farm.stats.retries == 0
 
     def test_plain_error_is_not_retried(self, tmp_path):
-        bad = small_spec(nic_mode="warp", label="bad")
+        bad = small_spec(active_nodes=99, label="bad")
         farm = SweepEngine(executor="pool", cache=False,
                            manifest=RunManifest.new("c", [bad], "pool", {}))
         (point,) = farm.run([bad])
@@ -239,7 +239,7 @@ class TestFarmEngine:
         assert farm.stats.retries == 0 and farm.stats.errors == 1
 
     def test_retry_errors_burns_budget_on_backoff_schedule(self):
-        bad = small_spec(nic_mode="warp", label="bad")
+        bad = small_spec(active_nodes=99, label="bad")
         policy = FarmPolicy(retries=2, retry_errors=True, seed=5)
         slept = []
         farm = SweepEngine(executor="pool", cache=False, policy=policy,
@@ -302,7 +302,7 @@ class TestFarmEngine:
         bus = EventBus()
         seen = []
         bus.subscribe(None, lambda e: seen.append(e.kind))
-        bad = small_spec(nic_mode="warp", label="bad")
+        bad = small_spec(active_nodes=99, label="bad")
         policy = FarmPolicy(retries=1, retry_errors=True)
         SweepEngine(executor="pool", cache=False, policy=policy, bus=bus,
                     sleep=lambda s: None).run([bad])

@@ -9,7 +9,9 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.metrics import degradation_report
 from repro.networks import build_network
 from repro.nic import NifdyParams, RetransmittingNifdyNIC
+from repro.obs import Observability
 from repro.sim import RngFactory, Simulator
+from repro.traffic import CShiftConfig
 
 from conftest import drain_all
 from test_nifdy_protocol import feed, stream
@@ -306,3 +308,51 @@ class TestRunnerIntegration:
         assert res.cycles < 10_000_000
         assert res.stall_report is not None
         assert "node 9" in res.stall_report
+
+
+# ------------------------------------------------------- healed partitions
+def _partition_spec(until=None, seed=3):
+    """Node 9's ejection link fails at cycle 1500 (and is repaired at
+    ``until``); three retries abandon what is owed to it meanwhile."""
+    return ExperimentSpec(
+        network="fattree",
+        traffic=cshift(CShiftConfig(words_per_phase=8)),
+        num_nodes=16,
+        nic_mode="nifdy",
+        drop_prob=0.005,
+        max_retries=3,
+        max_cycles=400_000,
+        watchdog_cycles=50_000,
+        fault_plan=FaultPlan(
+            [FaultEvent("link_fail", at=1500, link="ft:ej9", until=until)]
+        ),
+        seed=seed,
+        observe=Observability(events=True, validate=True),
+    )
+
+
+class TestHealedPartition:
+    def test_abandoned_packets_delivered_after_repair_are_not_owed_twice(self):
+        result = run_experiment(_partition_spec(until=20_000))
+        metrics = result.metrics
+        assert result.completed, result.stall_report
+        assert metrics.in_flight == 0
+        assert metrics.sent == metrics.delivered + metrics.abandoned
+        assert result.violations == []
+
+    def test_no_packet_injected_after_it_was_abandoned(self, monkeypatch):
+        late = []
+        start = RetransmittingNifdyNIC._start_injection
+
+        def recording_start(nic, packet):
+            started = start(nic, packet)
+            if started and 0 <= packet.abandoned_cycle < nic.sim.now:
+                late.append((packet.uid, packet.abandoned_cycle, nic.sim.now))
+            return started
+
+        monkeypatch.setattr(
+            RetransmittingNifdyNIC, "_start_injection", recording_start
+        )
+        result = run_experiment(_partition_spec(until=20_000))
+        assert sum(nic.packets_abandoned for nic in result.nics) > 0
+        assert late == []

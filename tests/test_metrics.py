@@ -36,6 +36,24 @@ class TestCollector:
         assert collector.network_latency.mean == 40
         assert collector.total_latency.mean == 50
 
+    def test_abandoned_then_delivered_counts_once(self):
+        # A partition heals after the sender wrote the packet off: the late
+        # delivery undoes the write-off instead of being owed twice.
+        collector = MetricsCollector(4)
+        pkt = simple_packet(0, 2, pair_seq=0)
+        pkt.injected_cycle = 10
+        collector.note_send(pkt)
+        collector.note_inject(pkt)
+        pkt.abandoned_cycle = 500
+        collector.note_abandon(pkt)
+        assert (collector.abandoned, collector.in_flight) == (1, 0)
+        pkt.delivered_cycle = 900
+        collector.note_accept(pkt)
+        assert collector.delivered == 1
+        assert collector.abandoned == 0
+        assert collector.in_flight == 0
+        assert collector.pending_per_receiver[2] == 0
+
     def test_order_violation_detected(self):
         collector = MetricsCollector(4, check_order=True)
         first = simple_packet(0, 1, pair_seq=1)

@@ -125,7 +125,7 @@ class TestBulkProtocol:
         assert nics[0].bulk_sent > 0
         # dialog torn down afterwards
         assert nics[0]._bulk_out is None
-        assert nics[9]._rx_dialogs == {}
+        assert nics[9].rx_dialogs == {}
         assert sorted(nics[9]._free_dialogs) == [0]
 
     def test_window_never_exceeded(self):
@@ -175,7 +175,7 @@ class TestBulkProtocol:
         delivered = drain_all(sim, nics, 1)
         assert len(delivered) == 1
         sim.run_until(sim.now + 20_000)
-        assert nics[3]._rx_dialogs == {}
+        assert nics[3].rx_dialogs == {}
         assert sorted(nics[3]._free_dialogs) == [0]
         assert nics[0]._bulk_out is None
 

@@ -55,7 +55,7 @@ class TestBulkEdgeCases:
         delivered = drain_all(sim, nics, 4)
         assert [p.pair_seq for p in delivered] == list(range(4))
         sim.run_until(sim.now + 10_000)
-        assert nics[9]._rx_dialogs == {}
+        assert nics[9].rx_dialogs == {}
 
     def test_back_to_back_messages_same_destination(self):
         """Each message exits its dialog; the next re-requests.  Ordering

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.networks import build_network
-from repro.nic import NifdyParams, RetransmittingNifdyNIC
+from repro.nic import NifdyNIC, NifdyParams, RetransmitTimer, RetransmittingNifdyNIC
+from repro.packets import Packet, PacketKind
 from repro.sim import RngFactory, Simulator
 
 from conftest import drain_all
@@ -70,7 +71,7 @@ class TestBulkRetransmission:
         delivered = drain_all(sim, nics, 12, horizon=3_000_000)
         assert len(delivered) == 12
         sim.run_until(sim.now + 100_000)
-        assert nics[9]._rx_dialogs == {}
+        assert nics[9].rx_dialogs == {}
         assert nics[0]._bulk_out is None
 
     def test_many_pairs_under_loss(self):
@@ -87,7 +88,7 @@ class TestBulkRetransmission:
 class TestGiveUp:
     def test_max_retries_raises(self):
         sim, net, nics = lossy_setup(1.0, retx_timeout=200)
-        nics[0].max_retries = 3
+        nics[0].retx.max_retries = 3
         feed(sim, nics[0], stream(0, 9, 1, {"bulk_threshold": 10 ** 9}))
         # Exponential backoff: retries at ~200, 600, 1400; give-up ~3000.
         with pytest.raises(RuntimeError, match="gave up"):
@@ -95,8 +96,8 @@ class TestGiveUp:
 
     def test_abandon_records_instead_of_raising(self):
         sim, net, nics = lossy_setup(1.0, retx_timeout=200)
-        nics[0].max_retries = 3
-        nics[0].on_exhaust = "abandon"
+        nics[0].retx.max_retries = 3
+        nics[0].retx.on_exhaust = "abandon"
         abandoned = []
         nics[0].on_abandon = abandoned.append
         feed(sim, nics[0], stream(0, 9, 1, {"bulk_threshold": 10 ** 9}))
@@ -105,7 +106,7 @@ class TestGiveUp:
         assert len(abandoned) == 1
         assert abandoned[0].dst == 9
         assert len(nics[0].opt) == 0        # OPT entry was released
-        assert nics[0]._hold == {}          # no timer left running
+        assert nics[0].retx.held == {}      # no timer left running
 
     def test_abandon_frees_traffic_to_other_destinations(self):
         # Partition node 9 only (its ejection link): traffic to 9 exhausts
@@ -114,8 +115,8 @@ class TestGiveUp:
         for link in net.links:
             if link.name == "ft:ej9":
                 link.fail()
-        nics[0].max_retries = 2
-        nics[0].on_exhaust = "abandon"
+        nics[0].retx.max_retries = 2
+        nics[0].retx.on_exhaust = "abandon"
         feed(sim, nics[0], stream(0, 9, 2, {"bulk_threshold": 10 ** 9}))
         feed(sim, nics[0], stream(0, 5, 4, {"bulk_threshold": 10 ** 9}))
         delivered = drain_all(sim, nics, 4, horizon=1_000_000)
@@ -124,12 +125,12 @@ class TestGiveUp:
 
     def test_bulk_abandon_tears_down_whole_dialog(self):
         sim, net, nics = lossy_setup(1.0, retx_timeout=200)
-        nics[0].max_retries = 2
-        nics[0].on_exhaust = "abandon"
+        nics[0].retx.max_retries = 2
+        nics[0].retx.on_exhaust = "abandon"
         feed(sim, nics[0], stream(0, 9, 8, {"bulk_threshold": 4}))
         sim.run_until(400_000)
         assert nics[0]._bulk_out is None
-        assert nics[0]._hold == {}
+        assert nics[0].retx.held == {}
         assert nics[0].packets_abandoned >= 1
 
 
@@ -142,21 +143,36 @@ class TestAdaptiveTimeout:
         delivered = drain_all(sim, nics, 10, horizon=2_000_000)
         assert len(delivered) == 10
         assert nics[0].rtt_samples > 0
-        assert nics[0].current_timeout < 50_000
+        assert nics[0].retx.current_timeout < 50_000
 
-    def test_timeout_respects_floor(self):
-        sim, net, nics = lossy_setup(0.0, retx_timeout=800)
-        nics[0].min_timeout = 700
-        feed(sim, nics[0], stream(0, 9, 10, {"bulk_threshold": 10 ** 9}))
-        drain_all(sim, nics, 10, horizon=2_000_000)
-        assert nics[0].current_timeout >= 700
+    def test_rto_clamped_to_floor_and_cap(self):
+        # The clamp is derived from retx_timeout: floor max(32, T // 8),
+        # cap 64 * T, and every backed-off delay stays under the cap too.
+        for retx_timeout, floor in ((160, 32), (800, 100)):
+            sim = Simulator()
+            nic = NifdyNIC(sim, 0)
+            timer = RetransmitTimer(
+                nic, retx_timeout, max_retries=50, on_exhaust="raise",
+                requeue=lambda packet: None, exhausted=lambda key: None,
+            )
+            assert timer.current_timeout == retx_timeout
+            for _ in range(200):
+                timer.note_rtt(1)
+            assert timer.current_timeout == floor
+            for _ in range(200):
+                timer.note_rtt(10 ** 9)
+            assert timer.current_timeout == 64 * retx_timeout
+            packet = Packet(src=0, dst=1, kind=PacketKind.SCALAR, size_bytes=16)
+            timer.arm(("s", 1), packet, tries=6)
+            (_, event, _, _), = timer.held.values()
+            assert event.cycle == sim.now + 64 * retx_timeout
 
-    def test_fixed_timeout_mode_never_adapts(self):
-        sim, net, nics = lossy_setup(0.0, retx_timeout=900)
-        nics[0].adaptive_timeout = False
-        feed(sim, nics[0], stream(0, 9, 10, {"bulk_threshold": 10 ** 9}))
-        drain_all(sim, nics, 10, horizon=2_000_000)
-        assert nics[0].current_timeout == 900
+    def test_unknown_exhaust_policy_rejected(self):
+        with pytest.raises(ValueError, match="on_exhaust"):
+            RetransmitTimer(
+                NifdyNIC(Simulator(), 0), 1000, 50, "bogus",
+                requeue=lambda packet: None, exhausted=lambda key: None,
+            )
 
     def test_retransmission_still_recovers_with_adaptation(self):
         sim, net, nics = lossy_setup(0.2, retx_timeout=800)

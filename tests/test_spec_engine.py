@@ -93,6 +93,15 @@ class TestSpecSerialization:
         with pytest.raises(SpecSerializationError):
             spec.content_hash()
 
+    def test_unknown_nic_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown nic_mode 'bogus'"):
+            small_spec(nic_mode="bogus")
+
+    def test_unknown_exhaust_policy_rejected(self):
+        # Checked on every mode, not only the retransmitting ones.
+        with pytest.raises(ValueError, match="unknown on_exhaust 'bogus'"):
+            small_spec(nic_mode="plain", on_exhaust="bogus")
+
     def test_replace_makes_changed_copy(self):
         spec = small_spec()
         other = spec.replace(seed=9)
@@ -210,7 +219,7 @@ class TestSweepEngine:
         assert engine.stats.executed == 2
 
     def test_crashed_point_is_isolated(self, tmp_path):
-        bad = small_spec(nic_mode="warp")  # unknown mode raises in the runner
+        bad = small_spec(active_nodes=99)  # out of range: raises in the runner
         good = small_spec()
         engine = SweepEngine(jobs=1, cache_dir=tmp_path)
         points = engine.run([bad, good])
@@ -219,13 +228,13 @@ class TestSweepEngine:
         assert engine.stats.errors == 1
 
     def test_crashed_point_is_isolated_in_workers(self, tmp_path):
-        bad = small_spec(nic_mode="warp")
+        bad = small_spec(active_nodes=99)
         good = small_spec()
         points = SweepEngine(jobs=2, cache_dir=tmp_path).run([bad, good])
         assert not points[0].ok and points[1].ok
 
     def test_errors_are_not_cached(self, tmp_path):
-        bad = small_spec(nic_mode="warp")
+        bad = small_spec(active_nodes=99)
         engine = SweepEngine(jobs=1, cache_dir=tmp_path)
         engine.run([bad])
         engine.run([bad])

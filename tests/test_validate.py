@@ -4,7 +4,13 @@ caught, and the monitor costs nothing when detached."""
 import pytest
 
 from repro.experiments import ExperimentSpec, run_experiment
-from repro.nic import NifdyNIC, NifdyParams, ReorderParams, ReorderTolerantNIC
+from repro.nic import (
+    BaseNIC,
+    NifdyNIC,
+    NifdyParams,
+    ReorderParams,
+    ReorderTolerantNIC,
+)
 from repro.obs import EventBus, EventKind, Observability
 from repro.sim import Simulator
 from repro.traffic import (
@@ -178,8 +184,8 @@ class TestBrokenNic:
         nic = nics[1]
         overfull = BulkReceiverDialog(src=0, dialog=0, window=2)
         overfull.buffers = {0: object(), 1: object(), 2: object()}
-        nic._rx_dialogs[(0, 0)] = overfull
-        nic._rx_dialogs[(0, 1)] = BulkReceiverDialog(src=0, dialog=1, window=2)
+        nic.rx_dialogs[(0, 0)] = overfull
+        nic.rx_dialogs[(0, 1)] = BulkReceiverDialog(src=0, dialog=1, window=2)
         bus.emit(40, EventKind.DIALOG_GRANT, 1)
         assert {"dialog_bound", "window_bound"} <= _names(monitor)
 
@@ -267,11 +273,13 @@ class _StubEngine:
         return len(self._epochs)
 
 
-class _StubCollectiveNic:
+class _StubCollectiveNic(BaseNIC):
+    """A NIC with nothing but a collective engine: the declared NIC state
+    (no OPT, pool, dialogs or streams) comes from BaseNIC."""
+
     def __init__(self, node_id, engine):
-        self.node_id = node_id
+        super().__init__(Simulator(), node_id)
         self.collective = engine
-        self.obs = None
 
 
 class TestBrokenCollectives:
