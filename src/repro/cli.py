@@ -10,6 +10,7 @@ Usage (after ``pip install -e .``)::
         --sample-interval 500 --profile
     python -m repro sweep --network fattree --jobs 4
     python -m repro sweep --network mesh2d --kind load --gaps 800,200,0
+    python -m repro sweep --network mesh2d --kind load --manifest-dir DIR
     python -m repro characterize --network mesh2d
     python -m repro advise --network cm5
     python -m repro perf
@@ -25,8 +26,10 @@ archived ``benchmarks/results/`` tree.
 delivered, throughput, latency percentiles, ordering); ``sweep`` runs a
 parameter/load/size grid through the parallel, cache-backed
 :class:`~repro.experiments.SweepEngine` (``--jobs N`` for worker processes,
-``--no-cache`` to force re-execution; the ranked table goes to stdout,
-progress and cache statistics to stderr so sweep outputs diff cleanly);
+``--no-cache`` to force re-execution, ``--manifest-dir DIR`` for a
+crash-surviving campaign that the same command resumes; the ranked table
+goes to stdout, progress and cache statistics to stderr so sweep outputs
+diff cleanly);
 ``characterize`` prints a Table-3 row; ``advise`` runs the Section 2.4
 parameter advisor on measured characteristics.
 
@@ -47,19 +50,19 @@ import json
 import signal
 import sys
 import threading
-from pathlib import Path
 from typing import List, Optional
 
-# ``analysis`` (numpy), ``farm`` and ``report`` are imported inside the
-# commands that use them, so ``run`` and ``sweep`` never load them.
+# ``analysis`` (numpy) and ``report`` are imported inside the commands
+# that use them, and the farm inside the sweep engine, so ``run`` never
+# loads them.
 from .faults import FaultPlan
 from .metrics import degradation_report, format_degradation
 from .experiments import (
     ExperimentSpec,
+    FarmPolicy,
     SweepEngine,
     allreduce,
     best_params,
-    offered_load_specs,
     cshift,
     default_param_grid,
     em3d,
@@ -67,11 +70,11 @@ from .experiments import (
     hotspot,
     incast,
     light_synthetic,
+    machine_size_specs,
     perf_reference_spec,
     radix_sort,
     rpc_fanout,
     run_experiment,
-    sweep_machine_sizes,
     sweep_nifdy_params,
     sweep_offered_load,
 )
@@ -299,11 +302,16 @@ def _point_dict(point) -> dict:
 def _cmd_sweep(args) -> int:
     """Run a parameter/load/size sweep through the SweepEngine.
 
-    Results (the deterministic table) go to stdout; progress and cache
-    statistics go to stderr, so serial and parallel invocations of the
-    same grid produce byte-identical stdout -- the property the CI
-    parallel-smoke job diffs.  ``--json`` swaps stdout over to a
-    schema-stamped ``repro-sweep`` document (the table moves to stderr).
+    Results (the deterministic table) go to stdout; progress and engine
+    statistics go to stderr, so serial, parallel and resumed invocations
+    of the same grid produce byte-identical stdout -- the property the CI
+    sweep-smoke and farm-smoke jobs diff.  ``--json`` swaps stdout over to
+    a schema-stamped ``repro-sweep`` document (the table moves to stderr).
+
+    With ``--manifest-dir`` the sweep is a campaign: the engine
+    checkpoints a ledger there after every settled point, and the same
+    command run again after *any* interruption -- Ctrl-C, SIGTERM, power
+    loss -- resumes it instead of starting over.
     """
     def progress(done, total, point):
         status = "cache" if point.cached else ("ERROR" if point.error else "ran")
@@ -315,13 +323,25 @@ def _cmd_sweep(args) -> int:
         cache_dir=args.cache_dir,
         progress=progress if not args.quiet else None,
         point_timeout=args.point_timeout,
+        executor=args.executor,
+        policy=FarmPolicy(retries=args.retries, poison_after=args.poison_after,
+                          seed=args.seed),
+        campaign_dir=args.manifest_dir,
     )
     json_points: List[dict] = []
     stack = contextlib.ExitStack()
     if args.json:
         stack.enter_context(contextlib.redirect_stdout(sys.stderr))
-    with stack:
-        _run_sweep_table(args, engine, json_points)
+    try:
+        with stack:
+            _run_sweep_table(args, engine, json_points)
+    except KeyboardInterrupt:
+        if engine.manifest is None:
+            raise
+        print(f"sweep: interrupted; campaign checkpointed at "
+              f"{engine.manifest.path}\n"
+              "sweep: re-run the same command to resume", file=sys.stderr)
+        return 130
     stats = engine.stats
     if args.json:
         from .report.schema import EngineStats, SweepRecord
@@ -331,9 +351,14 @@ def _cmd_sweep(args) -> int:
             engine=EngineStats.from_dict(stats.as_dict()),
         )
         print(json.dumps(record.to_dict(), indent=2, default=str))
+    if engine.manifest is not None:
+        print(f"manifest : {engine.manifest.path}", file=sys.stderr)
     print(
         f"sweep: {stats.points} point(s), {stats.executed} executed, "
+        f"{stats.resumed} resumed, "
         f"{stats.cache_hits} from cache ({stats.hit_rate:.0%}), "
+        f"{stats.retries} retr{'y' if stats.retries == 1 else 'ies'}, "
+        f"{stats.worker_deaths} worker death(s), {stats.poisoned} poisoned, "
         f"{stats.errors} error(s), {stats.wall_s:.2f}s "
         f"with --jobs {args.jobs}",
         file=sys.stderr,
@@ -341,8 +366,42 @@ def _cmd_sweep(args) -> int:
     return 1 if stats.errors else 0
 
 
+def _print_row(label: str, point, figures: str) -> None:
+    """One table row: ``figures`` when ``point`` ran, else its failure
+    (POISONED, TIMEOUT or ERROR), with the diagnosis on stderr."""
+    if point.error is None:
+        print(f"  {label}  {figures}")
+        return
+    status = ("POISONED" if point.poisoned
+              else "TIMEOUT" if point.timed_out else "ERROR")
+    print(f"  {label}  {status} (see stderr)")
+    print(point.error, file=sys.stderr)
+
+
 def _run_sweep_table(args, engine, json_points: List[dict]) -> None:
     """The human sweep table (stdout unless redirected) + point collection."""
+    if args.kind == "sizes":
+        sizes = _int_list(args.sizes)
+        points = engine.run(machine_size_specs(
+            args.network, sizes, best_params(args.network),
+            baseline_mode=args.nic, run_cycles=args.cycles, seed=args.seed,
+        ))
+        print(f"Machine-size sweep on {args.network} "
+              f"(NIFDY vs {args.nic}, {args.cycles:,}-cycle windows):")
+        for i, size in enumerate(sizes):
+            base, nifdy = points[2 * i], points[2 * i + 1]
+            norm = nifdy.delivered / base.delivered if base.delivered else 0.0
+            json_points.append({
+                "label": f"n={size}", "size": size,
+                "nifdy_delivered": nifdy.delivered,
+                "baseline_delivered": base.delivered,
+                "normalized": round(norm, 3),
+            })
+            _print_row(f"n={size:<5d}", base if base.error else nifdy,
+                       f"nifdy={nifdy.delivered:>8,}  "
+                       f"{args.nic}={base.delivered:>8,}  "
+                       f"normalized={norm:5.2f}x")
+        return
     if args.kind == "params":
         grid = default_param_grid(
             opt_sizes=_int_list(args.opt_grid), windows=_int_list(args.window_grid),
@@ -352,45 +411,24 @@ def _run_sweep_table(args, engine, json_points: List[dict]) -> None:
             seed=args.seed, combine_light_and_heavy=not args.heavy_only,
             engine=engine,
         )
-        json_points.extend(_point_dict(p) for p in points)
         loads = "heavy" if args.heavy_only else "heavy+light"
         print(f"NIFDY parameter sweep on {args.network} "
               f"({loads}, {args.cycles:,}-cycle windows), best first:")
-        for point in points:
-            if point.error:
-                print(f"  {point.label:24s}  ERROR (see stderr)")
-                print(point.error, file=sys.stderr)
-            else:
-                print(f"  {point.label:24s}  delivered={point.delivered:>8,}  "
-                      f"throughput={point.throughput:8.1f}/kcycle")
-    elif args.kind == "load":
+        width = 24
+    else:  # load
         points = sweep_offered_load(
             args.network, _int_list(args.gaps), nic_mode=args.nic,
             num_nodes=args.nodes, run_cycles=args.cycles, seed=args.seed,
             engine=engine,
         )
-        json_points.extend(_point_dict(p) for p in points)
         print(f"Offered-load sweep on {args.network} ({args.nic}, "
               f"{args.cycles:,}-cycle windows):")
-        for point in points:
-            print(f"  {point.label:12s}  delivered={point.delivered:>8,}  "
-                  f"throughput={point.throughput:8.1f}/kcycle")
-    else:  # sizes
-        params = best_params(args.network)
-        out = sweep_machine_sizes(
-            args.network, _int_list(args.sizes), params, baseline_mode=args.nic,
-            run_cycles=args.cycles, seed=args.seed, engine=engine,
-        )
-        print(f"Machine-size sweep on {args.network} "
-              f"(NIFDY vs {args.nic}, {args.cycles:,}-cycle windows):")
-        for size, (nifdy, base, norm) in out.items():
-            json_points.append({
-                "label": f"n={size}", "size": size,
-                "nifdy_delivered": nifdy, "baseline_delivered": base,
-                "normalized": round(norm, 3),
-            })
-            print(f"  n={size:<6d} nifdy={nifdy:>8,}  {args.nic}={base:>8,}  "
-                  f"normalized={norm:5.2f}x")
+        width = 12
+    json_points.extend(_point_dict(p) for p in points)
+    for point in points:
+        _print_row(f"{point.label:{width}s}", point,
+                   f"delivered={point.delivered:>8,}  "
+                   f"throughput={point.throughput:8.1f}/kcycle")
 
 
 def _cmd_chaos(args) -> int:
@@ -403,7 +441,6 @@ def _cmd_chaos(args) -> int:
     the recorded failure reproduces, 2 if it does not.
     """
     # Deferred: repro.validate pulls in the whole experiments stack.
-    from .farm.executors import DEFAULT_EXECUTOR
     from .validate import ChaosConfig, ChaosEngine, replay_artifact
 
     if args.replay:
@@ -440,7 +477,7 @@ def _cmd_chaos(args) -> int:
         barrier_modes=tuple(b for b in args.barrier_modes.split(",") if b),
         path_skews=tuple(_int_list(args.path_skews)) or (0,),
         max_faults=args.max_faults,
-        executor=args.executor or DEFAULT_EXECUTOR,
+        executor=args.executor,
         retries=args.retries,
         jobs=args.jobs,
         point_timeout=args.point_timeout,
@@ -454,118 +491,6 @@ def _cmd_chaos(args) -> int:
         print(f"  detail: {finding.detail.splitlines()[0]}")
         print(f"  replay: python -m repro chaos --replay {finding.artifact}")
     return 1 if report.findings else 0
-
-
-def _cmd_farm(args) -> int:
-    """Run (or resume) a fault-tolerant offered-load campaign.
-
-    The campaign is the Section-1 operating-range grid (``--gaps``), run
-    through the :class:`~repro.experiments.SweepEngine` with a named
-    execution backend (``--executor``), per-point retry with backoff,
-    poison-point quarantine, and a crash-surviving manifest checkpointed
-    after every settled point.  The campaign id is a deterministic
-    function of the grid, so re-issuing the same command after *any*
-    interruption -- Ctrl-C, SIGTERM, power loss -- resumes from the
-    manifest instead of starting over; ``--resume FILE`` does the same
-    from an explicit manifest, needing no grid flags at all.
-
-    The per-point table goes to stdout and is byte-identical however the
-    campaign was scheduled (serial, parallel, interrupted-and-resumed)
-    -- the property the CI farm-smoke job diffs.  Progress, the manifest
-    path, and farm statistics go to stderr.
-    """
-    from .experiments import FarmPolicy
-    from .farm.executors import DEFAULT_EXECUTOR
-    from .farm.manifest import ManifestMismatch, RunManifest, campaign_id_for
-
-    policy = FarmPolicy(
-        retries=args.retries, poison_after=args.poison_after, seed=args.seed,
-    )
-    if args.resume:
-        manifest = RunManifest.load(args.resume)
-        specs = [ExperimentSpec.from_dict(d) for d in manifest.specs]
-        executor = manifest.executor
-        try:
-            manifest.verify_resumable(specs)
-        except ManifestMismatch as exc:
-            # Stale code: the settled results are invalid.  Keep the
-            # campaign (same file, same specs) but start its ledger over.
-            print(f"farm: {exc}; restarting campaign", file=sys.stderr)
-            manifest = RunManifest.new(
-                manifest.campaign_id, specs, executor, policy.as_dict(),
-                path=Path(args.resume),
-            )
-    else:
-        if not args.network:
-            print("farm: --network is required unless --resume is given",
-                  file=sys.stderr)
-            return 2
-        specs = offered_load_specs(
-            args.network, _int_list(args.gaps), nic_mode=args.nic,
-            num_nodes=args.nodes, run_cycles=args.cycles, seed=args.seed,
-        )
-        executor = args.executor or DEFAULT_EXECUTOR
-        campaign = args.campaign or campaign_id_for(specs, executor)
-        path = Path(args.manifest_dir) / f"{campaign}.json"
-        manifest = None
-        if path.is_file():
-            try:
-                manifest = RunManifest.load(path)
-                manifest.verify_resumable(specs)
-                print(f"farm: resuming campaign {campaign} from {path}",
-                      file=sys.stderr)
-            except (ManifestMismatch, ValueError, OSError) as exc:
-                print(f"farm: existing manifest not resumable ({exc}); "
-                      "starting fresh", file=sys.stderr)
-                manifest = None
-        if manifest is None:
-            manifest = RunManifest.new(
-                campaign, specs, executor, policy.as_dict(), path=path,
-            )
-
-    def progress(done, total, point):
-        status = "cache" if point.cached else ("ERROR" if point.error else "ran")
-        print(f"  [{done}/{total}] {point.label}: {status}", file=sys.stderr)
-
-    engine = SweepEngine(
-        executor=executor,
-        jobs=args.jobs,
-        cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        policy=policy,
-        progress=progress if not args.quiet else None,
-        point_timeout=args.point_timeout,
-        manifest=manifest,
-    )
-    try:
-        points = engine.run(specs)
-    except KeyboardInterrupt:
-        print(f"farm: interrupted; manifest checkpointed at {manifest.path}\n"
-              f"farm: resume with: python -m repro farm --resume "
-              f"{manifest.path}", file=sys.stderr)
-        return 130
-
-    print(f"farm campaign {manifest.campaign_id} ({len(points)} point(s)):")
-    for point in points:
-        if point.error:
-            status = ("POISONED" if point.poisoned
-                      else "TIMEOUT" if point.timed_out else "ERROR")
-            print(f"  {point.label:24s}  {status} (diagnosis in manifest)")
-        else:
-            print(f"  {point.label:24s}  delivered={point.delivered:>8,}  "
-                  f"throughput={point.throughput:8.1f}/kcycle")
-    stats = engine.stats
-    print(f"manifest : {manifest.path}", file=sys.stderr)
-    print(
-        f"farm: {stats.points} point(s), {stats.executed} executed, "
-        f"{stats.resumed} resumed, {stats.cache_hits} from cache, "
-        f"{stats.retries} retr{'y' if stats.retries == 1 else 'ies'}, "
-        f"{stats.worker_deaths} worker death(s), {stats.poisoned} poisoned, "
-        f"{stats.errors} error(s), {stats.wall_s:.2f}s "
-        f"on '{executor}' with --jobs {args.jobs}",
-        file=sys.stderr,
-    )
-    return 1 if stats.errors else 0
 
 
 def _cmd_perf(args) -> int:
@@ -807,7 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="run a parameter/load/size sweep (parallel + cached)",
+        help="run a parameter/load/size sweep (parallel + cached; with "
+        "--manifest-dir, a crash-surviving campaign)",
     )
     sweep.add_argument("--network", required=True,
                        choices=NETWORK_NAMES + EXTENSION_NETWORK_NAMES)
@@ -822,6 +748,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock bound per grid point: a hung or "
                        "crashed worker becomes an errored point instead of "
                        "wedging the sweep (default: no bound)")
+    sweep.add_argument("--manifest-dir", default=None, metavar="DIR",
+                       help="run the grid as a campaign checkpointed in DIR "
+                       "after every point; the same command run again "
+                       "resumes it, re-running nothing that settled")
+    sweep.add_argument("--executor", default=None, metavar="NAME",
+                       help="execution backend: 'pool' shares worker "
+                       "processes (the default for a campaign, --jobs > 1 "
+                       "or --point-timeout), 'subprocess' isolates each "
+                       "point in its own interpreter (hard crashes "
+                       "contained and exactly attributed)")
+    sweep.add_argument("--retries", type=int, default=0, metavar="N",
+                       help="extra attempts per point when the point kills "
+                       "its worker or trips the watchdog")
+    sweep.add_argument("--poison-after", type=int, default=None, metavar="N",
+                       help="quarantine a point after N worker deaths "
+                       "(default: its whole attempt budget, if --retries)")
     sweep.add_argument("--no-cache", action="store_true",
                        help="ignore and do not populate the on-disk result "
                        "cache (benchmarks/results/.cache)")
@@ -884,11 +826,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "from; non-zero needs a -spray network")
     chaos.add_argument("--max-faults", type=int, default=3,
                        help="fault events per trial drawn from 1..N")
-    chaos.add_argument("--executor", default=None,
-                       choices=_ExecutorNames(), metavar="NAME",
-                       help="farm execution backend for the trial fan-out: "
-                       "'pool', or 'subprocess', which contains hard worker "
-                       "crashes")
+    chaos.add_argument("--executor", default=None, metavar="NAME",
+                       help="execution backend for the trial fan-out: "
+                       "'pool' (the default), or 'subprocess', which "
+                       "contains hard worker crashes")
     chaos.add_argument("--retries", type=int, default=1,
                        help="extra attempts per trial when it kills its "
                        "worker or trips the watchdog")
@@ -909,60 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(exit 0 if it reproduces, 2 if not)")
     chaos.add_argument("--quiet", action="store_true",
                        help="suppress per-trial progress on stderr")
-
-    farm = sub.add_parser(
-        "farm",
-        help="run (or --resume) a fault-tolerant offered-load campaign: "
-        "pluggable executors, retry + poison quarantine, crash-surviving "
-        "manifest",
-    )
-    farm.add_argument("--network", default=None,
-                      choices=NETWORK_NAMES + EXTENSION_NETWORK_NAMES,
-                      help="campaign network (required unless --resume)")
-    farm.add_argument("--resume", default=None, metavar="FILE",
-                      help="resume a campaign from its manifest; the grid "
-                      "is rebuilt from the manifest, no other flags needed")
-    farm.add_argument("--executor", default=None,
-                      choices=_ExecutorNames(), metavar="NAME",
-                      help="execution backend: 'pool' shares worker "
-                      "processes (fast), 'subprocess' isolates each point "
-                      "in its own interpreter (hard crashes contained and "
-                      "exactly attributed)")
-    farm.add_argument("--retries", type=int, default=2,
-                      help="extra attempts per point when the point kills "
-                      "its worker or trips the watchdog")
-    farm.add_argument("--poison-after", type=int, default=None, metavar="N",
-                      help="quarantine a point after N worker deaths "
-                      "(default: its whole attempt budget)")
-    farm.add_argument("--campaign", default=None, metavar="ID",
-                      help="campaign id override (default: a deterministic "
-                      "hash of the grid, so reruns resume naturally)")
-    farm.add_argument("--manifest-dir", default="benchmarks/results/campaigns",
-                      metavar="DIR",
-                      help="where campaign manifests are checkpointed")
-    farm.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="concurrent points (1 = one at a time)")
-    farm.add_argument("--point-timeout", type=float, default=None,
-                      metavar="SECONDS",
-                      help="per-point liveness watchdog: a silent worker "
-                      "is killed and the point retried, then quarantined")
-    farm.add_argument("--no-cache", action="store_true",
-                      help="ignore and do not populate the on-disk result "
-                      "cache")
-    farm.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="override the result-cache directory")
-    farm.add_argument("--nodes", type=int, default=64)
-    farm.add_argument("--cycles", type=int, default=10_000,
-                      help="measurement window per grid point")
-    farm.add_argument("--seed", type=int, default=0)
-    farm.add_argument("--nic", default="plain", choices=NIC_MODES,
-                      help="NIC mode for the offered-load grid")
-    farm.add_argument("--gaps", default="800,400,200,100,0",
-                      metavar="G,G,...",
-                      help="inter-send gaps of the offered-load grid "
-                      "(big gap = light load)")
-    farm.add_argument("--quiet", action="store_true",
-                      help="suppress per-point progress on stderr")
 
     perf = sub.add_parser(
         "perf",
@@ -1000,8 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="DIR",
                         help="where the report pages + figures are written")
     report.add_argument("--format", default="md", choices=("md", "html"),
-                        help="page format (plots are SVG, or PNG when "
-                        "matplotlib is installed)")
+                        help="page format (plots are SVG)")
     report.add_argument("--quiet", action="store_true",
                         help="suppress per-page progress on stderr")
 
@@ -1012,21 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--nodes", type=int, default=64)
 
     return parser
-
-
-class _ExecutorNames:
-    """``--executor`` choices, read from the farm's registry only when
-    argparse checks a value, so that building the parser does not import
-    the farm.  Options using it need a ``metavar``: argparse would
-    otherwise list the choices while the parser is built."""
-
-    def __iter__(self):
-        from .farm.executors import executor_names
-
-        return iter(executor_names())
-
-    def __contains__(self, name) -> bool:
-        return name in list(self)
 
 
 @contextlib.contextmanager
@@ -1055,9 +926,9 @@ def _interruptible(handler, what: str):
     Inside the block SIGTERM raises ``KeyboardInterrupt`` like SIGINT
     does, so both unwind through the engines' interrupt paths (which
     flush caches and manifests on the way out) and exit 130 instead of
-    dying mid-write.  Commands that want a richer message (``farm``
-    prints its resume hint) catch ``KeyboardInterrupt`` themselves and
-    return 130 before this wrapper sees it.
+    dying mid-write.  Commands that want a richer message (a ``sweep``
+    campaign prints its resume hint) catch ``KeyboardInterrupt``
+    themselves and return 130 before this wrapper sees it.
     """
     def wrapped(args) -> int:
         try:
@@ -1077,7 +948,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run": _cmd_run,
         "sweep": _interruptible(_cmd_sweep, "sweep"),
         "chaos": _interruptible(_cmd_chaos, "chaos"),
-        "farm": _interruptible(_cmd_farm, "farm"),
         "perf": _cmd_perf,
         "report": _cmd_report,
         "characterize": _cmd_characterize,

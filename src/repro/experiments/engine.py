@@ -7,12 +7,15 @@ them.  Each point goes through three stages:
 
 1. **Cache.**  An on-disk result cache answers points it has seen under
    the current code.
-2. **Resume ledger.**  With a :class:`~repro.farm.manifest.RunManifest`,
-   points a previous (interrupted) run already settled come from the
-   manifest, and every newly settled point is checkpointed into it.
-   Without one, no ledger is written.
-3. **Executor.**  The rest run in-process, or on a backend from the
-   :mod:`~repro.farm.executors` registry: the shared ``pool`` of worker
+2. **Resume ledger.**  With a ``campaign_dir``, every :meth:`SweepEngine.run`
+   is a *campaign* with a :class:`~repro.farm.manifest.RunManifest` ledger
+   at ``<campaign_dir>/<campaign id>.json``.  The id is a hash of the
+   specs and the executor, so running the same grid again finds the same
+   ledger: points an earlier (interrupted or finished) run settled come
+   from it, and every newly settled point is checkpointed into it.
+   Without a ``campaign_dir``, no ledger is written.
+3. **Executor.**  The rest run in-process, or on a backend from
+   :data:`~repro.farm.executors.EXECUTORS`: the shared ``pool`` of worker
    processes, or one ``subprocess`` interpreter per point.  A
    :class:`FarmPolicy` decides whether a failed attempt is retried,
    after what backoff, and when a point that keeps killing its worker is
@@ -25,7 +28,7 @@ the sweep, and progress is reported through a callback and/or a
 Determinism: each spec carries its own seed and the simulation derives all
 randomness from it (``RngFactory``), so a point's result is identical
 whether it runs serially, in a worker process, or comes from the cache or
-a manifest -- the property the CI sweep-smoke and farm-smoke jobs assert.
+a ledger -- the property the CI sweep-smoke and farm-smoke jobs assert.
 
 Cache layout (``benchmarks/results/.cache/`` by default, override with the
 ``cache_dir`` argument or ``REPRO_SWEEP_CACHE``)::
@@ -372,10 +375,11 @@ class SweepEngine:
     ``farm_dispatch`` per attempt and ``farm_retry`` / ``farm_poison`` /
     ``farm_resume`` as they happen.
 
-    ``executor``: a :mod:`~repro.farm.executors` registry name or
-    instance.  Unset, points run in-process when ``jobs == 1`` and there
-    is no ``point_timeout``, otherwise on the ``pool`` backend.  Specs
-    with opaque traffic callables always run in-process.
+    ``executor``: a :data:`~repro.farm.executors.EXECUTORS` name or a
+    backend instance; an unknown name raises before anything runs.
+    Unset, points run in-process when ``jobs == 1`` and there is neither
+    a ``point_timeout`` nor a ``campaign_dir``, otherwise on the ``pool``
+    backend.  Specs with opaque traffic callables always run in-process.
 
     ``point_timeout`` (seconds, default off) is the per-point liveness
     watchdog: a hung worker is killed and the point settles ``timed_out``
@@ -383,9 +387,11 @@ class SweepEngine:
     worker process, which is why it selects the pool even at ``jobs=1``.
 
     ``policy``: a :class:`FarmPolicy`; unset means no retries.
-    ``manifest``: a :class:`~repro.farm.manifest.RunManifest` to resume
-    from and checkpoint into after every settled point; unset, nothing is
-    written.  ``sleep`` is injectable so tests can assert the backoff
+    ``campaign_dir``: where each :meth:`run` keeps its ledger (see the
+    module docstring).  A ledger resumes when it holds the same specs and
+    was written by the same code (:func:`code_version`), finished or not;
+    otherwise the campaign starts over at the same path.  Unset, nothing
+    is written.  ``sleep`` is injectable so tests can assert the backoff
     schedule without waiting it out.
 
     On :class:`KeyboardInterrupt` the engine reverts in-flight points to
@@ -404,16 +410,23 @@ class SweepEngine:
         point_timeout: Optional[float] = None,
         executor=None,
         policy: Optional[FarmPolicy] = None,
-        manifest=None,
+        campaign_dir: Optional[Path] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.jobs = max(1, int(jobs))
-        if executor is None and (self.jobs > 1 or point_timeout is not None):
+        if executor is None and (
+            self.jobs > 1 or point_timeout is not None or campaign_dir is not None
+        ):
             executor = "pool"
         if isinstance(executor, str):
-            from ..farm.executors import resolve_executor
+            from ..farm.executors import EXECUTORS
 
-            executor = resolve_executor(executor)()
+            if executor not in EXECUTORS:
+                raise ValueError(
+                    f"unknown executor {executor!r}; choose from "
+                    f"{', '.join(EXECUTORS)}"
+                )
+            executor = EXECUTORS[executor]()
         #: The execution backend; ``None`` runs every point in-process.
         self.executor = executor
         self.cache = ResultCache(cache_dir or DEFAULT_CACHE_DIR) if cache else None
@@ -421,7 +434,10 @@ class SweepEngine:
         self.bus = bus
         self.point_timeout = point_timeout
         self.policy = policy or FarmPolicy(retries=0)
-        self.manifest = manifest
+        self.campaign_dir = Path(campaign_dir) if campaign_dir is not None else None
+        #: The ledger of the latest :meth:`run`; ``None`` without a
+        #: ``campaign_dir``.
+        self.manifest = None
         self.stats = SweepStats()
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -435,9 +451,10 @@ class SweepEngine:
         total = len(specs)
         points: List[Optional[SweepPoint]] = [None] * total
         done = 0
-        manifest = self.manifest
+        manifest = self.manifest = (
+            self._open_campaign(specs) if self.campaign_dir is not None else None
+        )
         if manifest is not None:
-            manifest.verify_resumable(specs)
             ledger = manifest.points
         else:
             # Per-point retry bookkeeping, shaped like the manifest's
@@ -530,6 +547,26 @@ class SweepEngine:
         return [p for p in points if p is not None]
 
     # ------------------------------------------------------------- internals
+    def _open_campaign(self, specs: List[ExperimentSpec]):
+        """The ledger at ``<campaign_dir>/<campaign id>.json``: resumed if
+        it verifies against ``specs`` and the current code, else new."""
+        # Deferred: the manifest loads the results schema.
+        from ..farm.manifest import RunManifest, campaign_id_for
+
+        name = self.executor.name
+        campaign = campaign_id_for(specs, name)
+        path = self.campaign_dir / f"{campaign}.json"
+        try:
+            manifest = RunManifest.load(path)
+            manifest.verify_resumable(specs)
+            return manifest
+        except (ValueError, OSError):
+            # Absent, foreign, unreadable or stale (ManifestMismatch is a
+            # ValueError): start the ledger over.
+            return RunManifest.new(
+                campaign, specs, name, self.policy.as_dict(), path=path
+            )
+
     @staticmethod
     def _cacheable(spec: ExperimentSpec) -> bool:
         """Portable AND safe to share a cache entry.  ``observe`` is

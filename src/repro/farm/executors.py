@@ -1,13 +1,9 @@
-"""Executor registry: how the sweep engine executes a single point.
+"""Execution backends: how the sweep engine executes a single point.
 
 :class:`~repro.experiments.engine.SweepEngine` decides *what to run and
 how to recover* (cache, resume ledger, retries); this module decides *how
-a single point is executed*, behind the same registry idiom as
-:mod:`repro.sim.schedulers`: implementations carry a ``name`` class
-attribute, :func:`register_executor` is a decorator, re-registering the
-same class is a no-op, and a name collision raises.
-
-Two backends ship with the package:
+a single point is executed*.  :data:`EXECUTORS` maps each backend's
+``name`` (the ``--executor`` value) to its class:
 
 ``pool``
     A shared :class:`~concurrent.futures.ProcessPoolExecutor`, the only
@@ -25,9 +21,8 @@ Two backends ship with the package:
     One fresh interpreter per point (``python -m repro.farm.worker``).
     Slower to start, but a crash is *contained and exactly attributed*:
     only the crashing point is affected, and the backend reports its exit
-    status.  This is the backend whose :attr:`FarmExecutor.contains_crashes`
-    is true -- what the crash-survival tests and the chaos engine's
-    hostile workloads want.
+    status -- what the crash-survival tests and the chaos engine's hostile
+    workloads want.
 
 Both backends treat ``timeout`` as the per-point liveness watchdog: a
 worker that produces no result inside the bound is killed and the point
@@ -53,34 +48,17 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple
 
 from ..experiments.engine import _execute_spec_dict
 
-_REGISTRY: Dict[str, Type["FarmExecutor"]] = {}
-
-#: Backend ``repro farm`` and ``repro chaos`` use without ``--executor``.
-DEFAULT_EXECUTOR = "pool"
-
 
 class FarmExecutor:
-    """Interface of a point-execution backend.
-
-    Class attributes:
-
-    ``name``
-        Registry key (CLI ``--executor`` choice).
-    ``description``
-        One line for ``--help`` texts and docs.
-    ``contains_crashes``
-        True when a hard worker death affects only the crashing point
-        (exact attribution); false when co-resident points may be
-        reported as collateral ``worker_died``.
-    """
+    """Interface of a point-execution backend.  ``name`` is its key in
+    :data:`EXECUTORS`; a campaign's id hashes it, so a campaign resumes
+    only on the backend it started on."""
 
     name: str = ""
-    description: str = ""
-    contains_crashes: bool = False
 
     def start(self, jobs: int) -> None:
         """Bring the backend up for ``jobs`` concurrent points."""
@@ -103,51 +81,11 @@ class FarmExecutor:
         """Release the backend's resources; idempotent."""
 
 
-def register_executor(cls: Type[FarmExecutor]) -> Type[FarmExecutor]:
-    """Register ``cls`` under ``cls.name``.  Usable as a decorator.
-
-    Re-registering a name with the *same* class is a no-op (module
-    reloads); with a different class it raises, because silently swapping
-    the execution backend underneath a resumable manifest would make
-    crash diagnoses lie.
-    """
-    name = cls.name
-    if not name:
-        raise ValueError(f"executor class {cls!r} has no name")
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(
-            f"executor {name!r} already registered to {existing!r}"
-        )
-    _REGISTRY[name] = cls
-    return cls
-
-
-def executor_names() -> Tuple[str, ...]:
-    """Registered backend names, in registration order (= CLI order)."""
-    return tuple(_REGISTRY)
-
-
-def executor_descriptions() -> Dict[str, str]:
-    return {name: cls.description for name, cls in _REGISTRY.items()}
-
-
-def resolve_executor(name: str) -> Type[FarmExecutor]:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {name!r}; registered: "
-            f"{', '.join(executor_names())}"
-        ) from None
-
-
 # --------------------------------------------------------------------------
 # "pool": shared process pool, regenerated across breaks.
 # --------------------------------------------------------------------------
 
 
-@register_executor
 class PoolExecutor(FarmExecutor):
     """Shared process pool; cheapest per point, coarse crash attribution.
 
@@ -161,11 +99,6 @@ class PoolExecutor(FarmExecutor):
     """
 
     name = "pool"
-    description = (
-        "shared process pool; fastest, but a hard crash is charged to the "
-        "first point that observes it (co-resident points are resubmitted)"
-    )
-    contains_crashes = False
 
     def __init__(self) -> None:
         self._jobs = 1
@@ -286,7 +219,6 @@ def _worker_env() -> Dict[str, str]:
     return env
 
 
-@register_executor
 class SubprocessExecutor(FarmExecutor):
     """One ``python -m repro.farm.worker`` interpreter per point.
 
@@ -298,11 +230,6 @@ class SubprocessExecutor(FarmExecutor):
     """
 
     name = "subprocess"
-    description = (
-        "one interpreter per point; slower, but hard crashes are "
-        "contained and exactly attributed (exit status preserved)"
-    )
-    contains_crashes = True
 
     #: Kept stderr tail length in a ``worker_died`` diagnosis.
     STDERR_TAIL = 2000
@@ -320,7 +247,7 @@ class SubprocessExecutor(FarmExecutor):
         self, spec_dict: Dict, timeout: Optional[float] = None
     ) -> Dict:
         if self._interrupted:
-            return {"error": "farm interrupted before dispatch"}
+            return {"error": "sweep interrupted before dispatch"}
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.farm.worker"],
             stdin=subprocess.PIPE,
@@ -386,3 +313,7 @@ class SubprocessExecutor(FarmExecutor):
     def shutdown(self) -> None:
         self.interrupt()
         self._interrupted = False
+
+
+#: Every execution backend by name, in ``--executor`` help order.
+EXECUTORS = {cls.name: cls for cls in (PoolExecutor, SubprocessExecutor)}

@@ -3,11 +3,12 @@
 A campaign is an ordered list of specs plus, for each, where it stands:
 ``pending`` / ``running`` / ``done`` / ``errored`` / ``timed_out`` /
 ``poisoned``.  A :class:`~repro.experiments.engine.SweepEngine` given a
-manifest checkpoints this ledger to one JSON file (atomic tmp +
+``campaign_dir`` checkpoints this ledger to one JSON file (atomic tmp +
 ``os.replace``, like every archive in this repo) after every settled
 point, so the file on disk is *always* a consistent snapshot -- kill the
-campaign at any instant and ``repro farm --resume <manifest>`` picks up
-from the last checkpoint, re-executing nothing that already settled.
+campaign at any instant and re-running the same ``repro sweep ...
+--manifest-dir DIR`` command picks up from the last checkpoint,
+re-executing nothing that already settled.
 
 The on-disk shape is the results schema's :class:`~repro.report.schema.
 CampaignRecord` (kind ``repro-campaign``), so ``load_record`` sniffs
@@ -19,8 +20,9 @@ it is for chaos campaigns) to reproduce the settled portion.
 Two safety latches guard a resume:
 
 * **Spec identity.**  The manifest stores every spec dict and its content
-  hash; resuming against a different grid (any hash mismatch, any length
-  mismatch) refuses rather than silently mixing campaigns.
+  hash; a different grid (any hash mismatch, any length mismatch) is
+  refused -- the engine starts the ledger over -- rather than silently
+  mixing campaigns.
 * **Code identity.**  The manifest stores the
   :func:`~repro.experiments.engine.code_version` it ran under; resuming
   under different code invalidates the settled results (the simulator
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -39,21 +41,17 @@ from ..experiments.engine import code_version
 from ..experiments.spec import ExperimentSpec
 from ..report.schema import (
     CAMPAIGN_POINT_STATES,
-    CAMPAIGN_TERMINAL_STATES,
     CampaignRecord,
     load_record,
     write_record_atomic,
 )
 
-#: Default manifest directory, next to the sweep cache.
-DEFAULT_CAMPAIGN_DIR = Path("benchmarks/results/campaigns")
-
 
 def campaign_id_for(specs: Iterable[ExperimentSpec], executor: str) -> str:
     """A deterministic campaign id: hash of the ordered spec hashes plus
     the executor name.  Re-issuing the same campaign produces the same
-    id (and therefore the same default manifest path), which is what
-    makes ``repro farm`` resume naturally after a crash."""
+    id (and therefore the same manifest path), which is what makes
+    re-running ``repro sweep --manifest-dir`` resume after a crash."""
     digest = hashlib.sha256()
     digest.update(executor.encode())
     for spec in specs:
@@ -89,10 +87,6 @@ class PointState:
                 f"unknown point state {self.state!r}; "
                 f"choose from {CAMPAIGN_POINT_STATES}"
             )
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in CAMPAIGN_TERMINAL_STATES
 
     def to_dict(self) -> Dict:
         return {
@@ -213,16 +207,6 @@ class RunManifest:
             points=[p.to_dict() for p in self.points],
             stats=dict(getattr(self, "_stats", {})),
         )
-
-    @property
-    def complete(self) -> bool:
-        return all(p.terminal for p in self.points)
-
-    def state_counts(self) -> Dict[str, int]:
-        counts = {state: 0 for state in CAMPAIGN_POINT_STATES}
-        for point in self.points:
-            counts[point.state] += 1
-        return counts
 
     def verify_resumable(self, specs: List[ExperimentSpec]) -> None:
         """Raise :class:`ManifestMismatch` unless this manifest describes

@@ -319,9 +319,10 @@ class CollectiveEngine:
 
     # ------------------------------------------------------------- queries
     @property
-    def pending_epochs(self) -> int:
-        """Collectives with unfinished combining state at this node."""
-        return len(self._epochs)
+    def pending_epochs(self) -> List[int]:
+        """Ids of the collectives with unfinished combining state at this
+        node, in ascending order."""
+        return sorted(self._epochs)
 
     def _emit(self, kind: str, src: int, epoch: int) -> None:
         if self.nic.obs is not None:

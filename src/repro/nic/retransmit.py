@@ -20,7 +20,6 @@ incremental credit count.
 from __future__ import annotations
 
 import zlib
-from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.events import EventKind
@@ -240,6 +239,27 @@ class RetransmittingNifdyNIC(NifdyNIC):
         self._control_queue.append(packet)
         self._pump_data()
 
+    def _next_control(self) -> Optional[Packet]:
+        # A packet waits in the queue while the port is busy.  If it was
+        # abandoned meanwhile, or it is a timer's copy and its ack arrived
+        # (the timer no longer holds it), sending it would only make the
+        # receiver drop a duplicate.
+        queue = self._control_queue
+        while queue:
+            packet = queue.popleft()
+            if packet.abandoned_cycle >= 0:
+                continue
+            if not packet.is_retransmission:
+                return packet
+            if packet.kind is PacketKind.SCALAR:
+                key: Tuple = ("s", packet.dst)
+            else:
+                key = ("b", packet.dst, packet.dialog, packet.seq)
+            held = self.retx.held.get(key)
+            if held is not None and held[0] is packet:
+                return packet
+        return None
+
     # ------------------------------------------------ graceful degradation
     def _abandon(self, key: Tuple) -> None:
         """Release a packet the network cannot deliver (partition, dead
@@ -273,11 +293,7 @@ class RetransmittingNifdyNIC(NifdyNIC):
             bulk = self._bulk_out
             if bulk is not None and bulk.dst == dst and bulk.dialog == dialog:
                 self._bulk_out = None
-        # The timer may have queued this packet more than once while the
-        # port was blocked: drop every copy, or one is injected later.
-        self._control_queue = deque(
-            p for p in self._control_queue if p is not packet
-        )
+        # Copies still in the control queue are skipped by _next_control.
         self._note_abandon(packet)
         self._pump_data()
 

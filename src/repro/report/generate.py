@@ -7,7 +7,7 @@ markdown (or html) report::
 
     REPORT.md            index: fidelity dashboard, run health, trajectory
     fig2.md .. table3.md one page per paper artifact
-    figures/*.svg|png    the plots (SVG without matplotlib)
+    figures/*.svg        the plots
 
 The generator is deterministic for a given results tree -- no wall-clock
 stamps in the output -- so tests can diff it byte-for-byte.  Progress is
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Union
 
 from .figures import FIGURES, FigureData
 from .history import load_history, trajectory_figures
-from .plotting import HAVE_MATPLOTLIB, render_figure
+from .plotting import render_figure
 from .schema import (BenchSummary, ChaosArtifact, EngineStats, SchemaError,
                      load_record, load_results_tree)
 
@@ -180,9 +180,9 @@ def _run_health(summary: BenchSummary,
             ])
         lines += [
             f"**Farm campaigns on disk: {len(summary.campaigns)}** -- "
-            "resumable run manifests from `repro farm` / `repro chaos`; "
-            "an `interrupted` campaign finishes with "
-            "`repro farm --resume <manifest>`.",
+            "resumable run manifests from `repro sweep --manifest-dir` / "
+            "`repro chaos`; an `interrupted` campaign finishes when the "
+            "command that started it is run again.",
             "",
         ]
         lines += _md_table(rows)
@@ -259,8 +259,7 @@ def _index(summary: BenchSummary, figures: List[FigureData],
     lines += ["## Perf trajectory", ""]
     if trajectories:
         for fig in trajectories:
-            img_ext = "png" if HAVE_MATPLOTLIB else "svg"
-            lines += [f"![{fig.name}](figures/{fig.name}.{img_ext})", ""]
+            lines += [f"![{fig.name}](figures/{fig.name}.svg)", ""]
             if fig.caption:
                 lines += [fig.caption, ""]
     else:

@@ -1,11 +1,10 @@
 """Render :class:`~repro.report.figures.FigureData` to image files.
 
-matplotlib is an optional dependency: when importable we emit PNGs via
-the Agg backend, otherwise we fall back to a small deterministic SVG
-renderer (pure stdlib, byte-stable output for the same input -- which is
-what the report tests diff).  Both paths draw the same content: grouped
-bars or marker lines, dashed paper-reference overlay lines, a legend,
-and tick labels.
+One small deterministic SVG renderer (pure stdlib, byte-stable output for
+the same input -- which is what the report tests diff), so a report does
+not depend on what the host has installed.  It draws grouped bars or
+marker lines, dashed paper-reference overlay lines, a legend, and tick
+labels.
 """
 
 from __future__ import annotations
@@ -14,18 +13,7 @@ import math
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .figures import FigureData, Series
-
-try:  # pragma: no cover - exercised only where matplotlib is installed
-    import matplotlib
-
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-
-    HAVE_MATPLOTLIB = True
-except Exception:  # pragma: no cover
-    plt = None
-    HAVE_MATPLOTLIB = False
+from .figures import FigureData
 
 # Okabe-Ito palette: colorblind-safe, stable ordering.
 PALETTE = ("#0072B2", "#E69F00", "#009E73", "#D55E00",
@@ -254,54 +242,9 @@ def render_svg(fig: FigureData) -> str:
     return svg.render()
 
 
-def _render_matplotlib(fig: FigureData, path: Path) -> None:  # pragma: no cover
-    plot, ax = plt.subplots(figsize=(8.8, 4.6), dpi=110)
-    if fig.kind == "bar":
-        cats = fig.categories or [""]
-        idx = list(range(len(cats)))
-        nser = max(len(fig.series), 1)
-        width = 0.8 / nser
-        for si, series in enumerate(fig.series):
-            offs = [i + (si - (nser - 1) / 2) * width for i in idx]
-            ax.bar(offs, series.ys, width=width * 0.92, label=series.label,
-                   color=PALETTE[si % len(PALETTE)])
-        ax.set_xticks(idx)
-        ax.set_xticklabels(cats, rotation=20, ha="right")
-    else:
-        for si, series in enumerate(fig.series):
-            xs = series.xs or list(range(len(series.ys)))
-            ax.plot(xs, series.ys, marker="o", label=series.label,
-                    color=PALETTE[si % len(PALETTE)])
-    for ref in fig.paper_refs:
-        if ref.value is not None:
-            ax.axhline(ref.value, color="#666666", linestyle="--",
-                       linewidth=1.2)
-            ax.annotate(ref.label[:60], xy=(0.99, ref.value),
-                        xycoords=("axes fraction", "data"),
-                        ha="right", va="bottom", fontsize=8, color="#666666")
-    if fig.log_y:
-        ax.set_yscale("log")
-    ax.set_title(fig.title)
-    ax.set_ylabel(fig.ylabel)
-    ax.set_xlabel(fig.xlabel)
-    if fig.series:
-        ax.legend(fontsize=8)
-    ax.grid(axis="y", color="#dddddd", linewidth=0.6)
-    plot.tight_layout()
-    plot.savefig(path)
-    plt.close(plot)
-
-
 def render_figure(fig: FigureData, out_dir: Path) -> Path:
-    """Render ``fig`` into ``out_dir`` and return the written path.
-
-    PNG via matplotlib when available, deterministic SVG otherwise.
-    """
+    """Render ``fig`` as ``<out_dir>/<name>.svg`` and return the path."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    if HAVE_MATPLOTLIB:  # pragma: no cover - container has no matplotlib
-        path = out_dir / f"{fig.name}.png"
-        _render_matplotlib(fig, path)
-        return path
     path = out_dir / f"{fig.name}.svg"
     path.write_text(render_svg(fig))
     return path

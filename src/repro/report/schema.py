@@ -353,11 +353,12 @@ CAMPAIGN_TERMINAL_STATES = ("done", "errored", "timed_out", "poisoned")
 
 @dataclass
 class CampaignRecord:
-    """A farm run manifest (kind ``repro-campaign``).
+    """A campaign's run manifest (kind ``repro-campaign``).
 
-    This is the on-disk checkpoint :class:`repro.farm.RunManifest` writes
-    under ``benchmarks/results/campaigns/`` after every settled point --
-    the document ``repro farm --resume`` reads back.  ``specs`` holds the
+    This is the on-disk checkpoint :class:`repro.farm.manifest.RunManifest`
+    writes after every settled point (``repro sweep --manifest-dir``
+    campaigns, conventionally under ``benchmarks/results/campaigns/``) --
+    the document a re-run of the same command reads back.  ``specs`` holds the
     full ordered spec dicts (so a resume can verify it is continuing the
     *same* campaign by content hash); ``points`` holds one state dict per
     spec (state, attempts, worker deaths, inline slim result when done);

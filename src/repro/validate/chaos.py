@@ -12,10 +12,10 @@ with the :class:`~repro.validate.InvariantMonitor` attached, fanned out
 through the :class:`~repro.experiments.SweepEngine` on a named executor
 backend (cache off: validated results must not alias unvalidated cache
 entries; ``point_timeout`` turns a wedged trial into a reported
-failure).  A retry policy and a manifest buy the gauntlet fault
+failure).  A retry policy and a campaign ledger buy the gauntlet fault
 tolerance of its own: a trial that kills its worker outright is
 retried and, failing that, quarantined instead of taking the batch down,
-and an interrupted batch resumes from its manifest (written under
+and a batch run again resumes from its ledger (written under
 ``<artifact_dir>/campaigns/``) rather than starting over.
 
 When a trial fails -- an invariant violation, a stall, a crash, an
@@ -103,9 +103,9 @@ class ChaosConfig:
     jobs: int = 1
     #: Per-trial wall-clock bound (seconds): the engine's liveness watchdog.
     point_timeout: Optional[float] = None
-    #: Execution backend for the trial fan-out (see
-    #: :func:`repro.farm.executors.executor_names`).
-    executor: str = "pool"
+    #: Execution backend for the trial fan-out (a
+    #: :data:`repro.farm.executors.EXECUTORS` name); ``None``: ``pool``.
+    executor: Optional[str] = None
     #: Extra attempts per trial when the trial kills its worker.
     retries: int = 1
     #: Max simulation probes the shrinker may spend per failure.
@@ -438,42 +438,19 @@ class ChaosEngine:
         ``progress`` is forwarded to the underlying engine:
         ``(done, total, point) -> None`` after each trial resolves.
 
-        The batch runs on a :class:`~repro.experiments.SweepEngine` with a
-        manifest under ``<artifact_dir>/campaigns/``: kill the batch at
-        any point and re-running the same config resumes it.  A manifest
-        from a *finished* batch is discarded (each chaos invocation is a
-        fresh campaign); only interrupted batches resume.
+        The batch is a :class:`~repro.experiments.SweepEngine` campaign
+        with its ledger under ``<artifact_dir>/campaigns/``: kill the batch
+        at any point and re-running the same config resumes it.  A
+        finished batch run again replays its ledger; trials are
+        deterministic in (spec, code), so the findings are the same.
         """
-        # Deferred: the manifest loads the results schema.
-        from ..farm.manifest import (
-            ManifestMismatch,
-            RunManifest,
-            campaign_id_for,
-        )
-
         cfg = self.config
         specs = [self.trial_spec(t) for t in range(cfg.trials)]
-        policy = FarmPolicy(retries=cfg.retries, seed=cfg.seed)
-        campaign = campaign_id_for(specs, cfg.executor)
-        manifest_path = Path(cfg.artifact_dir) / "campaigns" / f"{campaign}.json"
-        manifest = None
-        if manifest_path.is_file():
-            try:
-                manifest = RunManifest.load(manifest_path)
-                manifest.verify_resumable(specs)
-                if manifest.complete:
-                    manifest = None  # finished batch: start fresh
-            except (ManifestMismatch, ValueError, OSError):
-                manifest = None  # stale code or foreign file: start fresh
-        if manifest is None:
-            manifest = RunManifest.new(
-                campaign, specs, cfg.executor, policy.as_dict(),
-                path=manifest_path,
-            )
         engine = SweepEngine(
             executor=cfg.executor, jobs=cfg.jobs, cache=False,
-            policy=policy, point_timeout=cfg.point_timeout,
-            progress=progress, manifest=manifest,
+            policy=FarmPolicy(retries=cfg.retries, seed=cfg.seed),
+            point_timeout=cfg.point_timeout, progress=progress,
+            campaign_dir=Path(cfg.artifact_dir) / "campaigns",
         )
         points = engine.run(specs)
         report = ChaosReport(trials=cfg.trials)

@@ -414,12 +414,11 @@ class InvariantMonitor:
             # every epoch that was entered must have been released.
             for nic in self._nics:
                 engine = nic.collective
-                if engine is None or not engine.pending_epochs:
+                epochs = engine.pending_epochs if engine is not None else None
+                if not epochs:
                     continue
-                node = nic.node_id
-                epochs = sorted(engine._epochs)
                 self._flag(Violation(
-                    "collective_completion", cycle, node,
+                    "collective_completion", cycle, nic.node_id,
                     f"epoch(s) {epochs} still hold combining state at "
                     "run end (collective never released)",
                 ))

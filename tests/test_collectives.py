@@ -188,7 +188,7 @@ class TestCollectiveEngine:
             1, 0, CollectiveInfo(phase="up", epoch=0, value=7, count=1)))
         assert got == [12]
         assert engine.coll_completed == 1
-        assert engine.pending_epochs == 0
+        assert engine.pending_epochs == []
         releases = [p for p in nic.sent if p.coll.phase == "down"]
         assert [p.dst for p in releases] == [1]
         assert releases[0].coll.value == 12
@@ -228,13 +228,13 @@ class TestCollectiveEngine:
         engine.arrive(20, lambda v: got.append(("e1", v)))
         ups = [p for p in nic.sent if p.coll.phase == "up"]
         assert [(p.coll.epoch, p.coll.value) for p in ups] == [(0, 10), (1, 20)]
-        assert engine.pending_epochs == 2
+        assert engine.pending_epochs == [0, 1]
         engine.on_packet(make_collective(
             0, 1, CollectiveInfo(phase="down", epoch=0, value=30)))
         engine.on_packet(make_collective(
             0, 1, CollectiveInfo(phase="down", epoch=1, value=70)))
         assert got == [("e0", 30), ("e1", 70)]
-        assert engine.pending_epochs == 0
+        assert engine.pending_epochs == []
 
     def test_duplicate_release_ignored(self):
         sim, nic, engine = _engine(1)

@@ -1,6 +1,7 @@
 """Tests for the sweep engine's fault-tolerant side: executor backends
-(repro.farm.executors), retry policies and resumable manifests
-(repro.farm.manifest).
+(repro.farm.executors), retry policies, resumable campaign manifests
+(repro.farm.manifest) and the ``repro sweep --manifest-dir`` campaigns
+built on them.
 
 These features exist to survive exactly the failures a test module cannot
 fake from the outside: workers dying hard mid-point, campaigns killed
@@ -24,14 +25,7 @@ from repro.experiments import (
     heavy_synthetic,
 )
 from repro.experiments.engine import backoff_delay
-from repro.farm.executors import (
-    DEFAULT_EXECUTOR,
-    FarmExecutor,
-    executor_descriptions,
-    executor_names,
-    register_executor,
-    resolve_executor,
-)
+from repro.farm.executors import EXECUTORS
 from repro.farm.manifest import (
     ManifestMismatch,
     PointState,
@@ -114,37 +108,14 @@ class TestBackoff:
 
 class TestExecutorRegistry:
     def test_shipped_backends(self):
-        names = executor_names()
-        assert "pool" in names and "subprocess" in names
-        assert DEFAULT_EXECUTOR in names
-        descriptions = executor_descriptions()
-        assert all(descriptions[name] for name in names)
-
-    def test_contains_crashes_contract(self):
-        assert not resolve_executor("pool").contains_crashes
-        assert resolve_executor("subprocess").contains_crashes
-
-    def test_reregister_same_class_is_noop(self):
-        cls = resolve_executor("pool")
-        assert register_executor(cls) is cls
-
-    def test_name_collision_raises(self):
-        class Impostor(FarmExecutor):
-            name = "pool"
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_executor(Impostor)
-
-    def test_unnamed_class_rejected(self):
-        class Nameless(FarmExecutor):
-            pass
-
-        with pytest.raises(ValueError, match="no name"):
-            register_executor(Nameless)
+        assert list(EXECUTORS) == ["pool", "subprocess"]
+        assert all(cls.name == name for name, cls in EXECUTORS.items())
+        # A campaign without a named backend runs on the pool.
+        assert SweepEngine(campaign_dir="unused").executor.name == "pool"
 
     def test_unknown_name_lists_choices(self):
-        with pytest.raises(ValueError, match="pool"):
-            resolve_executor("mainframe")
+        with pytest.raises(ValueError, match="pool, subprocess"):
+            SweepEngine(executor="mainframe")
 
 
 class TestManifest:
@@ -230,21 +201,19 @@ class TestFarmEngine:
 
     def test_plain_error_is_not_retried(self, tmp_path):
         bad = small_spec(active_nodes=99, label="bad")
-        farm = SweepEngine(executor="pool", cache=False,
-                           manifest=RunManifest.new("c", [bad], "pool", {}))
+        farm = SweepEngine(executor="pool", cache=False, campaign_dir=tmp_path)
         (point,) = farm.run([bad])
         assert point.error is not None and "ValueError" in point.error
         assert farm.manifest.points[0].attempts == 1
         assert farm.manifest.points[0].state == "errored"
         assert farm.stats.retries == 0 and farm.stats.errors == 1
 
-    def test_retry_errors_burns_budget_on_backoff_schedule(self):
+    def test_retry_errors_burns_budget_on_backoff_schedule(self, tmp_path):
         bad = small_spec(active_nodes=99, label="bad")
         policy = FarmPolicy(retries=2, retry_errors=True, seed=5)
         slept = []
         farm = SweepEngine(executor="pool", cache=False, policy=policy,
-                           sleep=slept.append,
-                           manifest=RunManifest.new("c", [bad], "pool", {}))
+                           sleep=slept.append, campaign_dir=tmp_path)
         (point,) = farm.run([bad])
         assert point.error is not None
         assert farm.manifest.points[0].attempts == policy.max_attempts
@@ -254,20 +223,16 @@ class TestFarmEngine:
 
     def test_resume_executes_nothing(self, tmp_path):
         specs = self.grid()
-        path = tmp_path / "c.json"
-        first = SweepEngine(
-            executor="pool", cache=False,
-            manifest=RunManifest.new(
-                campaign_id_for(specs, "pool"), specs, "pool",
-                FarmPolicy().as_dict(), path=path,
-            ),
-        )
+        first = SweepEngine(executor="pool", cache=False, campaign_dir=tmp_path)
         cold = first.run(specs)
         assert first.stats.executed == len(specs)
+        assert first.manifest.path == \
+            tmp_path / f"{campaign_id_for(specs, 'pool')}.json"
 
         second = SweepEngine(executor="pool", cache=False,
-                             manifest=RunManifest.load(path))
+                             campaign_dir=tmp_path)
         warm = second.run(specs)
+        assert second.manifest.path == first.manifest.path
         assert second.stats.resumed == len(specs)
         assert second.stats.executed == 0
         assert [point_tuple(p) for p in warm] == \
@@ -275,12 +240,9 @@ class TestFarmEngine:
 
     def test_resume_finishes_a_partial_campaign(self, tmp_path):
         specs = self.grid()
-        path = tmp_path / "c.json"
-        manifest = RunManifest.new(
-            campaign_id_for(specs, "pool"), specs, "pool",
-            FarmPolicy().as_dict(), path=path,
-        )
-        SweepEngine(executor="pool", cache=False, manifest=manifest).run(specs)
+        path = tmp_path / f"{campaign_id_for(specs, 'pool')}.json"
+        SweepEngine(executor="pool", cache=False,
+                    campaign_dir=tmp_path).run(specs)
 
         # Fake an interruption: points 1 and 2 never settled.
         doc = json.loads(path.read_text())
@@ -289,12 +251,12 @@ class TestFarmEngine:
         path.write_text(json.dumps(doc))
 
         resumed = SweepEngine(executor="pool", cache=False,
-                              manifest=RunManifest.load(path))
+                              campaign_dir=tmp_path)
         points = resumed.run(specs)
         assert resumed.stats.resumed == 1
         assert resumed.stats.executed == 2
         assert [p.error for p in points] == [None, None, None]
-        assert RunManifest.load(path).complete
+        assert load_record(path).complete
 
     def test_farm_events_on_bus(self, tmp_path):
         from repro.obs import EventBus, EventKind
@@ -346,8 +308,7 @@ class TestCrashSurvival:
         farm = SweepEngine(
             executor="subprocess", cache=False,
             policy=FarmPolicy(retries=2, backoff_base=0.0),
-            manifest=RunManifest.new("kill1", specs, "subprocess", {},
-                                     path=tmp_path / "kill1.json"),
+            campaign_dir=tmp_path,
         )
         points = farm.run(specs)
         # Attempt 1 of the crasher died hard (exit 86); attempt 2 ran
@@ -375,8 +336,7 @@ class TestCrashSurvival:
         policy = FarmPolicy(retries=3, backoff_base=0.0)
         farm = SweepEngine(
             executor="subprocess", cache=False, policy=policy,
-            manifest=RunManifest.new("poison", [spec], "subprocess", {},
-                                     path=tmp_path / "poison.json"),
+            campaign_dir=tmp_path,
         )
         (point,) = farm.run([spec])
         assert point.poisoned and point.worker_died
@@ -386,7 +346,7 @@ class TestCrashSurvival:
         # Quarantine is durable: a resume does not touch the point again.
         resumed = SweepEngine(
             executor="subprocess", cache=False, policy=policy,
-            manifest=RunManifest.load(tmp_path / "poison.json"),
+            campaign_dir=tmp_path,
         )
         (again,) = resumed.run([spec])
         assert again.poisoned and resumed.stats.resumed == 1
@@ -397,7 +357,7 @@ class TestCrashSurvival:
         policy = FarmPolicy(retries=5, poison_after=2, backoff_base=0.0)
         farm = SweepEngine(
             executor="subprocess", cache=False, policy=policy,
-            manifest=RunManifest.new("cap", [spec], "subprocess", {}),
+            campaign_dir=tmp_path,
         )
         (point,) = farm.run([spec])
         assert point.poisoned
@@ -430,40 +390,75 @@ class TestCrashSurvival:
 
 
 class TestFarmCli:
-    def farm(self, tmp_path, *extra):
+    """``repro sweep --manifest-dir``: every grid kind is a campaign that
+    the same command, run again, resumes without executing anything."""
+
+    def sweep(self, tmp_path, *extra):
         from repro.cli import main
 
         return main([
-            "farm", "--network", "mesh2d", "--nodes", "16",
-            "--cycles", "2000", "--gaps", "800,400", "--no-cache",
-            "--manifest-dir", str(tmp_path), "--quiet", *extra,
+            "sweep", "--network", "mesh2d", "--nodes", "16",
+            "--cycles", "2000", "--no-cache", "--manifest-dir", str(tmp_path),
+            "--quiet", *extra,
         ])
 
-    def test_fresh_then_auto_resume_byte_identical(self, tmp_path, capsys):
-        assert self.farm(tmp_path) == 0
+    def twice(self, tmp_path, capsys, *extra):
+        assert self.sweep(tmp_path, *extra) == 0
         first = capsys.readouterr().out
-        assert "gap=800" in first and "delivered=" in first
         (manifest_path,) = tmp_path.glob("*.json")
         record = load_record(manifest_path)
-        assert record.complete and record.stats["executed"] == 2
+        assert record.complete and record.stats["resumed"] == 0
+        executed = record.stats["executed"]
+        assert executed == len(record.points)
 
         # Same command again: resumes the complete campaign, runs nothing.
-        assert self.farm(tmp_path) == 0
+        assert self.sweep(tmp_path, *extra) == 0
         assert capsys.readouterr().out == first
-        assert load_record(manifest_path).stats["resumed"] == 2
+        stats = load_record(manifest_path).stats
+        assert stats["resumed"] == executed and stats["executed"] == 0
+        return first
 
-    def test_explicit_resume_needs_no_grid_flags(self, tmp_path, capsys):
+    def test_fresh_then_auto_resume_byte_identical(self, tmp_path, capsys):
+        out = self.twice(tmp_path, capsys, "--kind", "load",
+                         "--gaps", "800,400")
+        assert "gap=800" in out and "delivered=" in out
+
+    def test_params_campaign_resumes(self, tmp_path, capsys):
+        out = self.twice(tmp_path, capsys, "--kind", "params",
+                         "--opt-grid", "2,8", "--window-grid", "0",
+                         "--heavy-only")
+        assert "O=2" in out and "O=8" in out
+
+    def test_sizes_campaign_resumes(self, tmp_path, capsys):
+        out = self.twice(tmp_path, capsys, "--kind", "sizes",
+                         "--sizes", "4,16")
+        assert "n=4" in out and "normalized=" in out
+
+    @pytest.mark.parametrize("extra, row", [
+        (("--kind", "load", "--nodes", "15", "--gaps", "800"),
+         "gap=800       ERROR (see stderr)"),
+        (("--kind", "sizes", "--sizes", "16,15"), "n=15     ERROR (see stderr)"),
+    ], ids=["load", "sizes"])
+    def test_errored_point_is_named(self, tmp_path, capsys, extra, row):
+        # A 15-node mesh is not square: the point errors, and the table
+        # says so instead of printing a zero delivery count.
+        assert self.sweep(tmp_path, *extra) == 1
+        out = capsys.readouterr().out
+        assert row in out
+        assert "=       0" not in out
+
+    def test_farm_command_is_gone(self, capsys):
         from repro.cli import main
 
-        assert self.farm(tmp_path) == 0
-        first = capsys.readouterr().out
-        (manifest_path,) = tmp_path.glob("*.json")
-        assert main(["farm", "--resume", str(manifest_path), "--no-cache",
-                     "--quiet"]) == 0
-        assert capsys.readouterr().out == first
+        with pytest.raises(SystemExit) as exc:
+            main(["farm", "--network", "mesh2d"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'farm'" in capsys.readouterr().err
 
     def test_fresh_needs_network(self, capsys):
         from repro.cli import main
 
-        assert main(["farm", "--quiet"]) == 2
-        assert "--network is required" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--kind", "load", "--quiet"])
+        assert exc.value.code == 2
+        assert "--network" in capsys.readouterr().err

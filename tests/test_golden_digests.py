@@ -114,8 +114,8 @@ PINS = {
         "ed0c71bb06264c78454ce9047b6c8db1"
     ),
     "lossy_nifdy16": (
-        "c121fdc3d8efc26f8b78b3416ed05a99"
-        "55f307f467ef8161bc2040f7dddb4bdb"
+        "56f82b621ee06eb26a40cc11886817dc"
+        "9dc06dc023b0e9a4747aa5fa8c88ecc7"
     ),
     "nifdy_partition16": (
         "fa6eeb41e832116acf407d5455159a61"

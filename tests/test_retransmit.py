@@ -180,3 +180,56 @@ class TestAdaptiveTimeout:
         delivered = drain_all(sim, nics, 20, horizon=3_000_000)
         assert [p.pair_seq for p in delivered] == list(range(20))
         assert nics[0].retransmissions > 0
+
+
+def _loss_spec():
+    from repro.experiments import ExperimentSpec, heavy_synthetic
+
+    return ExperimentSpec(
+        network="fattree", traffic=heavy_synthetic(), num_nodes=16,
+        nic_mode="nifdy", drop_prob=0.01, run_cycles=3000, seed=3,
+    )
+
+
+def _partition_spec():
+    # Every packet bound for node 9 is lost for good: senders abandon them.
+    from repro.experiments import ExperimentSpec, cshift
+    from repro.faults import FaultEvent, FaultPlan
+    from repro.traffic import CShiftConfig
+
+    return ExperimentSpec(
+        network="fattree", traffic=cshift(CShiftConfig(words_per_phase=8)),
+        num_nodes=16, nic_mode="nifdy", drop_prob=0.005, max_retries=3,
+        max_cycles=400_000, watchdog_cycles=50_000, seed=3,
+        fault_plan=FaultPlan([FaultEvent("link_fail", at=1500, link="ft:ej9")]),
+    )
+
+
+class TestAckedCopies:
+    @pytest.mark.parametrize("make_spec", [_loss_spec, _partition_spec],
+                             ids=["acked", "abandoned"])
+    def test_acked_copy_is_never_injected(self, monkeypatch, make_spec):
+        # A timer can queue a copy while the port is busy; if the ack lands
+        # (or the packet is abandoned) before the port frees, the copy must
+        # not reach the wire.
+        from repro.experiments import run_experiment
+
+        injected, stale = [], []
+        start = RetransmittingNifdyNIC._start_injection
+
+        def spy(nic, packet):
+            if packet.is_retransmission:
+                if packet.kind is PacketKind.SCALAR:
+                    key = ("s", packet.dst)
+                else:
+                    key = ("b", packet.dst, packet.dialog, packet.seq)
+                held = nic.retx.held.get(key)
+                injected.append(packet)
+                if held is None or held[0] is not packet:
+                    stale.append(packet)
+            return start(nic, packet)
+
+        monkeypatch.setattr(RetransmittingNifdyNIC, "_start_injection", spy)
+        run_experiment(make_spec())
+        assert injected, "the workload must retransmit for this to test anything"
+        assert stale == []
