@@ -294,6 +294,7 @@ def _point_dict(point) -> dict:
         "abandoned": point.abandoned,
         "throughput": round(point.throughput, 3),
         "cached": point.cached,
+        "resumed": point.resumed,
         "timed_out": point.timed_out,
         "error": point.error,
     }
@@ -314,7 +315,8 @@ def _cmd_sweep(args) -> int:
     loss -- resumes it instead of starting over.
     """
     def progress(done, total, point):
-        status = "cache" if point.cached else ("ERROR" if point.error else "ran")
+        status = ("ERROR" if point.error else "resumed" if point.resumed
+                  else "cache" if point.cached else "ran")
         print(f"  [{done}/{total}] {point.label}: {status}", file=sys.stderr)
 
     engine = SweepEngine(

@@ -119,6 +119,9 @@ class SweepPoint:
     abandoned: int = 0
     spec_hash: Optional[str] = None
     cached: bool = False
+    #: Settled by an earlier run of the same campaign and rebuilt from its
+    #: ledger: neither executed now nor read from the result cache.
+    resumed: bool = False
     error: Optional[str] = None
     wall_s: float = 0.0
     stall_report: Optional[str] = None
@@ -354,14 +357,17 @@ def _safe_hash(spec: ExperimentSpec) -> Optional[str]:
 def _from_ledger(spec: ExperimentSpec, ps) -> SweepPoint:
     """Rebuild a settled point from its manifest entry."""
     if ps.state == "done" and ps.result is not None:
-        return _point_from(spec, ps.result, cached=True)
-    result = {
-        "error": ps.error or f"point settled as {ps.state}",
-        "timed_out": ps.state == "timed_out",
-        "poisoned": ps.state == "poisoned",
-        "worker_died": ps.worker_deaths > 0,
-    }
-    return _point_from(spec, result, cached=False)
+        result = ps.result
+    else:
+        result = {
+            "error": ps.error or f"point settled as {ps.state}",
+            "timed_out": ps.state == "timed_out",
+            "poisoned": ps.state == "poisoned",
+            "worker_died": ps.worker_deaths > 0,
+        }
+    point = _point_from(spec, result, cached=False)
+    point.resumed = True
+    return point
 
 
 class SweepEngine:
@@ -475,7 +481,7 @@ class SweepEngine:
                 )
                 manifest.checkpoint(stats)
 
-        def settle(index: int, point: SweepPoint, *, from_resume=False) -> None:
+        def settle(index: int, point: SweepPoint) -> None:
             """Record one settled point (thread-safe) and checkpoint."""
             nonlocal done
             with self._lock:
@@ -483,7 +489,7 @@ class SweepEngine:
                 done += 1
                 stats = self.stats
                 stats.points += 1
-                if from_resume:
+                if point.resumed:
                     stats.resumed += 1
                 if point.error is not None:
                     stats.errors += 1
@@ -491,7 +497,7 @@ class SweepEngine:
                         stats.poisoned += 1
                     elif point.timed_out:
                         stats.timeouts += 1
-                elif not from_resume:
+                elif not point.resumed:
                     if point.cached:
                         stats.cache_hits += 1
                     else:
@@ -517,7 +523,7 @@ class SweepEngine:
         for index, spec in enumerate(specs):
             ps = ledger[index]
             if ps.state != "pending":  # settled by an earlier run
-                settle(index, _from_ledger(spec, ps), from_resume=True)
+                settle(index, _from_ledger(spec, ps))
                 self._emit(EventKind.FARM_RESUME, index,
                            f"{ps.label}: {ps.state} (from manifest)")
                 continue

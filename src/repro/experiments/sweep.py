@@ -17,7 +17,7 @@ operating range (Section 1).  Each helper here comes in two layers:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from ..nic import NIC_MODES, CollectiveParams, NifdyParams, ReorderParams
 from ..obs import Observability
@@ -107,6 +107,7 @@ def sweep_nifdy_params(
                 sent=sum(p.sent for p in group),
                 completed=all(p.completed for p in group),
                 cached=all(p.cached for p in group),
+                resumed=all(p.resumed for p in group),
                 error=bad.error if bad is not None else None,
                 wall_s=sum(p.wall_s for p in group),
             )
@@ -348,29 +349,3 @@ def machine_size_specs(
                 )
             )
     return specs
-
-
-def sweep_machine_sizes(
-    network: str,
-    sizes: Sequence[int],
-    params: NifdyParams,
-    *,
-    baseline_mode: str = "plain",
-    run_cycles: int = 10_000,
-    seed: int = 0,
-    traffic=None,
-    engine: Optional[SweepEngine] = None,
-) -> Dict[int, Tuple[int, int, float]]:
-    """(nifdy delivered, baseline delivered, normalized) per machine size --
-    the Figure 4 scalability methodology."""
-    specs = machine_size_specs(
-        network, sizes, params, baseline_mode=baseline_mode,
-        run_cycles=run_cycles, seed=seed, traffic=traffic,
-    )
-    results = _engine_or_default(engine).run(specs)
-    out = {}
-    for i, size in enumerate(sizes):
-        base = results[2 * i].delivered
-        with_nifdy = results[2 * i + 1].delivered
-        out[size] = (with_nifdy, base, with_nifdy / base if base else 0.0)
-    return out

@@ -33,20 +33,21 @@ from ..obs.events import EventKind
 from ..packets import FLIT_BYTES, Packet
 from ..sim import Simulator
 
-#: Round-robin visit orders shared by every link with the same VC count:
-#: ``_rr_orders(n)[s]`` is ``(s, s+1, ..., n-1, 0, ..., s-1)``.  Precomputing
-#: them removes the per-candidate modulo from the per-flit arbitration loop.
-_RR_ORDER_CACHE = {}
+#: Round-robin successors shared by every link with the same VC count:
+#: ``_rr_after(n)[c]`` is the visit order after VC ``c`` won the wire,
+#: ``(c+1, ..., n-1, 0, ..., c)``.  Keeping the next order tuple itself
+#: removes the index arithmetic from the per-flit arbitration.
+_RR_AFTER_CACHE = {}
 
 
-def _rr_orders(n: int):
-    orders = _RR_ORDER_CACHE.get(n)
-    if orders is None:
-        orders = tuple(
-            tuple((start + i) % n for i in range(n)) for start in range(n)
+def _rr_after(n: int):
+    after = _RR_AFTER_CACHE.get(n)
+    if after is None:
+        after = tuple(
+            tuple((chosen + 1 + i) % n for i in range(n)) for chosen in range(n)
         )
-        _RR_ORDER_CACHE[n] = orders
-    return orders
+        _RR_AFTER_CACHE[n] = after
+    return after
 
 
 class FlitFeeder:
@@ -96,6 +97,9 @@ class Link:
         "sink_port",
         "_owners",
         "_feeders",
+        "_up_links",
+        "_up_vcs",
+        "_forward",
         "_vcs_by_net",
         "_credits",
         "_ready",
@@ -104,8 +108,9 @@ class Link:
         "_dropping",
         "_vc_capacity",
         "_busy",
-        "_rr",
-        "_rr_orders",
+        "_wire_vc",
+        "_rr_order",
+        "_rr_after",
         "_post",
         "_complete_cb",
         "_accept",
@@ -163,6 +168,13 @@ class Link:
             raise ValueError("net_of_vc must have one entry per VC")
         self._owners: List[Optional[Packet]] = [None] * vc_count
         self._feeders: List[Optional[FlitFeeder]] = [None] * vc_count
+        #: Each owned VC's upstream credit target, captured from its feeder
+        #: at allocation (``credit_link`` None: nothing to return).
+        self._up_links: List[Optional["Link"]] = [None] * vc_count
+        self._up_vcs = [0] * vc_count
+        #: Cut-through bindings (see :meth:`forward`): the downstream
+        #: transit whose body flits this VC hands straight to its out link.
+        self._forward: List = [None] * vc_count
         self._vcs_by_net = {}
         self._credits = [vc_buffer_flits] * vc_count
         #: Flits the feeder of each VC has announced but the wire has not
@@ -175,8 +187,10 @@ class Link:
         self._dropping = [False] * vc_count
         self._vc_capacity = vc_buffer_flits
         self._busy = False
-        self._rr = 0
-        self._rr_orders = _rr_orders(vc_count)
+        #: The VC of the one flit on the wire while ``_busy``.
+        self._wire_vc = 0
+        self._rr_after = _rr_after(vc_count)
+        self._rr_order = self._rr_after[-1]  # VC 0 first
         # Cached bound methods: the _kick/_complete pair runs once per flit
         # (the hottest path in the whole simulator), and an attribute lookup
         # on `self`/`sim` allocates a fresh bound-method object every time.
@@ -326,6 +340,8 @@ class Link:
             if self._owners[vc] is None:
                 self._owners[vc] = packet
                 self._feeders[vc] = feeder
+                self._up_links[vc] = feeder.credit_link
+                self._up_vcs[vc] = feeder.credit_vc
                 if self.drop_prob > 0.0 or self.fault_drop_prob > 0.0:
                     self._dropping[vc] = self._decide_drop(packet)
                 return vc
@@ -334,6 +350,19 @@ class Link:
     def add_alloc_waiter(self, fn: Callable[[], None]) -> None:
         """Call ``fn`` next time a VC on this link is released."""
         self._alloc_waiters.append(fn)
+
+    def forward(self, vc: int, transit) -> None:
+        """Bind ``vc`` to a downstream cut-through ``transit`` until its
+        tail arrives.
+
+        The sink calls this when the packet now arriving on ``vc`` has won
+        an out VC before its tail arrived.  Each further flit of it then
+        skips the sink's accept: the link counts it into
+        ``transit.flits_arrived`` (and ``tail_arrived``) and announces it
+        on ``transit.out_link``/``out_vc`` itself, which is all the accept
+        would have done.
+        """
+        self._forward[vc] = transit
 
     # ------------------------------------------------------------ data path
     def notify_flit_ready(self, vc: int, n: int = 1) -> None:
@@ -361,19 +390,17 @@ class Link:
         credits = self._credits
         if self.vc_count == 1:
             # Single-VC fast path (every mesh/butterfly wire): no
-            # arbitration loop, no round-robin pointer to maintain.
+            # arbitration loop, no round-robin order to maintain.
             if not ready[0] or (credits[0] <= 0 and not dropping_flags[0]):
                 return
             chosen = 0
         else:
-            chosen = -1
-            for vc in self._rr_orders[self._rr]:
-                if ready[vc] and (credits[vc] > 0 or dropping_flags[vc]):
-                    chosen = vc
+            for chosen in self._rr_order:
+                if ready[chosen] and (credits[chosen] > 0 or dropping_flags[chosen]):
                     break
-            if chosen < 0:
+            else:
                 return
-            self._rr = chosen + 1 if chosen + 1 < self.vc_count else 0
+            self._rr_order = self._rr_after[chosen]
         ready[chosen] -= 1
         self._nready -= 1
         if not dropping_flags[chosen]:
@@ -384,17 +411,17 @@ class Link:
         # _kick within the same call stack.  Claiming the wire first makes
         # the re-entry a no-op instead of a double transfer.
         self._busy = True
+        self._wire_vc = chosen
         now = self.sim._now
         last = self._last_start
         if last is not None and now - last < self.cycles_per_flit:
             raise RuntimeError(f"{self.name}: wire overclocked (double transfer)")
         self._last_start = now
         self._sent[chosen] = sent = self._sent[chosen] + 1
-        feeder = self._feeders[chosen]
-        up = feeder.credit_link
+        up = self._up_links[chosen]
         if up is not None:
             # The flit left the feeder's buffer: return_credit, inlined.
-            up_vc = feeder.credit_vc
+            up_vc = self._up_vcs[chosen]
             up_credits = up._credits
             if up_credits[up_vc] >= up._vc_capacity:
                 raise RuntimeError(f"{up.name}: credit overflow on VC {up_vc}")
@@ -403,12 +430,13 @@ class Link:
                 up._kick()
         self.flits_carried += 1
         if sent == self._owners[chosen].flits:
-            feeder.tail_taken(self, chosen)
-        self._post(self.cycles_per_flit, self._complete_cb, chosen)
+            self._feeders[chosen].tail_taken(self, chosen)
+        self._post(self.cycles_per_flit, self._complete_cb)
 
-    def _complete(self, vc: int) -> None:
+    def _complete(self) -> None:
         # One flit on the wire at a time: this is the last one _kick took.
         self._busy = False
+        vc = self._wire_vc
         packet = self._owners[vc]
         sent = self._sent[vc]
         is_tail = sent == packet.flits
@@ -422,6 +450,7 @@ class Link:
                                    "announced flits untaken")
             self._owners[vc] = None
             self._feeders[vc] = None
+            self._up_links[vc] = None
             self._sent[vc] = 0
             self._dropping[vc] = False
             self.packets_carried += 1
@@ -439,7 +468,27 @@ class Link:
                 for fn in waiters:
                     fn()
         if not dropping:
-            self._accept[vc](packet, sent == 1, is_tail)
+            transit = self._forward[vc]
+            if transit is None:
+                self._accept[vc](packet, sent == 1, is_tail)
+            else:
+                # A cut-through body flit (see forward()): the sink's
+                # accept, done here.
+                if transit.packet is not packet:
+                    raise RuntimeError(
+                        f"{self.name}: VC {vc} interleaved flits of "
+                        f"{packet} into {transit.packet}"
+                    )
+                transit.flits_arrived += 1
+                if is_tail:
+                    transit.tail_arrived = True
+                    self._forward[vc] = None
+                out = transit.out_link
+                out_vc = transit.out_vc
+                out._ready[out_vc] += 1
+                out._nready += 1
+                if not out._busy:
+                    out._kick()
         if self._nready and not self._busy:
             self._kick()
 

@@ -90,12 +90,10 @@ class InputUnit(FlitFeeder):
         transit.flits_arrived += 1
         if is_tail:
             transit.tail_arrived = True
+        # A head-of-queue packet with an out VC gets its further flits
+        # from the in link's forward binding, never through here.
         if transit is self.queue[0]:
-            if transit.out_link is not None:
-                # Cut-through body flit: the route is already set.
-                transit.out_link.notify_flit_ready(transit.out_vc)
-            else:
-                self._advance_head()
+            self._advance_head()
 
     # ------------------------------------------------------- head handling
     def _advance_head(self) -> None:
@@ -141,6 +139,10 @@ class InputUnit(FlitFeeder):
                 transit.out_link = link
                 transit.out_vc = vc
                 transit.waiting_for_vc = False
+                if not transit.tail_arrived:
+                    # Cut-through: the in link hands the rest of the
+                    # packet's flits straight to the out link.
+                    self.in_link.forward(self.vc, transit)
                 # Nothing has been taken yet: every arrived flit is ready.
                 link.notify_flit_ready(vc, transit.flits_arrived)
                 return

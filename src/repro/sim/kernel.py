@@ -15,15 +15,16 @@ this module registers the two built-in kernels:
     scheduled a small constant number of cycles ahead (``cycles_per_flit``
     is 1-4, route delays ~1, NIC overheads a few cycles), so events landing
     within ``_WINDOW`` cycles of *now* go into a ring of per-cycle FIFO
-    lists.  Fire-and-forget work (:meth:`EpochSimulator.post`, the hot
-    path) is stored as a bare ``(fn, args)`` record: scheduling is one
+    lists.  Every ring entry is one ``(fn, args)`` record: scheduling is a
     ``list.append`` and dispatch unpacks the tuple -- no ``Event``
-    allocation, no heap sift, no Python-level ``Event.__lt__`` calls.
-    Cancellable events (``schedule`` / ``at``) are real :class:`Event`
-    objects in the same ring slots, so within a slot list order *is*
-    scheduling order.  Far events (retransmit timeouts, barriers, fault
-    plans, light-traffic compute gaps) fall back to a binary heap and are
-    merged back in when their cycle comes up.
+    allocation, no heap sift.  Far events (retransmit timeouts, barriers,
+    fault plans, light-traffic compute gaps) go to a binary heap of
+    ``(cycle, seq, fn, args)`` tuples; ``(cycle, seq)`` is unique, so the
+    heap compares tuples in C and never calls ``Event.__lt__``; far records
+    merge back in when their cycle comes up.  A cancellable event
+    (``schedule`` / ``at``) is an :class:`Event` handle whose record fires
+    through a trampoline that skips it once cancelled; within a ring slot
+    list order *is* scheduling order for both kinds.
 
 ``"heap"``
     The original single binary heap keyed by ``(cycle, seq)``, one fresh
@@ -35,8 +36,9 @@ Ordering across the heap and ring stores is still global ``(cycle, seq)``
 order: a heap event for cycle *c* needed at least a ``_WINDOW``-cycle lead
 to land in the heap, so it was scheduled at a strictly earlier simulated
 time -- and therefore holds a strictly lower sequence number -- than every
-ring entry for *c*.  Draining the heap before the ring at each cycle is
-exactly seq order, which the parity suite verifies workload-by-workload.
+ring entry for *c*.  Firing the heap's records for *c* ahead of the ring
+slot (the epoch loop puts them at its front) is exactly seq order, which
+the parity suite verifies workload-by-workload.
 
 Self-profiling (:meth:`Simulator.enable_profiling`) measures where the
 *simulator's own* wall-clock time goes: events executed per second and
@@ -84,7 +86,7 @@ class Event:
         if self.cancelled or self._fired:
             return
         self.cancelled = True
-        if self._sim is not None:
+        if self._sim is not None:  # the heap kernel's live count
             self._sim._live -= 1
 
     def __lt__(self, other: "Event") -> bool:
@@ -184,9 +186,8 @@ class Simulator(Scheduler):
             )
         self._now = 0
         self._seq = 0
-        self._heap: List[Event] = []
+        self._heap: List = []
         self._running = False
-        self._live = 0
         self._profile: Optional[KernelProfile] = None
 
     @property
@@ -217,15 +218,9 @@ class Simulator(Scheduler):
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         return self.at(self._now + delay, fn, *args)
 
-    def pending_events(self) -> int:
-        """Not-yet-cancelled events still queued, O(1) (a live count kept
-        on schedule/cancel/pop).  A test/debug query: the runner's watchdog
-        compares a (delivered, abandoned, flits_carried) signature."""
-        return self._live
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        queued = len(self._heap) + getattr(self, "_nbucket", 0)
-        return f"<Simulator {self.name} now={self._now} queued={queued}>"
+        return (f"<Simulator {self.name} now={self._now} "
+                f"pending={self.pending_events()}>")
 
 
 class HeapSimulator(Simulator):
@@ -234,6 +229,16 @@ class HeapSimulator(Simulator):
     name = "heap"
     description = ("single binary heap keyed by (cycle, seq); the slow, "
                    "obviously-correct reference implementation")
+
+    def __init__(self, scheduler: Optional[str] = None) -> None:
+        super().__init__(scheduler)
+        self._live = 0
+
+    def pending_events(self) -> int:
+        """Not-yet-cancelled events still queued, O(1) (a live count kept
+        on schedule/cancel/pop).  A test/debug query: the runner's watchdog
+        compares a (delivered, abandoned, flits_carried) signature."""
+        return self._live
 
     def at(self, cycle: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run at absolute ``cycle``."""
@@ -325,14 +330,22 @@ class HeapSimulator(Simulator):
             profile.loop_seconds += clock() - loop_start
 
 
+def _fire_event(event: Event) -> None:
+    """The record of a cancellable :class:`Event` in the epoch kernel: a
+    trampoline that skips the event once cancelled."""
+    if not event.cancelled:
+        event._fired = True
+        event.fn(*event.args)
+
+
 class EpochSimulator(Simulator):
     """The ring kernel (see the module docstring): a ``_WINDOW``-cycle
-    calendar ring of per-cycle lists plus the far-event heap.
+    calendar ring of per-cycle ``(fn, args)`` lists plus the far-event
+    heap of ``(cycle, seq, fn, args)`` tuples.
 
-    A ring entry is either a bare ``(fn, args)`` record from :meth:`post`
-    or a cancellable :class:`Event` from :meth:`at`.  Records carry no seq
-    -- their position in the slot is their order -- so ``post`` is an
-    append and the drain is an unpack.
+    Ring records carry no seq -- their position in the slot is their
+    order -- so ``post`` is an append and the drain is an unpack.  The
+    kernel keeps no event count: :meth:`pending_events` scans.
     """
 
     name = "epoch"
@@ -342,7 +355,6 @@ class EpochSimulator(Simulator):
     def __init__(self, scheduler: Optional[str] = None) -> None:
         super().__init__(scheduler)
         self._buckets: List[List] = [[] for _ in range(_WINDOW)]
-        self._nbucket = 0  # entries (incl. cancelled husks) in the ring
 
     def at(self, cycle: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run at absolute ``cycle``."""
@@ -350,15 +362,13 @@ class EpochSimulator(Simulator):
             raise ValueError(
                 f"cannot schedule at cycle {cycle}; current cycle is {self._now}"
             )
-        event = Event(cycle, self._seq, fn, args)
-        event._sim = self
-        self._seq += 1
-        self._live += 1
+        seq = self._seq
+        event = Event(cycle, seq, fn, args)
+        self._seq = seq + 1
         if cycle - self._now < _WINDOW:
-            self._buckets[cycle & _MASK].append(event)
-            self._nbucket += 1
+            self._buckets[cycle & _MASK].append((_fire_event, (event,)))
         else:
-            heapq.heappush(self._heap, event)
+            heapq.heappush(self._heap, (cycle, seq, _fire_event, (event,)))
         return event
 
     def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
@@ -368,21 +378,30 @@ class EpochSimulator(Simulator):
         This is the hot-path API.  Links, routers, processors and the NIC
         ack pumps schedule millions of short-lived events per run and never
         cancel one.  Near events (flit times, route delays, NIC overheads)
-        append a bare ``(fn, args)`` record to the ring slot.  Far events
-        become real Events in the heap, where ``(cycle, seq)`` comparison
-        is needed for ordering.
+        append a bare ``(fn, args)`` record to the ring slot; far events
+        push a ``(cycle, seq, fn, args)`` tuple onto the heap.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        self._live += 1
         if delay < _WINDOW:
             self._buckets[(self._now + delay) & _MASK].append((fn, args))
-            self._nbucket += 1
         else:
-            event = Event(self._now + delay, self._seq, fn, args)
-            event._sim = self
+            heapq.heappush(self._heap, (self._now + delay, self._seq, fn, args))
             self._seq += 1
-            heapq.heappush(self._heap, event)
+
+    def pending_events(self) -> int:
+        """Records still queued, less cancelled events, found by scanning
+        the ring and the heap (a test/debug query, not for hot paths).
+        Exact between runs; asked from inside a handler, it also counts
+        the fire-and-forget records already run in the current cycle."""
+        count = 0
+        for bucket in self._buckets:
+            for fn, args in bucket:
+                count += fn is not _fire_event or not (
+                    args[0].cancelled or args[0]._fired)
+        for _, _, fn, args in self._heap:
+            count += fn is not _fire_event or not args[0].cancelled
+        return count
 
     def run_until(self, cycle: int) -> None:
         """Run all events with timestamp strictly less than ``cycle``."""
@@ -410,104 +429,94 @@ class EpochSimulator(Simulator):
         finally:
             self._running = False
 
+    def _due_from_heap(self, c: int) -> List:
+        """Pop the heap records due at cycle ``c`` as ``(fn, args)`` pairs.
+
+        They go in front of the cycle's ring slot: each needed a
+        >= ``_WINDOW`` lead to be in the heap at all, so it was scheduled
+        at an earlier simulated time -- with a lower seq -- than every
+        ring record for ``c``.  Handlers cannot add heap records for the
+        current cycle, so this drain cannot starve.
+        """
+        heap = self._heap
+        due = []
+        while heap and heap[0][0] == c:
+            due.append(heapq.heappop(heap)[2:])
+        return due
+
     def _run_ring(self, bound: Optional[int]) -> None:
         """The calendar-queue event loop: identical firing order to the
         heap loops."""
         heap = self._heap
         buckets = self._buckets
-        heappop = heapq.heappop
         c = self._now
         while True:
-            # Next cycle holding a queued event (husks included).  With the
-            # ring non-empty the scan ends within _WINDOW slots by
-            # construction; in flit-saturated runs it ends in one or two.
-            if self._nbucket:
-                while not buckets[c & _MASK]:
-                    c += 1
-                if heap and heap[0].cycle < c:
-                    c = heap[0].cycle
-            elif heap:
-                c = heap[0].cycle
-            else:
-                return
+            # Next cycle holding a queued record (husks included).  Every
+            # ring record lies within _WINDOW cycles of the last drained
+            # cycle, so the scan visits at most _WINDOW slots; in
+            # flit-saturated runs it ends in one or two.
+            end = c + _WINDOW
+            while c < end and not buckets[c & _MASK]:
+                c += 1
+            if c == end:
+                if not heap:
+                    return
+                c = heap[0][0]
+            elif heap and heap[0][0] < c:
+                c = heap[0][0]
             if bound is not None and c >= bound:
                 return
             self._now = c
-            # Heap first: every heap event for this cycle was scheduled at
-            # an earlier simulated time than every ring entry for it (it
-            # needed a >= _WINDOW lead to be in the heap at all), so it
-            # carries a lower seq.  Handlers can only add *ring* entries
-            # for the current cycle, so this drain cannot starve.
-            while heap and heap[0].cycle == c:
-                event = heappop(heap)
-                if not event.cancelled:
-                    event._fired = True
-                    self._live -= 1
-                    event.fn(*event.args)
-            # List iteration sees the same-cycle entries handlers append.
             bucket = buckets[c & _MASK]
-            for entry in bucket:
-                if type(entry) is tuple:
-                    self._live -= 1
-                    fn, args = entry
-                    fn(*args)
-                elif not entry.cancelled:
-                    entry._fired = True
-                    self._live -= 1
-                    entry.fn(*entry.args)
-            self._nbucket -= len(bucket)
+            if heap and heap[0][0] == c:
+                bucket[:0] = self._due_from_heap(c)
+            # List iteration sees the same-cycle records handlers append.
+            for fn, args in bucket:
+                fn(*args)
             del bucket[:]
 
     def _run_ring_profiled(self, bound: Optional[int]) -> None:
         """Timed twin of :meth:`_run_ring`, with the same per-event
-        accounting as the heap kernel (honest cross-kernel events/sec)."""
+        accounting as the heap kernel (honest cross-kernel events/sec).
+
+        A cancellable event is timed and noted under its own handler, not
+        under the trampoline, and a cancelled husk is not counted: the heap
+        kernel skips it the same way.
+        """
         heap = self._heap
         buckets = self._buckets
-        heappop = heapq.heappop
         profile = self._profile
         clock = time.perf_counter
         loop_start = clock()
         c = self._now
         try:
             while True:
-                if self._nbucket:
-                    while not buckets[c & _MASK]:
-                        c += 1
-                    if heap and heap[0].cycle < c:
-                        c = heap[0].cycle
-                elif heap:
-                    c = heap[0].cycle
-                else:
-                    return
+                end = c + _WINDOW
+                while c < end and not buckets[c & _MASK]:
+                    c += 1
+                if c == end:
+                    if not heap:
+                        return
+                    c = heap[0][0]
+                elif heap and heap[0][0] < c:
+                    c = heap[0][0]
                 if bound is not None and c >= bound:
                     return
                 self._now = c
-                while heap and heap[0].cycle == c:
-                    event = heappop(heap)
-                    if not event.cancelled:
-                        event._fired = True
-                        self._live -= 1
-                        start = clock()
-                        event.fn(*event.args)
-                        profile.note(event.fn, clock() - start)
-                        profile.events += 1
                 bucket = buckets[c & _MASK]
-                for entry in bucket:
-                    if type(entry) is tuple:
-                        self._live -= 1
-                        fn, args = entry
-                        start = clock()
-                        fn(*args)
-                        profile.note(fn, clock() - start)
-                        profile.events += 1
-                    elif not entry.cancelled:
-                        entry._fired = True
-                        self._live -= 1
-                        start = clock()
-                        entry.fn(*entry.args)
-                        profile.note(entry.fn, clock() - start)
-                        profile.events += 1
-                self._nbucket -= len(bucket)
+                if heap and heap[0][0] == c:
+                    bucket[:0] = self._due_from_heap(c)
+                for fn, args in bucket:
+                    if fn is _fire_event:
+                        event = args[0]
+                        if event.cancelled:
+                            continue
+                        event._fired = True
+                        fn, args = event.fn, event.args
+                    start = clock()
+                    fn(*args)
+                    profile.note(fn, clock() - start)
+                    profile.events += 1
                 del bucket[:]
         finally:
             profile.loop_seconds += clock() - loop_start

@@ -1,7 +1,8 @@
 """Epoch kernel and scheduler-registry tests.
 
-The epoch kernel (the default) stores fire-and-forget work as bare
-``(fn, args)`` records in the calendar ring instead of ``Event`` objects.
+The epoch kernel (the default) stores every event as one record:
+``(fn, args)`` in the calendar ring, ``(cycle, seq, fn, args)`` in the
+far-event heap, with a cancellable ``Event`` fired through a trampoline.
 These tests pin down the parts generic kernel semantics
 (tests/test_kernel.py, parametrized over every registered scheduler) and
 whole-run parity (tests/test_scheduler_parity.py) don't reach directly:
@@ -154,6 +155,113 @@ class TestEpochOrdering:
         assert sim.pending_events() == 2
         sim.run_until(2)
         assert sim.pending_events() == 1
+
+
+# ------------------------------------------------------------ event records
+class TestEventRecords:
+    """One record shape in the epoch kernel: ``(fn, args)`` in the ring,
+    ``(cycle, seq, fn, args)`` in the heap, and a cancellable Event as a
+    trampoline record.  The heap kernel is the spec each case must match."""
+
+    @pytest.mark.parametrize("kernel", ["epoch", "heap"])
+    @pytest.mark.parametrize("delay", [3, _WINDOW + 3], ids=["ring", "heap"])
+    def test_same_cycle_fifo_across_post_and_at(self, kernel, delay):
+        sim = Simulator(kernel)
+        fired = []
+        for i in range(6):
+            if i % 2:
+                sim.at(sim.now + delay, fired.append, i)
+            else:
+                sim.post(delay, fired.append, i)
+        sim.run()
+        assert fired == list(range(6))
+
+    @pytest.mark.parametrize("kernel", ["epoch", "heap"])
+    @pytest.mark.parametrize("delay", [3, _WINDOW + 3], ids=["ring", "heap"])
+    def test_cancel_in_either_store(self, kernel, delay):
+        sim = Simulator(kernel)
+        fired = []
+        keep = sim.schedule(delay, fired.append, "keep")
+        drop = sim.schedule(delay, fired.append, "drop")
+        sim.post(delay, fired.append, "post")
+        if kernel == "epoch":
+            in_heap = delay >= _WINDOW
+            assert bool(sim._heap) == in_heap
+            assert any(sim._buckets) != in_heap
+        drop.cancel()
+        assert sim.pending_events() == 2
+        sim.run()
+        assert fired == ["keep", "post"]
+        assert keep._fired and not drop._fired
+        assert sim.pending_events() == 0
+
+    @pytest.mark.parametrize("delay", [3, _WINDOW + 3], ids=["ring", "heap"])
+    def test_cancel_after_fire_is_noop(self, delay):
+        sim = Simulator("epoch")
+        fired = []
+        event = sim.schedule(delay, fired.append, "a")
+        sim.run()
+        event.cancel()
+        assert event._fired and not event.cancelled
+        sim.post(delay, fired.append, "b")
+        sim.run()
+        assert fired == ["a", "b"]
+        assert sim.pending_events() == 0
+
+    @pytest.mark.parametrize("kernel", ["epoch", "heap"])
+    def test_far_post_and_at_fire_in_cycle_seq_order(self, kernel):
+        sim = Simulator(kernel)
+        fired = []
+        far = _WINDOW + 10
+        sim.post(far + 1, fired.append, "post+1")
+        sim.at(far, fired.append, "at-a")
+        sim.post(far, fired.append, "post-b")
+        sim.schedule(far, fired.append, "at-c")
+        sim.post(far - 1, fired.append, "post-1")
+        if kernel == "epoch":
+            assert not any(sim._buckets)
+            assert all(type(entry) is tuple and len(entry) == 4
+                       for entry in sim._heap)
+        sim.run()
+        assert fired == ["post-1", "at-a", "post-b", "at-c", "post+1"]
+
+    def test_profiled_loop_notes_handlers_not_husks(self):
+        sim = Simulator("epoch")
+        profile = sim.enable_profiling()
+        fired = []
+
+        def handler():
+            fired.append(sim.now)
+
+        for delay in (2, _WINDOW + 2):
+            sim.schedule(delay, handler)
+            sim.schedule(delay + 1, handler).cancel()
+        sim.post(4, handler)
+        sim.run()
+        assert fired == [2, 4, _WINDOW + 2]
+        assert profile.events == 3
+        assert {name: count for name, (count, _) in
+                profile.by_handler.items()} == {handler.__qualname__: 3}
+
+    def test_profiled_run_names_retransmit_timer(self):
+        # Reorder NICs arm a cancellable RetransmitTimer per packet, and
+        # most are cancelled by their ack.  The profile must name the timer
+        # (not the trampoline) and count exactly what the heap spec counts.
+        counts = {}
+        for kernel in ("epoch", "heap"):
+            spec = ExperimentSpec(
+                network="fattree-spray", traffic=TrafficSpec("heavy"),
+                num_nodes=16, nic_mode="reorder-bitmap", drop_prob=0.01,
+                run_cycles=3000, seed=3, kernel=kernel,
+                observe=Observability(events=False, profile=True),
+            )
+            profile = run_experiment(spec).obs.kernel_profile
+            counts[kernel] = {name: count for name, (count, _) in
+                              profile.by_handler.items()}
+            assert profile.events == sum(counts[kernel].values())
+        assert counts["epoch"] == counts["heap"]
+        assert counts["epoch"]["RetransmitTimer._fire"] > 0
+        assert not any("_fire_event" in name for name in counts["epoch"])
 
 
 # ----------------------------------------------------- faults during runs

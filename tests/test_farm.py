@@ -258,6 +258,25 @@ class TestFarmEngine:
         assert [p.error for p in points] == [None, None, None]
         assert load_record(path).complete
 
+    def test_resumed_points_are_not_cache_hits(self, tmp_path):
+        from repro.obs import EventBus, EventKind
+
+        specs = self.grid()
+        SweepEngine(executor="pool", cache=False,
+                    campaign_dir=tmp_path).run(specs)
+        bus = EventBus()
+        seen = []
+        bus.subscribe(None, lambda e: seen.append(e.kind))
+        again = SweepEngine(executor="pool", cache=False,
+                            campaign_dir=tmp_path, bus=bus)
+        points = again.run(specs)
+        assert [(p.resumed, p.cached) for p in points] == \
+            [(True, False)] * len(specs)
+        assert again.stats.resumed == len(specs)
+        assert again.stats.cache_hits == 0
+        assert EventKind.SWEEP_CACHE_HIT not in seen
+        assert seen.count(EventKind.FARM_RESUME) == len(specs)
+
     def test_farm_events_on_bus(self, tmp_path):
         from repro.obs import EventBus, EventKind
 
@@ -446,6 +465,24 @@ class TestFarmCli:
         out = capsys.readouterr().out
         assert row in out
         assert "=       0" not in out
+
+    def test_second_run_reports_resumed_not_cache(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["sweep", "--network", "mesh2d", "--nodes", "16",
+                "--cycles", "2000", "--no-cache", "--manifest-dir",
+                str(tmp_path), "--kind", "load", "--gaps", "800", "--json"]
+        assert main(argv) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert [(p["cached"], p["resumed"]) for p in first["points"]] == \
+            [(False, False)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        again = json.loads(captured.out)
+        assert [(p["cached"], p["resumed"]) for p in again["points"]] == \
+            [(False, True)]
+        assert "gap=800: resumed" in captured.err
+        assert "gap=800: cache" not in captured.err
 
     def test_farm_command_is_gone(self, capsys):
         from repro.cli import main

@@ -121,6 +121,63 @@ class TestCutThrough:
         assert times[2] - times[1] <= 8 * 4 + 8
 
 
+class TestForwardBinding:
+    """Once a cut-through packet holds an out VC, its in link hands the
+    remaining flits straight to the out link (``Link.forward``)."""
+
+    def run_until_bound(self, sim, link):
+        for _ in range(200):
+            if link._forward[0] is not None:
+                return link._forward[0]
+            sim.run_until(sim.now + 1)
+        raise AssertionError("the in link was never bound")
+
+    def test_binding_clears_at_the_tail(self):
+        sim = Simulator()
+        routers, links, entry, sink = line_of_routers(sim, 3)
+        packet = data_packet()
+        InjectFeeder(entry).send(packet)
+        transit = self.run_until_bound(sim, entry)
+        assert transit.packet is packet and not transit.tail_arrived
+        assert transit.out_link is links[0]
+        sim.run()
+        assert transit.tail_arrived and transit.flits_arrived == packet.flits
+        assert [link._forward for link in (entry, *links)] == [[None]] * 3
+        assert [p for p, _ in sink.packets] == [packet]
+
+    def test_forwarded_flit_of_another_packet_raises(self):
+        sim = Simulator()
+        routers, links, entry, sink = line_of_routers(sim, 2)
+        InjectFeeder(entry).send(data_packet())
+        self.run_until_bound(sim, entry)
+        # The next flit on the bound VC belongs to some other packet.
+        entry._owners[0] = data_packet(src=5)
+        with pytest.raises(RuntimeError, match="interleaved flits"):
+            sim.run()
+
+    @pytest.mark.parametrize("mode, binds", [
+        (CUTTHROUGH, True), (STORE_AND_FORWARD, False),
+    ])
+    def test_only_cut_through_binds(self, monkeypatch, mode, binds):
+        bound = []
+        forward = Link.forward
+
+        def recording_forward(link, vc, transit):
+            bound.append(transit.packet)
+            forward(link, vc, transit)
+
+        monkeypatch.setattr(Link, "forward", recording_forward)
+        sim = Simulator()
+        routers, links, entry, sink = line_of_routers(sim, 3, mode=mode,
+                                                      buf=12)
+        feeder = InjectFeeder(entry)
+        for src in range(2):
+            feeder.send(data_packet(src=src))
+        sim.run()
+        assert len(sink.packets) == 2
+        assert bool(bound) == binds
+
+
 class TestStoreAndForward:
     def test_sf_waits_for_whole_packet(self):
         """Store-and-forward adds a full packet serialisation per hop."""

@@ -6,8 +6,9 @@ from repro.experiments import (
     ExperimentSpec,
     default_param_grid,
     run_experiment,
+    SweepEngine,
     heavy_synthetic,
-    sweep_machine_sizes,
+    machine_size_specs,
     sweep_nifdy_params,
     sweep_offered_load,
 )
@@ -54,14 +55,32 @@ class TestLoadSweep:
 
 
 class TestMachineSizeSweep:
+    PARAMS = NifdyParams(opt_size=8, pool_size=8, dialogs=0, window=0)
+
     def test_normalized_ratio_shape(self):
-        params = NifdyParams(opt_size=8, pool_size=8, dialogs=0, window=0)
-        out = sweep_machine_sizes(
-            "fattree", sizes=(16, 64), params=params, run_cycles=5000,
+        specs = machine_size_specs(
+            "fattree", sizes=(16, 64), params=self.PARAMS, run_cycles=5000,
         )
-        assert set(out) == {16, 64}
-        for size, (nifdy, base, ratio) in out.items():
-            assert ratio == pytest.approx(nifdy / base)
+        points = SweepEngine(cache=False).run(specs)
+        # Per size: the baseline run, then the NIFDY run.
+        assert [p.label for p in points] == [
+            "n=16 plain", "n=16 nifdy-", "n=64 plain", "n=64 nifdy-",
+        ]
+        for base, nifdy in zip(points[::2], points[1::2]):
+            assert base.error is None and nifdy.error is None
+            assert base.delivered > 0 and nifdy.delivered > 0
+
+    def test_invalid_size_surfaces_as_error(self):
+        # A 15-node mesh is not square: both runs of that size error out,
+        # rather than reading as zero deliveries.
+        specs = machine_size_specs(
+            "mesh2d", sizes=(16, 15), params=self.PARAMS, run_cycles=2000,
+        )
+        points = SweepEngine(cache=False).run(specs)
+        assert [p.error is None for p in points] == [True, True, False, False]
+        for point in points[2:]:
+            assert not point.ok and point.delivered == 0
+            assert "15" in point.error
 
 
 class TestPacketTracer:

@@ -372,6 +372,14 @@ class TestBrokenReorderNic:
         bus.emit(30, EventKind.OPT_HIT, 1)
         assert "bitmap_conservation" in _names(monitor)
 
+    def test_bitmap_conservation_fires_on_bitmap_over_empty_buffer(self):
+        bus, monitor, nics = _reorder_rig("bitmap")
+        st = nics[1]._rx_stream(0)
+        st.bitmap.add(3)  # advertised, but nothing is buffered
+        bus.emit(30, EventKind.OPT_HIT, 1)
+        assert _names(monitor) == {"bitmap_conservation"}
+        assert "advertises [3]" in monitor.violations[0].detail
+
     def test_no_cache_leak_fires_on_counter_drift(self):
         bus, monitor, nics = _reorder_rig("bitmap")
         nics[1]._cached = 5  # buffers are empty
