@@ -53,14 +53,15 @@ import threading
 from typing import List, Optional
 
 # ``analysis`` (numpy) and ``report`` are imported inside the commands
-# that use them, and the farm inside the sweep engine, so ``run`` never
-# loads them.
+# that use them, and the worker pool and campaign ledger inside the sweep
+# engine, so ``run`` never loads them.
 from .faults import FaultPlan
 from .metrics import degradation_report, format_degradation
 from .experiments import (
     ExperimentSpec,
     FarmPolicy,
     SweepEngine,
+    SweepPoint,
     allreduce,
     best_params,
     cshift,
@@ -71,13 +72,14 @@ from .experiments import (
     incast,
     light_synthetic,
     machine_size_specs,
+    nifdy_param_specs,
+    offered_load_specs,
     perf_reference_spec,
     radix_sort,
     rpc_fanout,
     run_experiment,
-    sweep_nifdy_params,
-    sweep_offered_load,
 )
+from .experiments.sweep import params_label
 from .networks import EXTENSION_NETWORK_NAMES, NETWORK_NAMES
 from .nic import NIC_MODES, CollectiveParams, NifdyParams
 from .obs import Observability, chrome_trace, metrics_json, write_json
@@ -325,7 +327,6 @@ def _cmd_sweep(args) -> int:
         cache_dir=args.cache_dir,
         progress=progress if not args.quiet else None,
         point_timeout=args.point_timeout,
-        executor=args.executor,
         policy=FarmPolicy(retries=args.retries, poison_after=args.poison_after,
                           seed=args.seed),
         campaign_dir=args.manifest_dir,
@@ -380,6 +381,38 @@ def _print_row(label: str, point, figures: str) -> None:
     print(point.error, file=sys.stderr)
 
 
+def rank_param_sets(points: List[SweepPoint],
+                    runs_per_set: int) -> List[SweepPoint]:
+    """Fold a :func:`~repro.experiments.nifdy_param_specs` sweep into one
+    point per parameter set, best first (Table 3 methodology: "chosen to
+    give the best average performance with both test traffic patterns").
+
+    ``points`` come in grid order, ``runs_per_set`` consecutive runs
+    (heavy, then light) per set.  Each folded point sums its runs'
+    deliveries and *actual* simulated cycles (not the requested horizon),
+    so ``throughput`` stays honest for early-completing workloads.
+    """
+    ranked = []
+    for i in range(0, len(points), runs_per_set):
+        group = points[i:i + runs_per_set]
+        params = group[0].params
+        bad = next((p for p in group if not p.ok), None)
+        ranked.append(SweepPoint(
+            params_label(params),
+            params,
+            sum(p.delivered for p in group),
+            sum(p.cycles for p in group),
+            sent=sum(p.sent for p in group),
+            completed=all(p.completed for p in group),
+            cached=all(p.cached for p in group),
+            resumed=all(p.resumed for p in group),
+            error=bad.error if bad is not None else None,
+            wall_s=sum(p.wall_s for p in group),
+        ))
+    ranked.sort(key=lambda point: point.delivered, reverse=True)
+    return ranked
+
+
 def _run_sweep_table(args, engine, json_points: List[dict]) -> None:
     """The human sweep table (stdout unless redirected) + point collection."""
     if args.kind == "sizes":
@@ -408,21 +441,23 @@ def _run_sweep_table(args, engine, json_points: List[dict]) -> None:
         grid = default_param_grid(
             opt_sizes=_int_list(args.opt_grid), windows=_int_list(args.window_grid),
         )
-        points = sweep_nifdy_params(
-            args.network, grid, num_nodes=args.nodes, run_cycles=args.cycles,
-            seed=args.seed, combine_light_and_heavy=not args.heavy_only,
-            engine=engine,
+        points = rank_param_sets(
+            engine.run(nifdy_param_specs(
+                args.network, grid, num_nodes=args.nodes,
+                run_cycles=args.cycles, seed=args.seed,
+                combine_light_and_heavy=not args.heavy_only,
+            )),
+            runs_per_set=1 if args.heavy_only else 2,
         )
         loads = "heavy" if args.heavy_only else "heavy+light"
         print(f"NIFDY parameter sweep on {args.network} "
               f"({loads}, {args.cycles:,}-cycle windows), best first:")
         width = 24
     else:  # load
-        points = sweep_offered_load(
+        points = engine.run(offered_load_specs(
             args.network, _int_list(args.gaps), nic_mode=args.nic,
             num_nodes=args.nodes, run_cycles=args.cycles, seed=args.seed,
-            engine=engine,
-        )
+        ))
         print(f"Offered-load sweep on {args.network} ({args.nic}, "
               f"{args.cycles:,}-cycle windows):")
         width = 12
@@ -479,7 +514,6 @@ def _cmd_chaos(args) -> int:
         barrier_modes=tuple(b for b in args.barrier_modes.split(",") if b),
         path_skews=tuple(_int_list(args.path_skews)) or (0,),
         max_faults=args.max_faults,
-        executor=args.executor,
         retries=args.retries,
         jobs=args.jobs,
         point_timeout=args.point_timeout,
@@ -754,12 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the grid as a campaign checkpointed in DIR "
                        "after every point; the same command run again "
                        "resumes it, re-running nothing that settled")
-    sweep.add_argument("--executor", default=None, metavar="NAME",
-                       help="execution backend: 'pool' shares worker "
-                       "processes (the default for a campaign, --jobs > 1 "
-                       "or --point-timeout), 'subprocess' isolates each "
-                       "point in its own interpreter (hard crashes "
-                       "contained and exactly attributed)")
     sweep.add_argument("--retries", type=int, default=0, metavar="N",
                        help="extra attempts per point when the point kills "
                        "its worker or trips the watchdog")
@@ -828,10 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "from; non-zero needs a -spray network")
     chaos.add_argument("--max-faults", type=int, default=3,
                        help="fault events per trial drawn from 1..N")
-    chaos.add_argument("--executor", default=None, metavar="NAME",
-                       help="execution backend for the trial fan-out: "
-                       "'pool' (the default), or 'subprocess', which "
-                       "contains hard worker crashes")
     chaos.add_argument("--retries", type=int, default=1,
                        help="extra attempts per trial when it kills its "
                        "worker or trips the watchdog")

@@ -17,12 +17,7 @@ from .sweep import (
     machine_size_specs,
     nifdy_param_specs,
     offered_load_specs,
-    collective_barrier_specs,
     reorder_variant_specs,
-    sweep_collective_barrier,
-    sweep_nifdy_params,
-    sweep_offered_load,
-    sweep_reorder_variants,
 )
 from .workloads import (
     allreduce,
@@ -52,7 +47,6 @@ __all__ = [
     "allreduce",
     "best_params",
     "code_version",
-    "collective_barrier_specs",
     "cshift",
     "default_param_grid",
     "em3d",
@@ -68,8 +62,4 @@ __all__ = [
     "reorder_variant_specs",
     "rpc_fanout",
     "run_experiment",
-    "sweep_collective_barrier",
-    "sweep_nifdy_params",
-    "sweep_offered_load",
-    "sweep_reorder_variants",
 ]

@@ -8,18 +8,18 @@ them.  Each point goes through three stages:
 1. **Cache.**  An on-disk result cache answers points it has seen under
    the current code.
 2. **Resume ledger.**  With a ``campaign_dir``, every :meth:`SweepEngine.run`
-   is a *campaign* with a :class:`~repro.farm.manifest.RunManifest` ledger
-   at ``<campaign_dir>/<campaign id>.json``.  The id is a hash of the
-   specs and the executor, so running the same grid again finds the same
-   ledger: points an earlier (interrupted or finished) run settled come
-   from it, and every newly settled point is checkpointed into it.
-   Without a ``campaign_dir``, no ledger is written.
-3. **Executor.**  The rest run in-process, or on a backend from
-   :data:`~repro.farm.executors.EXECUTORS`: the shared ``pool`` of worker
-   processes, or one ``subprocess`` interpreter per point.  A
-   :class:`FarmPolicy` decides whether a failed attempt is retried,
-   after what backoff, and when a point that keeps killing its worker is
-   quarantined as ``poisoned``.
+   is a *campaign* with a :class:`~repro.experiments.manifest.RunManifest`
+   ledger at ``<campaign_dir>/<campaign id>.json``.  The id is a hash of
+   the specs, so running the same grid again finds the same ledger:
+   points an earlier (interrupted or finished) run settled come from it,
+   and every newly settled point is checkpointed into it.  Without a
+   ``campaign_dir``, no ledger is written.
+3. **Execution.**  The rest run in-process, or in the shared worker pool
+   (:class:`~repro.experiments.pool.PoolExecutor`) when the sweep needs a
+   worker process: for parallelism, for a watchdog, or to survive a
+   worker's death.  A :class:`FarmPolicy` decides whether a failed
+   attempt is retried, after what backoff, and when a point that keeps
+   killing its worker is quarantined as ``poisoned``.
 
 A failed point becomes an errored :class:`SweepPoint` instead of killing
 the sweep, and progress is reported through a callback and/or a
@@ -58,6 +58,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Optional
 
+from ..atomic_write import write_text_atomic
 from ..nic import NifdyParams
 from ..obs import EventBus, EventKind
 from .spec import ExperimentSpec, SpecSerializationError
@@ -276,16 +277,16 @@ class ResultCache:
         return doc.get("result")
 
     def put(self, spec: ExperimentSpec, result: Dict) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
         doc = {
             "spec": spec.to_dict(),
             "code_version": code_version(),
             "result": result,
         }
-        path = self._path(spec)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)  # atomic: concurrent sweeps race benignly
+        # Atomic with a per-writer temp file: concurrent writers of one
+        # entry (a repeated spec, two sessions) race benignly.
+        write_text_atomic(
+            self._path(spec), json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        )
 
 
 def _slim_result(result) -> Dict:
@@ -371,7 +372,7 @@ def _from_ledger(spec: ExperimentSpec, ps) -> SweepPoint:
 
 
 class SweepEngine:
-    """Executes iterables of specs: cache, then resume ledger, then executor.
+    """Executes iterables of specs: cache, then resume ledger, then a worker.
 
     ``jobs``: points in flight at once.  ``cache``/``cache_dir``: consult
     and populate the on-disk result cache.  ``progress``: ``(done, total,
@@ -381,16 +382,15 @@ class SweepEngine:
     ``farm_dispatch`` per attempt and ``farm_retry`` / ``farm_poison`` /
     ``farm_resume`` as they happen.
 
-    ``executor``: a :data:`~repro.farm.executors.EXECUTORS` name or a
-    backend instance; an unknown name raises before anything runs.
-    Unset, points run in-process when ``jobs == 1`` and there is neither
-    a ``point_timeout`` nor a ``campaign_dir``, otherwise on the ``pool``
-    backend.  Specs with opaque traffic callables always run in-process.
+    Points run in the worker pool when the sweep needs a worker process:
+    ``jobs > 1``, a ``point_timeout``, a ``campaign_dir``, or a
+    ``policy`` with retries (a retry budget exists to survive worker
+    deaths).  Otherwise they run in-process, one at a time.  Specs with
+    opaque traffic callables always run in-process.
 
     ``point_timeout`` (seconds, default off) is the per-point liveness
     watchdog: a hung worker is killed and the point settles ``timed_out``
-    (never cached) instead of wedging the sweep.  Enforcing it takes a
-    worker process, which is why it selects the pool even at ``jobs=1``.
+    (never cached) instead of wedging the sweep.
 
     ``policy``: a :class:`FarmPolicy`; unset means no retries.
     ``campaign_dir``: where each :meth:`run` keeps its ledger (see the
@@ -402,7 +402,7 @@ class SweepEngine:
 
     On :class:`KeyboardInterrupt` the engine reverts in-flight points to
     ``pending`` (the interrupted attempt does not count against their
-    budget), flushes a final checkpoint, kills the backend's workers,
+    budget), flushes a final checkpoint, kills the pool's workers,
     and re-raises for the CLI to exit 130.
     """
 
@@ -414,33 +414,24 @@ class SweepEngine:
         progress: Optional[Callable[[int, int, SweepPoint], None]] = None,
         bus: Optional[EventBus] = None,
         point_timeout: Optional[float] = None,
-        executor=None,
         policy: Optional[FarmPolicy] = None,
         campaign_dir: Optional[Path] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.jobs = max(1, int(jobs))
-        if executor is None and (
-            self.jobs > 1 or point_timeout is not None or campaign_dir is not None
-        ):
-            executor = "pool"
-        if isinstance(executor, str):
-            from ..farm.executors import EXECUTORS
-
-            if executor not in EXECUTORS:
-                raise ValueError(
-                    f"unknown executor {executor!r}; choose from "
-                    f"{', '.join(EXECUTORS)}"
-                )
-            executor = EXECUTORS[executor]()
-        #: The execution backend; ``None`` runs every point in-process.
-        self.executor = executor
         self.cache = ResultCache(cache_dir or DEFAULT_CACHE_DIR) if cache else None
         self.progress = progress
         self.bus = bus
         self.point_timeout = point_timeout
         self.policy = policy or FarmPolicy(retries=0)
         self.campaign_dir = Path(campaign_dir) if campaign_dir is not None else None
+        #: The worker pool; ``None`` runs every point in-process.
+        self.pool = None
+        if (self.jobs > 1 or point_timeout is not None
+                or self.campaign_dir is not None or self.policy.retries > 0):
+            from .pool import PoolExecutor
+
+            self.pool = PoolExecutor()
         #: The ledger of the latest :meth:`run`; ``None`` without a
         #: ``campaign_dir``.
         self.manifest = None
@@ -546,8 +537,8 @@ class SweepEngine:
                     ps.state = "pending"
             raise
         finally:
-            if self.executor is not None:
-                self.executor.shutdown()
+            if self.pool is not None:
+                self.pool.shutdown()
             checkpoint()
             self.stats.wall_s += time.perf_counter() - started
         return [p for p in points if p is not None]
@@ -557,10 +548,9 @@ class SweepEngine:
         """The ledger at ``<campaign_dir>/<campaign id>.json``: resumed if
         it verifies against ``specs`` and the current code, else new."""
         # Deferred: the manifest loads the results schema.
-        from ..farm.manifest import RunManifest, campaign_id_for
+        from .manifest import RunManifest, campaign_id_for
 
-        name = self.executor.name
-        campaign = campaign_id_for(specs, name)
+        campaign = campaign_id_for(specs)
         path = self.campaign_dir / f"{campaign}.json"
         try:
             manifest = RunManifest.load(path)
@@ -570,7 +560,7 @@ class SweepEngine:
             # Absent, foreign, unreadable or stale (ManifestMismatch is a
             # ValueError): start the ledger over.
             return RunManifest.new(
-                campaign, specs, name, self.policy.as_dict(), path=path
+                campaign, specs, self.policy.as_dict(), path=path
             )
 
     @staticmethod
@@ -586,18 +576,18 @@ class SweepEngine:
 
     def _stop(self) -> None:
         self._interrupt.set()
-        if self.executor is not None:
-            self.executor.interrupt()
+        if self.pool is not None:
+            self.pool.interrupt()
 
     def _dispatch(self, specs, ledger, pending, settle) -> None:
         remote: List[int] = []
         local: List[int] = []  # opaque traffic callables cannot cross processes
         for index in pending:
-            portable = self.executor is not None and specs[index].portable
+            portable = self.pool is not None and specs[index].portable
             (remote if portable else local).append(index)
         jobs = min(self.jobs, len(remote))
         if remote:
-            self.executor.start(jobs)
+            self.pool.start(jobs)
         if jobs > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -633,10 +623,10 @@ class SweepEngine:
             ps.attempts += 1
             self._emit(EventKind.FARM_DISPATCH, index,
                        f"{ps.label}: attempt {ps.attempts}")
-            if self.executor is None or not spec.portable:
+            if self.pool is None or not spec.portable:
                 result = _execute_in_process(spec)
             else:
-                result = self.executor.run_point(
+                result = self.pool.run_point(
                     spec.to_dict(), self.point_timeout
                 )
             if self._interrupt.is_set() and "error" in result:

@@ -27,6 +27,9 @@ Two safety latches guard a resume:
   :func:`~repro.experiments.engine.code_version` it ran under; resuming
   under different code invalidates the settled results (the simulator
   changed -- results may differ), so the campaign starts over.
+
+The engine imports this module only for a sweep with a ``campaign_dir``,
+so a sweep without one never loads the reporting package.
 """
 
 from __future__ import annotations
@@ -37,23 +40,22 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
-from ..experiments.engine import code_version
-from ..experiments.spec import ExperimentSpec
 from ..report.schema import (
     CAMPAIGN_POINT_STATES,
     CampaignRecord,
     load_record,
     write_record_atomic,
 )
+from .engine import code_version
+from .spec import ExperimentSpec
 
 
-def campaign_id_for(specs: Iterable[ExperimentSpec], executor: str) -> str:
-    """A deterministic campaign id: hash of the ordered spec hashes plus
-    the executor name.  Re-issuing the same campaign produces the same
-    id (and therefore the same manifest path), which is what makes
-    re-running ``repro sweep --manifest-dir`` resume after a crash."""
+def campaign_id_for(specs: Iterable[ExperimentSpec]) -> str:
+    """A deterministic campaign id: hash of the ordered spec hashes.
+    Re-issuing the same campaign produces the same id (and therefore the
+    same manifest path), which is what makes re-running ``repro sweep
+    --manifest-dir`` resume after a crash."""
     digest = hashlib.sha256()
-    digest.update(executor.encode())
     for spec in specs:
         try:
             digest.update(spec.content_hash().encode())
@@ -120,7 +122,6 @@ class RunManifest:
     def __init__(
         self,
         campaign_id: str,
-        executor: str,
         policy: Dict,
         specs: List[Dict],
         points: List[PointState],
@@ -129,7 +130,6 @@ class RunManifest:
         code: Optional[str] = None,
     ):
         self.campaign_id = campaign_id
-        self.executor = executor
         self.policy = dict(policy)
         self.specs = specs
         self.points = points
@@ -145,7 +145,6 @@ class RunManifest:
         cls,
         campaign_id: str,
         specs: List[ExperimentSpec],
-        executor: str,
         policy: Dict,
         path: Optional[Path] = None,
     ) -> "RunManifest":
@@ -165,8 +164,7 @@ class RunManifest:
                     label=spec.label or spec.describe(),
                 )
             )
-        return cls(campaign_id, executor, dict(policy), spec_dicts, points,
-                   path=path)
+        return cls(campaign_id, dict(policy), spec_dicts, points, path=path)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunManifest":
@@ -178,7 +176,6 @@ class RunManifest:
             )
         return cls(
             campaign_id=record.campaign_id,
-            executor=record.executor,
             policy=record.policy,
             specs=record.specs,
             points=[PointState.from_dict(p) for p in record.points],
@@ -200,7 +197,6 @@ class RunManifest:
         return CampaignRecord(
             campaign_id=self.campaign_id,
             created=self.created,
-            executor=self.executor,
             code_version=self.code_version,
             policy=dict(self.policy),
             specs=self.specs,

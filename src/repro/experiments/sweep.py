@@ -1,34 +1,24 @@
-"""Parameter- and load-sweep helpers, expressed as spec generators.
+"""Sweep descriptions as spec generators.
 
 The paper's methodology is sweeps: NIFDY parameters per network (Table 3),
 buffer/OPT sizes across machine sizes (Figure 4), offered load across the
-operating range (Section 1).  Each helper here comes in two layers:
-
-* a **spec generator** (``nifdy_param_specs`` / ``offered_load_specs`` /
-  ``machine_size_specs``) that turns the sweep description into a flat
-  list of :class:`~repro.experiments.spec.ExperimentSpec` -- pure data a
-  :class:`~repro.experiments.engine.SweepEngine` can execute in parallel
-  and cache;
-* the classic **one-call helper** (``sweep_nifdy_params`` / ...) that
-  generates the specs, runs them through an engine (a private serial,
-  uncached one by default -- pass ``engine=`` to parallelise or cache),
-  and folds the points back into the shapes the benches plot.
+operating range (Section 1).  Each generator here turns a sweep
+description into a flat list of
+:class:`~repro.experiments.spec.ExperimentSpec` -- pure data that a
+:class:`~repro.experiments.engine.SweepEngine` executes, in parallel and
+cached: ``engine.run(offered_load_specs(...))``.  Folding the points back
+into a table is the caller's business.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from ..nic import NIC_MODES, CollectiveParams, NifdyParams, ReorderParams
+from ..nic import NIC_MODES, NifdyParams, ReorderParams
 from ..obs import Observability
-from ..traffic import AllReduceConfig, IncastConfig, SyntheticConfig
-from .engine import SweepEngine, SweepPoint
+from ..traffic import IncastConfig, SyntheticConfig
 from .spec import ExperimentSpec
-from .workloads import allreduce, heavy_synthetic, incast, light_synthetic
-
-
-def _engine_or_default(engine: Optional[SweepEngine]) -> SweepEngine:
-    return engine if engine is not None else SweepEngine(jobs=1, cache=False)
+from .workloads import heavy_synthetic, incast, light_synthetic
 
 
 def params_label(params: NifdyParams) -> str:
@@ -69,51 +59,6 @@ def nifdy_param_specs(
                 )
             )
     return specs
-
-
-def sweep_nifdy_params(
-    network: str,
-    grid: Iterable[NifdyParams],
-    *,
-    num_nodes: int = 64,
-    run_cycles: int = 10_000,
-    seed: int = 0,
-    combine_light_and_heavy: bool = True,
-    engine: Optional[SweepEngine] = None,
-) -> List[SweepPoint]:
-    """Score NIFDY parameter sets on a network (Table 3 methodology:
-    "chosen to give the best average performance with both test traffic
-    patterns").  Returns points sorted best-first; each point aggregates
-    the heavy(+light) runs for one parameter set, and ``cycles`` is the
-    summed *actual* simulated cycles (not the requested horizon), so
-    ``throughput`` stays honest for early-completing workloads."""
-    grid = list(grid)
-    specs = nifdy_param_specs(
-        network, grid, num_nodes=num_nodes, run_cycles=run_cycles, seed=seed,
-        combine_light_and_heavy=combine_light_and_heavy,
-    )
-    results = _engine_or_default(engine).run(specs)
-    per_params = 2 if combine_light_and_heavy else 1
-    points = []
-    for i, params in enumerate(grid):
-        group = results[i * per_params:(i + 1) * per_params]
-        bad = next((p for p in group if not p.ok), None)
-        points.append(
-            SweepPoint(
-                params_label(params),
-                params,
-                sum(p.delivered for p in group),
-                sum(p.cycles for p in group),
-                sent=sum(p.sent for p in group),
-                completed=all(p.completed for p in group),
-                cached=all(p.cached for p in group),
-                resumed=all(p.resumed for p in group),
-                error=bad.error if bad is not None else None,
-                wall_s=sum(p.wall_s for p in group),
-            )
-        )
-    points.sort(key=lambda point: point.delivered, reverse=True)
-    return points
 
 
 def default_param_grid(
@@ -162,26 +107,6 @@ def offered_load_specs(
         )
         for gap in gaps
     ]
-
-
-def sweep_offered_load(
-    network: str,
-    gaps: Sequence[int],
-    *,
-    nic_mode: str = "plain",
-    num_nodes: int = 64,
-    run_cycles: int = 20_000,
-    seed: int = 0,
-    nifdy_params: Optional[NifdyParams] = None,
-    engine: Optional[SweepEngine] = None,
-) -> List[SweepPoint]:
-    """Delivered throughput vs offered load (larger gap = lighter load):
-    the Section 1 operating-range curve."""
-    specs = offered_load_specs(
-        network, gaps, nic_mode=nic_mode, num_nodes=num_nodes,
-        run_cycles=run_cycles, seed=seed, nifdy_params=nifdy_params,
-    )
-    return _engine_or_default(engine).run(specs)
 
 
 # ------------------------------------------------- reorder scenario pack
@@ -235,86 +160,6 @@ def reorder_variant_specs(
                     )
                 )
     return specs
-
-
-def sweep_reorder_variants(
-    network: str = "fattree-spray",
-    *,
-    nic_modes: Sequence[str] = REORDER_VARIANT_MODES,
-    loss_rates: Sequence[float] = (0.0, 0.001, 0.01),
-    path_skews: Sequence[int] = (0, 2, 8),
-    traffic=None,
-    num_nodes: int = 16,
-    seed: int = 0,
-    reorder_params: Optional[ReorderParams] = None,
-    engine: Optional[SweepEngine] = None,
-) -> List[SweepPoint]:
-    """Run the receiver-variant grid; points come back in spec order
-    (variant-major), each carrying delivery, abandonment, order-violation
-    and invariant-violation counts."""
-    specs = reorder_variant_specs(
-        network, nic_modes=nic_modes, loss_rates=loss_rates,
-        path_skews=path_skews, traffic=traffic, num_nodes=num_nodes,
-        seed=seed, reorder_params=reorder_params,
-    )
-    return _engine_or_default(engine).run(specs)
-
-
-# --------------------------------------------------------- NIC collectives
-def collective_barrier_specs(
-    network: str = "fattree",
-    *,
-    barrier_modes: Sequence[str] = ("host", "nic"),
-    fanouts: Sequence[int] = (4,),
-    traffic=None,
-    num_nodes: int = 16,
-    seed: int = 0,
-    max_cycles: int = 3_000_000,
-    validate: bool = True,
-) -> List[ExperimentSpec]:
-    """The host-vs-NIC barrier comparison grid as specs: barrier mode x
-    combining-tree fanout over the self-verifying allreduce workload, run
-    to completion under the invariant monitor."""
-    traffic = traffic or allreduce(AllReduceConfig())
-    specs = []
-    for mode in barrier_modes:
-        for fanout in fanouts:
-            specs.append(
-                ExperimentSpec(
-                    network=network,
-                    traffic=traffic,
-                    num_nodes=num_nodes,
-                    collective_params=CollectiveParams(
-                        barrier=mode, fanout=fanout,
-                    ),
-                    max_cycles=max_cycles,
-                    seed=seed,
-                    observe=Observability(validate=True, events=True)
-                    if validate else None,
-                    label=f"barrier={mode} k={fanout}",
-                )
-            )
-    return specs
-
-
-def sweep_collective_barrier(
-    network: str = "fattree",
-    *,
-    barrier_modes: Sequence[str] = ("host", "nic"),
-    fanouts: Sequence[int] = (4,),
-    traffic=None,
-    num_nodes: int = 16,
-    seed: int = 0,
-    engine: Optional[SweepEngine] = None,
-) -> List[SweepPoint]:
-    """Run the host-vs-NIC barrier grid; points come back in spec order
-    (mode-major), each carrying the barrier-latency histogram in its
-    metrics JSON."""
-    specs = collective_barrier_specs(
-        network, barrier_modes=barrier_modes, fanouts=fanouts,
-        traffic=traffic, num_nodes=num_nodes, seed=seed,
-    )
-    return _engine_or_default(engine).run(specs)
 
 
 # ----------------------------------------------------------------- Figure 4

@@ -76,7 +76,7 @@ class EventKind:
     REPORT_DONE = "report_done"
     # sweep farm lifecycle (``cycle`` carries the point's campaign index,
     # ``info`` a human-readable diagnosis: label, attempt, backoff delay)
-    FARM_DISPATCH = "farm_dispatch"  # point handed to an executor backend
+    FARM_DISPATCH = "farm_dispatch"  # one attempt of a point starts
     FARM_RETRY = "farm_retry"        # worker-killing attempt; backoff armed
     FARM_POISON = "farm_poison"      # retry budget exhausted; quarantined
     FARM_RESUME = "farm_resume"      # point settled from a resumed manifest

@@ -163,14 +163,14 @@ def _run_health(summary: BenchSummary,
             "",
         ]
     if summary.campaigns:
-        rows = [["campaign", "executor", "points", "done", "resumed",
+        rows = [["campaign", "points", "done", "resumed",
                  "retries", "worker deaths", "poisoned", "state"]]
         for cid in sorted(summary.campaigns):
             campaign = summary.campaigns[cid]
             counts = campaign.state_counts()
             stats = campaign.stats
             rows.append([
-                cid, campaign.executor, str(len(campaign.points)),
+                cid, str(len(campaign.points)),
                 str(counts.get("done", 0)),
                 str(stats.get("resumed", 0)),
                 str(stats.get("retries", 0)),

@@ -18,7 +18,7 @@ here, in one place, stamped with ``"schema": SCHEMA_VERSION`` and a
 ``repro-chaos-reproducer`` a shrunk chaos artifact (:class:`ChaosArtifact`)
 ``repro-history-snapshot`` one bench run's perf snapshot
 ``repro-sweep``            a ``repro sweep --json`` result set
-``repro-campaign``         a farm run manifest (:class:`CampaignRecord`)
+``repro-campaign``         a campaign run manifest (:class:`CampaignRecord`)
 =========================  ==============================================
 
 :func:`load_record` sniffs any archived document -- including every
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..atomic_write import write_text_atomic
 from ..result_fields import RUN_STATS_FIELDS
 
 #: Current schema version.  Bump when a dataclass field changes meaning;
@@ -355,19 +356,21 @@ CAMPAIGN_TERMINAL_STATES = ("done", "errored", "timed_out", "poisoned")
 class CampaignRecord:
     """A campaign's run manifest (kind ``repro-campaign``).
 
-    This is the on-disk checkpoint :class:`repro.farm.manifest.RunManifest`
-    writes after every settled point (``repro sweep --manifest-dir``
-    campaigns, conventionally under ``benchmarks/results/campaigns/``) --
-    the document a re-run of the same command reads back.  ``specs`` holds the
+    This is the on-disk checkpoint
+    :class:`repro.experiments.manifest.RunManifest` writes after every
+    settled point (``repro sweep --manifest-dir`` campaigns,
+    conventionally under ``benchmarks/results/campaigns/``) -- the
+    document a re-run of the same command reads back.  ``specs`` holds the
     full ordered spec dicts (so a resume can verify it is continuing the
     *same* campaign by content hash); ``points`` holds one state dict per
     spec (state, attempts, worker deaths, inline slim result when done);
-    ``stats`` is the farm's ledger for the completed portion.
+    ``stats`` is the engine's ledger for the completed portion.  Ledgers
+    written before the engine had a single backend also carry an
+    ``executor`` name; it is ignored on load.
     """
 
     campaign_id: str = ""
     created: str = ""
-    executor: str = "pool"
     code_version: str = ""
     policy: Dict = field(default_factory=dict)
     specs: List[Dict] = field(default_factory=list)
@@ -394,7 +397,6 @@ class CampaignRecord:
         return _stamp("repro-campaign", {
             "campaign_id": self.campaign_id,
             "created": self.created,
-            "executor": self.executor,
             "code_version": self.code_version,
             "policy": self.policy,
             "specs": self.specs,
@@ -407,7 +409,6 @@ class CampaignRecord:
         return cls(
             campaign_id=doc.get("campaign_id", ""),
             created=doc.get("created", ""),
-            executor=doc.get("executor", "pool"),
             code_version=doc.get("code_version", ""),
             policy=dict(doc.get("policy") or {}),
             specs=list(doc.get("specs") or ()),
@@ -578,12 +579,10 @@ def write_record_atomic(path: Union[str, os.PathLike], record) -> None:
     runs (``BENCH_summary.json``, history snapshots): a crashed or
     concurrent writer must never leave a half-written file behind.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = record.to_dict() if hasattr(record, "to_dict") else record
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=False, default=str) + "\n")
-    os.replace(tmp, path)
+    write_text_atomic(
+        path, json.dumps(doc, indent=2, sort_keys=False, default=str) + "\n"
+    )
 
 
 def load_results_tree(results_dir: Union[str, os.PathLike]) -> BenchSummary:

@@ -1,12 +1,13 @@
 """Crash-point traffic: a workload that kills its own worker on purpose.
 
-The fault-tolerant sweep farm (:mod:`repro.farm`) has to be tested against
-the failures it exists to contain: a worker process dying *hard* (the
-``os._exit`` / segfault / OOM-kill class that raises no Python exception
-and breaks a shared process pool), a worker wedging on wall clock, and a
-plain in-point exception.  Those cannot be staged from a test module --
-a subprocess worker re-imports ``repro`` in a fresh interpreter, so the
-misbehaving traffic must live in the package registry itself.
+The sweep engine's worker pool (:mod:`repro.experiments.pool`) has to be
+tested against the failures it exists to contain: a worker process dying
+*hard* (the ``os._exit`` / segfault / OOM-kill class that raises no
+Python exception and breaks a shared process pool), a worker wedging on
+wall clock, and a plain in-point exception.  The misbehaving traffic
+lives in the package registry, like any other workload, so a spec that
+names it is portable: it crosses into a pool worker as plain data and
+builds there under any process start method.
 
 ``CrashPointConfig`` behaves exactly like a small
 :class:`~repro.traffic.pairstream.PairStreamDriver` stream until the
@@ -15,10 +16,10 @@ sender has issued ``after_packets`` packets, then fails in the configured
 destructive:
 
 * ``once_flag`` -- a filesystem path used as a one-shot armer: the first
-  run creates the file and then crashes; any later run (a farm retry, or
+  run creates the file and then crashes; any later run (an engine retry, or
   a baseline run with the flag pre-created) sees the file and completes
   cleanly.  A clean run's results are identical whether or not the config
-  could have crashed, which is what lets the farm's resume test demand
+  could have crashed, which is what lets the crash-survival tests demand
   byte-identical output against an uninterrupted serial baseline.
 * ``mode="raise"`` stays inside Python (ordinary per-point isolation);
   ``"exit"`` is the hard kill; ``"hang"`` sleeps the worker past any
@@ -37,9 +38,8 @@ from ..packets import Packet, SYNTHETIC_PACKET_WORDS
 from ..sim import RngFactory
 from .messages import PacketFactory
 
-#: Exit status a hard-crashing worker dies with (visible in the farm's
-#: ``worker_died`` diagnosis; chosen to be distinguishable from Python's
-#: own exit codes).
+#: Exit status a hard-crashing worker dies with (chosen to be
+#: distinguishable from Python's own exit codes).
 CRASH_EXIT_CODE = 86
 
 CRASH_MODES = ("exit", "raise", "hang")

@@ -9,10 +9,9 @@ searches for them mechanically.  Each *trial* is a seeded-random
 fail/repair windows over *real* link names enumerated from the topology,
 node pauses) against a random workload and random NIFDY parameters -- run
 with the :class:`~repro.validate.InvariantMonitor` attached, fanned out
-through the :class:`~repro.experiments.SweepEngine` on a named executor
-backend (cache off: validated results must not alias unvalidated cache
-entries; ``point_timeout`` turns a wedged trial into a reported
-failure).  A retry policy and a campaign ledger buy the gauntlet fault
+through the :class:`~repro.experiments.SweepEngine`'s worker pool
+(cache off: validated results must not alias unvalidated cache entries;
+``point_timeout`` turns a wedged trial into a reported failure).  A retry policy and a campaign ledger buy the gauntlet fault
 tolerance of its own: a trial that kills its worker outright is
 retried and, failing that, quarantined instead of taking the batch down,
 and a batch run again resumes from its ledger (written under
@@ -103,9 +102,6 @@ class ChaosConfig:
     jobs: int = 1
     #: Per-trial wall-clock bound (seconds): the engine's liveness watchdog.
     point_timeout: Optional[float] = None
-    #: Execution backend for the trial fan-out (a
-    #: :data:`repro.farm.executors.EXECUTORS` name); ``None``: ``pool``.
-    executor: Optional[str] = None
     #: Extra attempts per trial when the trial kills its worker.
     retries: int = 1
     #: Max simulation probes the shrinker may spend per failure.
@@ -447,7 +443,7 @@ class ChaosEngine:
         cfg = self.config
         specs = [self.trial_spec(t) for t in range(cfg.trials)]
         engine = SweepEngine(
-            executor=cfg.executor, jobs=cfg.jobs, cache=False,
+            jobs=cfg.jobs, cache=False,
             policy=FarmPolicy(retries=cfg.retries, seed=cfg.seed),
             point_timeout=cfg.point_timeout, progress=progress,
             campaign_dir=Path(cfg.artifact_dir) / "campaigns",

@@ -1,13 +1,13 @@
-"""Tests for the sweep engine's fault-tolerant side: executor backends
-(repro.farm.executors), retry policies, resumable campaign manifests
-(repro.farm.manifest) and the ``repro sweep --manifest-dir`` campaigns
-built on them.
+"""Tests for the sweep engine's fault-tolerant side: the worker pool
+(repro.experiments.pool), retry policies, resumable campaign manifests
+(repro.experiments.manifest) and the ``repro sweep --manifest-dir``
+campaigns built on them.
 
 These features exist to survive exactly the failures a test module cannot
 fake from the outside: workers dying hard mid-point, campaigns killed
 mid-flight, retry schedules that must replay identically after a
-resume.  The crash-point traffic (registered in the package so fresh
-worker interpreters can build it) stages those failures on purpose;
+resume.  The crash-point traffic (registered in the package so pool
+workers can build it from a spec dict) stages those failures on purpose;
 the assertions here are the acceptance criteria of the campaign path -- a
 crashed-and-resumed campaign must end byte-identical to an
 uninterrupted serial baseline, with zero re-executions of settled
@@ -15,6 +15,7 @@ points.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +26,7 @@ from repro.experiments import (
     heavy_synthetic,
 )
 from repro.experiments.engine import backoff_delay
-from repro.farm.executors import EXECUTORS
-from repro.farm.manifest import (
+from repro.experiments.manifest import (
     ManifestMismatch,
     PointState,
     RunManifest,
@@ -106,16 +106,19 @@ class TestBackoff:
         assert again.poison_threshold == 2
 
 
-class TestExecutorRegistry:
-    def test_shipped_backends(self):
-        assert list(EXECUTORS) == ["pool", "subprocess"]
-        assert all(cls.name == name for name, cls in EXECUTORS.items())
-        # A campaign without a named backend runs on the pool.
-        assert SweepEngine(campaign_dir="unused").executor.name == "pool"
-
-    def test_unknown_name_lists_choices(self):
-        with pytest.raises(ValueError, match="pool, subprocess"):
-            SweepEngine(executor="mainframe")
+class TestPoolChoice:
+    def test_pool_only_when_a_worker_is_needed(self):
+        # The engine's inputs decide: parallelism, a watchdog, a ledger or
+        # a retry budget take a worker process; nothing else does.
+        assert SweepEngine().pool is None
+        assert SweepEngine(policy=FarmPolicy(retries=0)).pool is None
+        for needs_worker in (
+            dict(jobs=2),
+            dict(point_timeout=5.0),
+            dict(campaign_dir="unused"),
+            dict(policy=FarmPolicy(retries=1)),
+        ):
+            assert SweepEngine(**needs_worker).pool is not None, needs_worker
 
 
 class TestManifest:
@@ -126,8 +129,7 @@ class TestManifest:
         specs = self.grid()
         path = tmp_path / "campaign.json"
         manifest = RunManifest.new(
-            campaign_id_for(specs, "pool"), specs, "pool",
-            FarmPolicy().as_dict(), path=path,
+            campaign_id_for(specs), specs, FarmPolicy().as_dict(), path=path,
         )
         manifest.points[0].state = "done"
         manifest.points[0].result = {"delivered": 7, "cycles": 2000}
@@ -142,7 +144,7 @@ class TestManifest:
 
         again = RunManifest.load(path)
         assert again.campaign_id == manifest.campaign_id
-        assert again.executor == "pool"
+        assert "executor" not in doc
         assert again.code_version == manifest.code_version
         assert [p.to_dict() for p in again.points] == \
             [p.to_dict() for p in manifest.points]
@@ -153,9 +155,22 @@ class TestManifest:
                "executor": "pool"}
         assert sniff_kind(doc) == "repro-campaign"
 
+    def test_archived_ledger_naming_an_executor_still_loads(self):
+        # Ledgers written while the engine had two backends carry an
+        # ``executor`` name; they must keep loading (the report rolls them up).
+        path = (Path(__file__).resolve().parent.parent / "benchmarks"
+                / "results" / "chaos" / "campaigns" / "ad439e7e0511.json")
+        assert json.loads(path.read_text())["executor"] == "pool"
+        manifest = RunManifest.load(path)
+        assert manifest.campaign_id == "ad439e7e0511"
+        assert len(manifest.points) == len(manifest.specs) > 0
+        record = manifest.record()
+        assert record.complete
+        assert "executor" not in record.to_dict()
+
     def test_verify_resumable_rejects_different_grid(self, tmp_path):
         specs = self.grid()
-        manifest = RunManifest.new("c1", specs, "pool", {})
+        manifest = RunManifest.new("c1", specs, {})
         with pytest.raises(ManifestMismatch, match="offers"):
             manifest.verify_resumable(specs[:1])
         with pytest.raises(ManifestMismatch, match="different campaign"):
@@ -164,7 +179,7 @@ class TestManifest:
 
     def test_verify_resumable_rejects_stale_code(self):
         specs = self.grid()
-        manifest = RunManifest.new("c1", specs, "pool", {})
+        manifest = RunManifest.new("c1", specs, {})
         manifest.code_version = "0" * 40
         with pytest.raises(ManifestMismatch, match="stale"):
             manifest.verify_resumable(specs)
@@ -175,16 +190,13 @@ class TestManifest:
 
     def test_campaign_id_is_deterministic_and_material(self):
         specs = self.grid()
-        assert campaign_id_for(specs, "pool") == \
-            campaign_id_for(self.grid(), "pool")
-        assert campaign_id_for(specs, "pool") != \
-            campaign_id_for(specs, "subprocess")
-        assert campaign_id_for(specs, "pool") != \
-            campaign_id_for(specs[::-1], "pool")
+        assert campaign_id_for(specs) == campaign_id_for(self.grid())
+        assert campaign_id_for(specs) != campaign_id_for(specs[::-1])
+        assert campaign_id_for(specs) != campaign_id_for(specs[:1])
 
 
 class TestFarmEngine:
-    """The engine on a named backend: behaviour that needs no staged crash."""
+    """The engine on the worker pool: behaviour that needs no staged crash."""
 
     def grid(self):
         return [small_spec(seed=s, label=f"seed={s}") for s in (1, 2, 3)]
@@ -192,7 +204,8 @@ class TestFarmEngine:
     def test_matches_sweep_engine_results(self, tmp_path):
         specs = self.grid()
         baseline = SweepEngine(jobs=1, cache=False).run(specs)
-        farm = SweepEngine(executor="pool", cache=False)
+        farm = SweepEngine(jobs=2, cache=False)
+        assert farm.pool is not None
         points = farm.run(specs)
         assert [point_tuple(p) for p in points] == \
             [point_tuple(p) for p in baseline]
@@ -201,7 +214,7 @@ class TestFarmEngine:
 
     def test_plain_error_is_not_retried(self, tmp_path):
         bad = small_spec(active_nodes=99, label="bad")
-        farm = SweepEngine(executor="pool", cache=False, campaign_dir=tmp_path)
+        farm = SweepEngine(cache=False, campaign_dir=tmp_path)
         (point,) = farm.run([bad])
         assert point.error is not None and "ValueError" in point.error
         assert farm.manifest.points[0].attempts == 1
@@ -212,7 +225,7 @@ class TestFarmEngine:
         bad = small_spec(active_nodes=99, label="bad")
         policy = FarmPolicy(retries=2, retry_errors=True, seed=5)
         slept = []
-        farm = SweepEngine(executor="pool", cache=False, policy=policy,
+        farm = SweepEngine(cache=False, policy=policy,
                            sleep=slept.append, campaign_dir=tmp_path)
         (point,) = farm.run([bad])
         assert point.error is not None
@@ -223,14 +236,13 @@ class TestFarmEngine:
 
     def test_resume_executes_nothing(self, tmp_path):
         specs = self.grid()
-        first = SweepEngine(executor="pool", cache=False, campaign_dir=tmp_path)
+        first = SweepEngine(cache=False, campaign_dir=tmp_path)
         cold = first.run(specs)
         assert first.stats.executed == len(specs)
         assert first.manifest.path == \
-            tmp_path / f"{campaign_id_for(specs, 'pool')}.json"
+            tmp_path / f"{campaign_id_for(specs)}.json"
 
-        second = SweepEngine(executor="pool", cache=False,
-                             campaign_dir=tmp_path)
+        second = SweepEngine(cache=False, campaign_dir=tmp_path)
         warm = second.run(specs)
         assert second.manifest.path == first.manifest.path
         assert second.stats.resumed == len(specs)
@@ -240,9 +252,8 @@ class TestFarmEngine:
 
     def test_resume_finishes_a_partial_campaign(self, tmp_path):
         specs = self.grid()
-        path = tmp_path / f"{campaign_id_for(specs, 'pool')}.json"
-        SweepEngine(executor="pool", cache=False,
-                    campaign_dir=tmp_path).run(specs)
+        path = tmp_path / f"{campaign_id_for(specs)}.json"
+        SweepEngine(cache=False, campaign_dir=tmp_path).run(specs)
 
         # Fake an interruption: points 1 and 2 never settled.
         doc = json.loads(path.read_text())
@@ -250,8 +261,7 @@ class TestFarmEngine:
             entry.update(state="pending", attempts=0, result=None)
         path.write_text(json.dumps(doc))
 
-        resumed = SweepEngine(executor="pool", cache=False,
-                              campaign_dir=tmp_path)
+        resumed = SweepEngine(cache=False, campaign_dir=tmp_path)
         points = resumed.run(specs)
         assert resumed.stats.resumed == 1
         assert resumed.stats.executed == 2
@@ -262,13 +272,11 @@ class TestFarmEngine:
         from repro.obs import EventBus, EventKind
 
         specs = self.grid()
-        SweepEngine(executor="pool", cache=False,
-                    campaign_dir=tmp_path).run(specs)
+        SweepEngine(cache=False, campaign_dir=tmp_path).run(specs)
         bus = EventBus()
         seen = []
         bus.subscribe(None, lambda e: seen.append(e.kind))
-        again = SweepEngine(executor="pool", cache=False,
-                            campaign_dir=tmp_path, bus=bus)
+        again = SweepEngine(cache=False, campaign_dir=tmp_path, bus=bus)
         points = again.run(specs)
         assert [(p.resumed, p.cached) for p in points] == \
             [(True, False)] * len(specs)
@@ -285,17 +293,17 @@ class TestFarmEngine:
         bus.subscribe(None, lambda e: seen.append(e.kind))
         bad = small_spec(active_nodes=99, label="bad")
         policy = FarmPolicy(retries=1, retry_errors=True)
-        SweepEngine(executor="pool", cache=False, policy=policy, bus=bus,
+        SweepEngine(cache=False, policy=policy, bus=bus,
                     sleep=lambda s: None).run([bad])
         assert seen == [EventKind.FARM_DISPATCH, EventKind.FARM_RETRY,
                         EventKind.FARM_DISPATCH, EventKind.SWEEP_ERROR]
 
     def test_cache_hit_skips_dispatch(self, tmp_path):
         spec = small_spec()
-        warmup = SweepEngine(executor="pool", cache_dir=tmp_path)
+        warmup = SweepEngine(jobs=2, cache_dir=tmp_path)
         warmup.run([spec])
         assert warmup.stats.executed == 1
-        again = SweepEngine(executor="pool", cache_dir=tmp_path)
+        again = SweepEngine(jobs=2, cache_dir=tmp_path)
         (point,) = again.run([spec])
         assert again.stats.cache_hits == 1 and again.stats.executed == 0
         assert point.cached
@@ -325,13 +333,12 @@ class TestCrashSurvival:
         truth = self.baseline(tmp_path, flag)
         specs = self.campaign(tmp_path, flag)
         farm = SweepEngine(
-            executor="subprocess", cache=False,
-            policy=FarmPolicy(retries=2, backoff_base=0.0),
+            cache=False, policy=FarmPolicy(retries=2, backoff_base=0.0),
             campaign_dir=tmp_path,
         )
         points = farm.run(specs)
-        # Attempt 1 of the crasher died hard (exit 86); attempt 2 ran
-        # clean and the whole campaign is byte-identical to the baseline.
+        # Attempt 1 of the crasher killed its pool worker (exit 86) and
+        # the pool was regenerated; attempt 2 ran clean and the whole campaign is byte-identical to the baseline.
         assert [point_tuple(p) for p in points] == truth
         assert farm.stats.worker_deaths == 1
         assert farm.stats.retries == 1
@@ -340,33 +347,18 @@ class TestCrashSurvival:
         assert crasher.attempts == 2 and crasher.worker_deaths == 1
         assert crasher.state == "done"
 
-    def test_exit_status_is_diagnosed(self, tmp_path):
-        from repro.traffic.crashpoint import CRASH_EXIT_CODE
-
-        spec = crash_spec()  # no flag: crashes on every attempt
-        farm = SweepEngine(executor="subprocess", cache=False,
-                           policy=FarmPolicy(retries=0))
-        (point,) = farm.run([spec])
-        assert point.worker_died and point.error is not None
-        assert f"status {CRASH_EXIT_CODE}" in point.error
-
     def test_persistent_crasher_is_poisoned(self, tmp_path):
         spec = crash_spec()
         policy = FarmPolicy(retries=3, backoff_base=0.0)
-        farm = SweepEngine(
-            executor="subprocess", cache=False, policy=policy,
-            campaign_dir=tmp_path,
-        )
+        farm = SweepEngine(cache=False, policy=policy, campaign_dir=tmp_path)
         (point,) = farm.run([spec])
         assert point.poisoned and point.worker_died
         assert farm.stats.poisoned == 1
         assert farm.stats.worker_deaths == policy.poison_threshold
         assert farm.manifest.points[0].state == "poisoned"
         # Quarantine is durable: a resume does not touch the point again.
-        resumed = SweepEngine(
-            executor="subprocess", cache=False, policy=policy,
-            campaign_dir=tmp_path,
-        )
+        resumed = SweepEngine(cache=False, policy=policy,
+                              campaign_dir=tmp_path)
         (again,) = resumed.run([spec])
         assert again.poisoned and resumed.stats.resumed == 1
         assert resumed.stats.worker_deaths == 0  # nothing re-ran
@@ -374,10 +366,7 @@ class TestCrashSurvival:
     def test_poison_after_caps_deaths_below_budget(self, tmp_path):
         spec = crash_spec()
         policy = FarmPolicy(retries=5, poison_after=2, backoff_base=0.0)
-        farm = SweepEngine(
-            executor="subprocess", cache=False, policy=policy,
-            campaign_dir=tmp_path,
-        )
+        farm = SweepEngine(cache=False, policy=policy, campaign_dir=tmp_path)
         (point,) = farm.run([spec])
         assert point.poisoned
         assert farm.stats.worker_deaths == 2
@@ -387,7 +376,7 @@ class TestCrashSurvival:
         # retries=0 leaves no budget to quarantine over: a hang must keep
         # the plain timeout verdict a sweep without a policy reports.
         slow = small_spec(run_cycles=500_000_000, label="slow")
-        engine = SweepEngine(executor="pool", cache=False, point_timeout=1.0,
+        engine = SweepEngine(cache=False, point_timeout=1.0,
                              policy=FarmPolicy(retries=0))
         (point,) = engine.run([slow])
         assert point.timed_out and not point.poisoned
@@ -400,7 +389,7 @@ class TestCrashSurvival:
         flag = tmp_path / "armed.flag"
         truth = self.baseline(tmp_path, flag)
         specs = self.campaign(tmp_path, flag)
-        farm = SweepEngine(executor="pool", cache=False,
+        farm = SweepEngine(cache=False,
                            policy=FarmPolicy(retries=2, backoff_base=0.0))
         points = farm.run(specs)
         assert [point_tuple(p) for p in points] == truth

@@ -1,11 +1,12 @@
 """A run imports only what it executes.
 
-Graph analysis, numpy, the process pool, the report generator, the farm
-and the analysis models cost import time a run never uses.  Each case
-runs in a fresh interpreter and fails when any of them was loaded, so an
-eager import added later shows up here instead of as slower start-up.
-The subprocess worker and a parallel sweep get the same treatment for
-what they do not use: the report package and the run manifest.
+Graph analysis, numpy, the process pool, the report generator, the
+campaign ledger and the analysis models cost import time a run never
+uses.  Each case runs in a fresh interpreter and fails when any of them
+was loaded, so an eager import added later shows up here instead of as
+slower start-up.  A pool worker and a parallel sweep get the same
+treatment for what they do not use: the report package and the run
+manifest.
 """
 
 import json
@@ -23,7 +24,8 @@ OFF_RUN_PATH = (
     "numpy",
     "concurrent.futures.process",
     "repro.report",
-    "repro.farm",
+    "repro.experiments.manifest",
+    "repro.experiments.pool",
     "repro.analysis",
 )
 
@@ -54,30 +56,25 @@ CLI_RUN = (
 )
 
 
-#: One point through ``python -m repro.farm.worker``'s entry point.
+#: One point through the pool worker's entry point, ``_execute_spec_dict``,
+#: fed the plain spec dict a pool worker unpickles.
 WORKER = (
-    "import io, json, runpy, sys\n"
+    "from repro.experiments.engine import _execute_spec_dict\n"
     "from repro.experiments.spec import ExperimentSpec\n"
     "from repro.experiments.workloads import heavy_synthetic\n"
     "spec = ExperimentSpec(network='fattree', traffic=heavy_synthetic(),"
     " num_nodes=16, nic_mode='nifdy', run_cycles=300, seed=1)\n"
-    "sys.stdin = io.StringIO(json.dumps(spec.to_dict()))\n"
-    "real, sys.stdout = sys.stdout, io.StringIO()\n"
-    "try:\n"
-    "    runpy.run_module('repro.farm.worker', run_name='__main__')\n"
-    "except SystemExit as exc:\n"
-    "    assert exc.code == 0, exc.code\n"
-    "out, sys.stdout = sys.stdout.getvalue(), real\n"
-    "assert json.loads(out)['delivered'] > 0, out\n"
+    "result = _execute_spec_dict(spec.to_dict())\n"
+    "assert result['delivered'] > 0, result\n"
 )
 
-#: What the worker must not load: the report package, the manifest and
-#: the executors that start it, and the process pool.
+#: What the worker must not load: the report package, the manifest, the
+#: pool that starts it, and the process pool machinery.
 OFF_WORKER_PATH = (
     "concurrent.futures.process",
     "repro.report",
-    "repro.farm.manifest",
-    "repro.farm.executors",
+    "repro.experiments.manifest",
+    "repro.experiments.pool",
 )
 
 PARALLEL_SWEEP = (
@@ -91,7 +88,7 @@ PARALLEL_SWEEP = (
 )
 
 #: A sweep without a manifest writes no ledger, so it needs neither.
-OFF_SWEEP_PATH = ("repro.report", "repro.farm.manifest")
+OFF_SWEEP_PATH = ("repro.report", "repro.experiments.manifest")
 
 
 def _loaded_after(program: str, names=OFF_RUN_PATH):

@@ -90,8 +90,7 @@ def results_tree(tmp_path):
     write_record_atomic(
         tmp_path / "campaigns" / "deadbeef0123.json",
         CampaignRecord(
-            campaign_id="deadbeef0123", executor="subprocess",
-            policy={"retries": 2},
+            campaign_id="deadbeef0123", policy={"retries": 2},
             points=[{"state": "done"}, {"state": "poisoned"}],
             stats={"points": 2, "executed": 1, "resumed": 1,
                    "retries": 3, "worker_deaths": 4, "poisoned": 1},
@@ -241,13 +240,13 @@ class TestHistory:
     def test_snapshot_rolls_up_farm_campaigns(self):
         summary = BenchSummary(campaigns={
             "c1": CampaignRecord(
-                campaign_id="c1", executor="pool",
+                campaign_id="c1",
                 points=[{"state": "done"}],
                 stats={"points": 1, "retries": 2, "worker_deaths": 1,
                        "poisoned": 0, "resumed": 1},
             ),
             "c2": CampaignRecord(
-                campaign_id="c2", executor="subprocess",
+                campaign_id="c2",
                 points=[{"state": "poisoned"}],
                 stats={"points": 1, "retries": 1, "worker_deaths": 3,
                        "poisoned": 1, "resumed": 0},

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -372,13 +373,14 @@ class TestWorkerDeathContainment:
 class TestSweepHelpers:
     def test_sweep_cycles_are_actual_not_requested(self):
         """A completion-bounded point records the simulated cycle count."""
-        from repro.experiments import sweep_nifdy_params
+        from repro.cli import rank_param_sets
+        from repro.experiments import nifdy_param_specs
 
         grid = [NifdyParams(opt_size=4, pool_size=8, dialogs=0, window=0)]
-        points = sweep_nifdy_params(
-            "mesh2d", grid, num_nodes=16, run_cycles=2000,
-            combine_light_and_heavy=True,
-        )
+        points = rank_param_sets(SweepEngine(cache=False).run(
+            nifdy_param_specs("mesh2d", grid, num_nodes=16, run_cycles=2000,
+                              combine_light_and_heavy=True)
+        ), runs_per_set=2)
         # heavy + light at 2000 cycles each: the aggregate must reflect the
         # summed actual cycles, not the single requested horizon
         assert points[0].cycles == 4000
@@ -394,11 +396,84 @@ class TestSweepHelpers:
         assert all(s.portable for s in specs)
 
     def test_no_deprecation_warning_from_helpers(self):
-        from repro.experiments import sweep_offered_load
+        from repro.experiments import offered_load_specs
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            points = sweep_offered_load(
+            points = SweepEngine(cache=False).run(offered_load_specs(
                 "mesh2d", gaps=(400,), num_nodes=16, run_cycles=2000,
-            )
+            ))
         assert points[0].delivered > 0
+
+    def test_param_fold_is_pure(self):
+        from repro.cli import rank_param_sets
+        from repro.experiments import SweepPoint
+
+        small = NifdyParams(opt_size=2, pool_size=8, dialogs=0, window=0)
+        big = NifdyParams(opt_size=8, pool_size=8, dialogs=1, window=2)
+        runs = [
+            SweepPoint("O=2 [heavy]", small, 10, 1000, sent=12),
+            SweepPoint("O=2 [light]", small, 4, 600, sent=4),
+            SweepPoint("O=8 [heavy]", big, 30, 1000, sent=30),
+            SweepPoint("O=8 [light]", big, 0, 0, completed=False,
+                       error="boom"),
+        ]
+        ranked = rank_param_sets(runs, runs_per_set=2)
+        # One point per set, best first; deliveries, actual cycles and
+        # sends summed; a failed run's error marks its whole set.
+        assert [p.label for p in ranked] == \
+            ["O=8 B=8 D=1 W=2", "O=2 B=8 D=0 W=0"]
+        assert [(p.delivered, p.cycles, p.sent) for p in ranked] == \
+            [(30, 1000, 30), (14, 1600, 16)]
+        assert ranked[0].error == "boom" and not ranked[0].completed
+        assert ranked[1].ok and ranked[1].params == small
+
+
+class TestConcurrentWrites:
+    """Two writers of one file: each must land a whole document, and
+    neither may lose its temp file to the other's rename."""
+
+    @staticmethod
+    def race(monkeypatch, write):
+        # Hold every writer at its rename until both have written their
+        # temp files: the interleaving a repeated spec at --jobs 2, or two
+        # sessions sharing a cache, hits by chance.
+        barrier = threading.Barrier(2, timeout=10)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            barrier.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        errors = []
+
+        def writer():
+            try:
+                write()
+            except Exception as exc:  # noqa: BLE001 - collected below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert errors == []
+
+    def test_cache_put(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        spec = small_spec()
+        self.race(monkeypatch, lambda: cache.put(spec, {"delivered": 7}))
+        assert cache.get(spec) == {"delivered": 7}
+        assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+
+    def test_write_record_atomic(self, tmp_path, monkeypatch):
+        from repro.report.schema import write_record_atomic
+
+        path = tmp_path / "record.json"
+        self.race(monkeypatch,
+                  lambda: write_record_atomic(path, {"campaign_id": "c"}))
+        assert json.loads(path.read_text()) == {"campaign_id": "c"}
+        assert list(tmp_path.iterdir()) == [path]

@@ -1,7 +1,9 @@
-"""Tests for the sweep helpers and the packet tracer."""
+"""Tests for the sweep spec generators, run through the engine, and the
+packet tracer."""
 
 import pytest
 
+from repro.cli import rank_param_sets
 from repro.experiments import (
     ExperimentSpec,
     default_param_grid,
@@ -9,8 +11,8 @@ from repro.experiments import (
     SweepEngine,
     heavy_synthetic,
     machine_size_specs,
-    sweep_nifdy_params,
-    sweep_offered_load,
+    nifdy_param_specs,
+    offered_load_specs,
 )
 from repro.metrics import PacketTracer
 from repro.nic import NifdyParams
@@ -25,10 +27,10 @@ class TestParamSweep:
 
     def test_points_sorted_best_first(self):
         grid = default_param_grid(opt_sizes=(2, 8), windows=(0, 2))
-        points = sweep_nifdy_params(
-            "fattree", grid, num_nodes=16, run_cycles=4000,
-            combine_light_and_heavy=False,
-        )
+        points = rank_param_sets(SweepEngine(cache=False).run(
+            nifdy_param_specs("fattree", grid, num_nodes=16, run_cycles=4000,
+                              combine_light_and_heavy=False)
+        ), runs_per_set=1)
         assert len(points) == 4
         delivered = [p.delivered for p in points]
         assert delivered == sorted(delivered, reverse=True)
@@ -36,10 +38,10 @@ class TestParamSweep:
 
     def test_throughput_property(self):
         grid = [NifdyParams(opt_size=4, pool_size=8, dialogs=0, window=0)]
-        point = sweep_nifdy_params(
-            "mesh2d", grid, num_nodes=16, run_cycles=4000,
-            combine_light_and_heavy=False,
-        )[0]
+        point = rank_param_sets(SweepEngine(cache=False).run(
+            nifdy_param_specs("mesh2d", grid, num_nodes=16, run_cycles=4000,
+                              combine_light_and_heavy=False)
+        ), runs_per_set=1)[0]
         assert point.throughput == pytest.approx(
             1000.0 * point.delivered / point.cycles
         )
@@ -47,9 +49,9 @@ class TestParamSweep:
 
 class TestLoadSweep:
     def test_throughput_monotone_in_offered_load(self):
-        points = sweep_offered_load(
+        points = SweepEngine(cache=False).run(offered_load_specs(
             "mesh2d", gaps=(2000, 400, 0), num_nodes=16, run_cycles=8000,
-        )
+        ))
         delivered = [p.delivered for p in points]
         assert delivered[0] < delivered[1] <= delivered[2] * 1.1
 
