@@ -25,9 +25,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from repro.report.schema import (BenchRecord, BenchSummary, CampaignRecord,
-                                 EngineStats, KernelPerfRecord, SchemaError,
-                                 load_record, write_record_atomic)
+from repro.report.schema import (BenchRecord, EngineStats, load_results_tree,
+                                 write_record_atomic)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -121,52 +120,19 @@ def engine(report):
 def pytest_sessionfinish(session, exitstatus):
     """Merge-update the summary artifact and append a history snapshot.
 
-    The summary merges three layers, oldest first: benches that exist only
-    in the previous ``BENCH_summary.json`` (their per-bench files may have
-    been cleaned), then every per-bench JSON on disk.  That keeps the
-    summary whole when benches run selectively
+    :func:`~repro.report.schema.load_results_tree` merges the previous
+    ``BENCH_summary.json`` (benches whose per-bench files were cleaned
+    survive), every per-bench JSON on disk and the campaign ledgers.  That
+    keeps the summary whole when benches run selectively
     (``pytest benchmarks/test_fig2...``), and the atomic write means an
     interrupted session never leaves a truncated file.
     """
     if not RESULTS_DIR.is_dir():
         return
-    summary = BenchSummary()
-    summary_path = RESULTS_DIR / SUMMARY_NAME
-    if summary_path.is_file():
-        try:
-            prior = load_record(summary_path)
-            if isinstance(prior, BenchSummary):
-                summary = prior
-        except (SchemaError, ValueError, OSError):  # pragma: no cover
-            pass
-    for path in sorted(RESULTS_DIR.glob("*.json")):
-        if path.name == SUMMARY_NAME:
-            continue
-        try:
-            record = load_record(path)
-        except (SchemaError, ValueError, OSError):  # pragma: no cover
-            continue
-        if isinstance(record, BenchRecord):
-            summary.benches[path.stem] = record
-    for sub in ("campaigns", "chaos/campaigns"):
-        campaign_dir = RESULTS_DIR / sub
-        if not campaign_dir.is_dir():
-            continue
-        for path in sorted(campaign_dir.glob("*.json")):
-            try:
-                record = load_record(path)
-            except (SchemaError, ValueError, OSError):  # pragma: no cover
-                continue
-            if isinstance(record, CampaignRecord):
-                summary.campaigns[record.campaign_id] = record
+    summary = load_results_tree(RESULTS_DIR)
     if not summary.benches:
         return
-    kernel_bench = summary.benches.get("test_kernel_events_per_sec")
-    if kernel_bench is not None and "kernel_perf" in kernel_bench.data:
-        summary.kernel = KernelPerfRecord.from_dict(
-            kernel_bench.data["kernel_perf"]
-        )
-    write_record_atomic(summary_path, summary)
+    write_record_atomic(RESULTS_DIR / SUMMARY_NAME, summary)
     if _SESSION_BENCHES:
         from repro.report.history import (append_snapshot,
                                           snapshot_from_summary)

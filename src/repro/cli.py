@@ -13,10 +13,9 @@ Usage (after ``pip install -e .``)::
     python -m repro sweep --network mesh2d --kind load --manifest-dir DIR
     python -m repro characterize --network mesh2d
     python -m repro advise --network cm5
-    python -m repro perf
     python -m repro report --out report/
 
-``run``, ``sweep``, and ``perf`` accept ``--json`` for machine-readable
+``run`` and ``sweep`` accept ``--json`` for machine-readable
 stdout (schema-stamped documents from :mod:`repro.report.schema`; the
 human output moves to stderr).  ``report`` regenerates the paper's
 figures, fidelity deltas, run health, and the perf trajectory from the
@@ -74,7 +73,6 @@ from .experiments import (
     machine_size_specs,
     nifdy_param_specs,
     offered_load_specs,
-    perf_reference_spec,
     radix_sort,
     rpc_fanout,
     run_experiment,
@@ -529,109 +527,6 @@ def _cmd_chaos(args) -> int:
     return 1 if report.findings else 0
 
 
-def _cmd_perf(args) -> int:
-    """Benchmark the event kernel on the fixed reference workload.
-
-    Runs the :func:`~repro.experiments.perf_reference_spec` workload under
-    the requested scheduler(s) with self-profiling on and prints an
-    events-per-second table.  With ``--kernel both`` (the default) it runs
-    *every* registered scheduler and diffs each run's full metrics JSON
-    byte-for-byte against the heap baseline; a mismatch is the only
-    failure -- raw speed never is, so the CI perf-smoke job stays immune
-    to noisy runners while the recorded numbers remain comparable across
-    commits (same workload, same seed).
-    """
-    kernels = list(scheduler_names()) if args.kernel == "both" else [args.kernel]
-    rows = {}
-    for kernel in kernels:
-        spec = perf_reference_spec(
-            network=args.network,
-            num_nodes=args.nodes,
-            run_cycles=args.cycles,
-            seed=args.seed,
-            kernel=kernel,
-        )
-        result = run_experiment(spec)
-        profile = result.obs.kernel_profile
-        metrics = metrics_json(result)
-        # Wall-clock self-profile differs every run by construction;
-        # everything else must be bit-identical across kernels.
-        metrics.pop("self_profile", None)
-        rows[kernel] = {
-            "events": profile.events,
-            "loop_seconds": profile.loop_seconds,
-            "events_per_sec": profile.events_per_sec,
-            "delivered": result.delivered,
-            "canonical_metrics": json_dumps_canonical(metrics),
-        }
-
-    # Parity: every kernel against the reference.  The baseline is heap
-    # when it ran (the executable specification); otherwise the first
-    # kernel requested, so `--kernel epoch` alone still exits 0.
-    baseline = "heap" if "heap" in rows else kernels[0]
-    mismatched = [
-        k for k in kernels
-        if rows[k]["canonical_metrics"] != rows[baseline]["canonical_metrics"]
-    ]
-    parity_ok = not mismatched
-    base_eps = rows[baseline]["events_per_sec"]
-    speedups = {
-        k: rows[k]["events_per_sec"] / base_eps
-        for k in kernels
-        if k != baseline and base_eps and rows[k]["events_per_sec"]
-    }
-    speedup = speedups.get(DEFAULT_SCHEDULER, 0.0) if baseline == "heap" else 0.0
-
-    json_to_stdout = args.json == "-"
-    stack = contextlib.ExitStack()
-    if json_to_stdout:
-        stack.enter_context(contextlib.redirect_stdout(sys.stderr))
-    with stack:
-        print(f"kernel perf: {args.network} n={args.nodes} heavy traffic, "
-              f"{args.cycles:,} cycles, seed {args.seed}")
-        for kernel in kernels:
-            row = rows[kernel]
-            rel = (f"  {row['events_per_sec'] / base_eps:5.2f}x"
-                   if kernel in speedups else "")
-            print(f"  {kernel:7s} events={row['events']:>9,}  "
-                  f"loop={row['loop_seconds']:6.2f}s  "
-                  f"events/sec={row['events_per_sec']:>10,.0f}{rel}")
-        if len(kernels) > 1:
-            status = ("ok (metrics byte-identical)" if parity_ok
-                      else "MISMATCH: " + ", ".join(mismatched))
-            print(f"  parity : {status} (vs {baseline})")
-
-    if args.json:
-        from .report.schema import KernelPerfRecord, KernelRun
-
-        record = KernelPerfRecord(
-            workload={
-                "network": args.network, "nodes": args.nodes,
-                "cycles": args.cycles, "seed": args.seed,
-            },
-            kernels={
-                k: KernelRun(**{key: v for key, v in row.items()
-                                if key != "canonical_metrics"})
-                for k, row in rows.items()
-            },
-            speedup=round(speedup, 3),
-            speedups={k: round(v, 3) for k, v in speedups.items()},
-            parity_ok=parity_ok,
-        )
-        if json_to_stdout:
-            print(json.dumps(record.to_dict(), indent=2))
-        else:
-            write_json(args.json, record.to_dict())
-            print(f"  json   : {args.json}")
-    return 0 if parity_ok else 1
-
-
-def json_dumps_canonical(payload) -> str:
-    import json
-
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _cmd_report(args) -> int:
     """Regenerate the paper's figures + fidelity report from archived
     results (see :mod:`repro.report`).  Page-by-page progress goes over
@@ -877,29 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--quiet", action="store_true",
                        help="suppress per-trial progress on stderr")
 
-    perf = sub.add_parser(
-        "perf",
-        help="benchmark every registered event kernel on the fixed "
-        "reference workload; fails only on a parity mismatch",
-    )
-    perf.add_argument("--network", default="fattree",
-                      choices=NETWORK_NAMES + EXTENSION_NETWORK_NAMES)
-    perf.add_argument("--nodes", type=int, default=64)
-    perf.add_argument("--cycles", type=int, default=20_000,
-                      help="measurement window (heavy synthetic traffic)")
-    perf.add_argument("--seed", type=int, default=11)
-    perf.add_argument("--kernel", default="both",
-                      choices=("both",) + scheduler_names(),
-                      help="which scheduler(s) to run; 'both' means every "
-                      "registered kernel, checks metrics parity against "
-                      "the heap baseline, and prints per-kernel speedups")
-    perf.add_argument("--json", nargs="?", const="-", default=None,
-                      metavar="FILE",
-                      help="emit the numbers as a schema-stamped "
-                      "repro-kernel-perf JSON document: to FILE (the "
-                      "perf-smoke job's artifact), or to stdout when no "
-                      "FILE is given (human stats move to stderr)")
-
     report = sub.add_parser(
         "report",
         help="regenerate Fig 2-9 / Table 2-3 plots, fidelity deltas, run "
@@ -974,7 +846,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run": _cmd_run,
         "sweep": _interruptible(_cmd_sweep, "sweep"),
         "chaos": _interruptible(_cmd_chaos, "chaos"),
-        "perf": _cmd_perf,
         "report": _cmd_report,
         "characterize": _cmd_characterize,
         "advise": _cmd_advise,

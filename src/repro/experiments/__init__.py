@@ -27,7 +27,6 @@ from .workloads import (
     hotspot,
     incast,
     light_synthetic,
-    perf_reference_spec,
     radix_sort,
     rpc_fanout,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "machine_size_specs",
     "nifdy_param_specs",
     "offered_load_specs",
-    "perf_reference_spec",
     "radix_sort",
     "reorder_variant_specs",
     "rpc_fanout",

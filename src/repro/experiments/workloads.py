@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim import DEFAULT_SCHEDULER
 from ..traffic import (
     AllReduceConfig,
     CShiftConfig,
@@ -70,37 +69,3 @@ def allreduce(config: Optional[AllReduceConfig] = None) -> TrafficSpec:
     """Self-verifying allreduce rounds with background traffic (the
     NIC-offloaded collective benchmark workload)."""
     return TrafficSpec("allreduce", config)
-
-
-def perf_reference_spec(
-    network: str = "fattree",
-    num_nodes: int = 64,
-    run_cycles: int = 20_000,
-    seed: int = 11,
-    kernel: str = DEFAULT_SCHEDULER,
-    observe: Optional["Observability"] = None,
-) -> "ExperimentSpec":
-    """The fixed-seed workload ``repro perf`` and the kernel benchmark run.
-
-    Heavy synthetic traffic on a fat tree under the NIFDY NIC -- the
-    densest event mix the simulator produces (every node sending, acks
-    piggybacking, links saturated) -- so its events-per-second figure is a
-    fair proxy for kernel overhead.  Keep the defaults stable: recorded
-    ``BENCH_summary.json`` numbers are only comparable across commits if
-    the workload never moves.
-    """
-    from ..obs import Observability
-    from .spec import ExperimentSpec
-
-    if observe is None:
-        observe = Observability(profile=True, events=True)
-    return ExperimentSpec(
-        network=network,
-        traffic=heavy_synthetic(),
-        num_nodes=num_nodes,
-        run_cycles=run_cycles,
-        seed=seed,
-        kernel=kernel,
-        observe=observe,
-        label=f"perf-ref/{kernel}",
-    )

@@ -13,15 +13,14 @@ from .history import (append_snapshot, git_sha, load_history,
                       snapshot_from_summary, trajectory_figures)
 from .schema import (RUN_STATS_FIELDS, SCHEMA_VERSION, BenchRecord,
                      BenchSummary, CampaignRecord, ChaosArtifact,
-                     EngineStats, HistorySnapshot, KernelPerfRecord,
-                     KernelRun, RunStats, SchemaError, SweepPointRecord,
-                     SweepRecord, load_record, load_results_tree,
-                     write_record_atomic)
+                     EngineStats, HistorySnapshot, RunStats, SchemaError,
+                     SweepPointRecord, SweepRecord, load_record,
+                     load_results_tree, write_record_atomic)
 
 __all__ = [
     "SCHEMA_VERSION", "RUN_STATS_FIELDS", "SchemaError",
     "RunStats", "EngineStats", "BenchRecord", "BenchSummary",
-    "KernelRun", "KernelPerfRecord", "SweepPointRecord", "SweepRecord",
+    "SweepPointRecord", "SweepRecord",
     "CampaignRecord", "ChaosArtifact",
     "HistorySnapshot", "load_record", "load_results_tree",
     "write_record_atomic",

@@ -155,13 +155,6 @@ def _run_health(summary: BenchSummary,
     else:
         lines += ["No sweep-engine statistics in this tree (benches "
                   "pre-date engine recording, or none ran sweeps).", ""]
-    if summary.kernel is not None:
-        parity = "✅ byte-identical" if summary.kernel.parity_ok else "❌ MISMATCH"
-        lines += [
-            f"Kernel parity (every kernel vs heap metrics JSON): {parity}; "
-            f"default-kernel speedup {summary.kernel.speedup:.2f}x.",
-            "",
-        ]
     if summary.campaigns:
         rows = [["campaign", "points", "done", "resumed",
                  "retries", "worker deaths", "poisoned", "state"]]
@@ -179,7 +172,7 @@ def _run_health(summary: BenchSummary,
                 "complete" if campaign.complete else "interrupted",
             ])
         lines += [
-            f"**Farm campaigns on disk: {len(summary.campaigns)}** -- "
+            f"**Campaigns on disk: {len(summary.campaigns)}** -- "
             "resumable run manifests from `repro sweep --manifest-dir` / "
             "`repro chaos`; an `interrupted` campaign finishes when the "
             "command that started it is run again.",
@@ -225,9 +218,8 @@ def _index(summary: BenchSummary, figures: List[FigureData],
         "# NIFDY reproduction report",
         "",
         f"Regenerated from `benchmarks/results/` "
-        f"({summary.bench_count} archived benches"
-        + (", kernel perf present" if summary.kernel else "")
-        + f", {history_points} history snapshot"
+        f"({summary.bench_count} archived benches, "
+        f"{history_points} history snapshot"
         + ("s" if history_points != 1 else "") + ").",
         "",
         "## Fidelity dashboard",

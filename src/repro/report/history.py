@@ -3,7 +3,7 @@
 Every bench session appends one timestamped, git-SHA-stamped
 :class:`~repro.report.schema.HistorySnapshot` instead of overwriting its
 summary, so consecutive runs (and consecutive commits) accumulate into a
-kernel-throughput and bench-wall-clock trajectory the report can chart.
+bench-wall-clock trajectory the report can chart.
 
 Layout::
 
@@ -51,16 +51,6 @@ def snapshot_from_summary(
     timestamp: Optional[str] = None,
 ) -> HistorySnapshot:
     """Distil the merged summary into one trajectory point."""
-    kernel_eps = {}
-    speedup = 0.0
-    speedups = {}
-    if summary.kernel is not None:
-        kernel_eps = {
-            name: run.events_per_sec
-            for name, run in summary.kernel.kernels.items()
-        }
-        speedup = summary.kernel.speedup
-        speedups = dict(summary.kernel.speedups)
     cycles = max(
         (b.bench_cycles for b in summary.benches.values()), default=0
     )
@@ -82,9 +72,6 @@ def snapshot_from_summary(
             name: round(b.wall_seconds, 3)
             for name, b in sorted(summary.benches.items())
         },
-        kernel_events_per_sec=kernel_eps,
-        kernel_speedup=speedup,
-        kernel_speedups=speedups,
         bench_cycles=cycles,
         farm=farm,
     )
@@ -133,7 +120,7 @@ def _labels(snapshots: Sequence[HistorySnapshot]) -> List[str]:
 
 def trajectory_figures(snapshots: Sequence[HistorySnapshot],
                        top_benches: int = 5) -> List[FigureData]:
-    """Kernel-throughput and bench-wall-clock trajectory charts.
+    """The bench-wall-clock trajectory chart.
 
     Needs >= 2 snapshots to make a trajectory; returns [] otherwise.
     """
@@ -141,38 +128,6 @@ def trajectory_figures(snapshots: Sequence[HistorySnapshot],
         return []
     xs = [float(i) for i in range(len(snapshots))]
     labels = _labels(snapshots)
-    figures = []
-
-    kernels = sorted({k for s in snapshots for k in s.kernel_events_per_sec})
-    if kernels:
-        fig = FigureData(
-            name="trajectory_kernel",
-            title="Perf trajectory · kernel events/sec across bench runs",
-            kind="line", ylabel="events per second",
-            xlabel="bench run (git SHA)", categories=labels,
-            source_bench="history/",
-        )
-        for kernel in kernels:
-            fig.series.append(Series(
-                kernel, xs=xs,
-                ys=[float(s.kernel_events_per_sec.get(kernel, 0.0))
-                    for s in snapshots],
-            ))
-        latest = snapshots[-1].kernel_speedups
-        if latest:
-            fig.caption = "Latest speedups vs heap: " + ", ".join(
-                f"{k} {v:.2f}x" for k, v in sorted(latest.items())
-            ) + "."
-        else:
-            speedups = [s.kernel_speedup for s in snapshots if s.kernel_speedup]
-            if speedups:
-                fig.caption = (
-                    f"Bucket-vs-heap speedup over the window: "
-                    f"{min(speedups):.2f}x – {max(speedups):.2f}x "
-                    f"(latest {speedups[-1]:.2f}x)."
-                )
-        figures.append(fig)
-
     # Wall clock: the total plus the currently slowest benches.
     last_wall = snapshots[-1].bench_wall
     slowest = sorted(last_wall, key=lambda b: -last_wall[b])[:top_benches]
@@ -198,5 +153,4 @@ def trajectory_figures(snapshots: Sequence[HistorySnapshot],
             bench.replace("test_", ""), xs=xs,
             ys=[round(s.bench_wall.get(bench, 0.0), 3) for s in snapshots],
         ))
-    figures.append(fig)
-    return figures
+    return [fig]

@@ -1,19 +1,16 @@
 """The unified results schema: every JSON artifact this repo archives,
 as versioned dataclasses with one loader.
 
-Before this module each producer invented its own dict shape: the bench
-conftest wrote ``{"bench": ..., "data": ...}``, the sweep cache wrote
-``{"spec": ..., "result": ...}``, the chaos engine wrote reproducers, the
-kernel-perf bench and ``repro perf`` each wrote their own performance
-blob.  The reporting layer has to read *all* of them, so the shapes live
-here, in one place, stamped with ``"schema": SCHEMA_VERSION`` and a
-``"kind"`` discriminator:
+The bench conftest, the sweep cache, the chaos engine, campaign ledgers
+and the CLI's ``--json`` output each write their own document.  The
+reporting layer has to read *all* of them, so the shapes live here, in
+one place, stamped with ``"schema": SCHEMA_VERSION`` and a ``"kind"``
+discriminator:
 
 =========================  ==============================================
 ``repro-run``              one experiment's slim result (:class:`RunStats`)
 ``repro-bench``            one bench's archived JSON (:class:`BenchRecord`)
 ``repro-bench-summary``    the merged ``BENCH_summary.json``
-``repro-kernel-perf``      kernel events/sec (:class:`KernelPerfRecord`)
 ``repro-sweep-point``      one sweep-cache entry (:class:`SweepPointRecord`)
 ``repro-chaos-reproducer`` a shrunk chaos artifact (:class:`ChaosArtifact`)
 ``repro-history-snapshot`` one bench run's perf snapshot
@@ -21,11 +18,10 @@ here, in one place, stamped with ``"schema": SCHEMA_VERSION`` and a
 ``repro-campaign``         a campaign run manifest (:class:`CampaignRecord`)
 =========================  ==============================================
 
-:func:`load_record` sniffs any archived document -- including every
-*pre-schema* (v0) shape already on disk -- and migrates it to the current
-dataclass, so old results trees keep rendering.  This module imports
-nothing from the protocol stack: the simulator, the engine, the benches,
-and the report generator all depend on it, never the other way around.
+:func:`load_record` dispatches any archived document on its ``kind`` to
+the matching dataclass.  This module imports nothing from the protocol
+stack: the simulator, the engine, the benches, and the report generator
+all depend on it, never the other way around.
 """
 
 from __future__ import annotations
@@ -128,8 +124,7 @@ class BenchRecord:
 
     ``data`` holds whatever the bench recorded (figure rows, fits,
     heatmaps); ``engine`` is the cache ledger when the bench ran through a
-    :class:`~repro.experiments.SweepEngine`.  v0 files (no ``schema`` key,
-    engine stats buried inside ``data``) migrate transparently.
+    :class:`~repro.experiments.SweepEngine`.
     """
 
     bench: str
@@ -151,98 +146,14 @@ class BenchRecord:
 
     @classmethod
     def from_dict(cls, doc: Dict) -> "BenchRecord":
-        data = dict(doc.get("data") or {})
         engine = doc.get("engine")
-        if engine is None and "engine" in data:
-            # v0: the conftest's engine fixture recorded its stats as a
-            # plain data cell; hoist it to the typed field.
-            engine = data.pop("engine")
         return cls(
             bench=doc.get("bench", ""),
             bench_cycles=int(doc.get("bench_cycles", 0) or 0),
             bench_seed=int(doc.get("bench_seed", 0) or 0),
             wall_seconds=float(doc.get("wall_seconds", 0.0) or 0.0),
-            data=data,
+            data=dict(doc.get("data") or {}),
             engine=None if engine is None else EngineStats.from_dict(engine),
-        )
-
-
-@dataclass
-class KernelRun:
-    """One scheduler's measured throughput inside a kernel-perf record."""
-
-    events: int = 0
-    loop_seconds: float = 0.0
-    events_per_sec: float = 0.0
-    delivered: int = 0
-
-    def to_dict(self) -> Dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "KernelRun":
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in doc.items() if k in names})
-
-
-@dataclass
-class KernelPerfRecord:
-    """Kernel events/sec on the fixed reference workload (kind
-    ``repro-kernel-perf``): what ``repro perf --json`` emits and what the
-    kernel bench embeds in ``BENCH_summary.json``."""
-
-    workload: Dict = field(default_factory=dict)
-    kernels: Dict[str, KernelRun] = field(default_factory=dict)
-    #: Headline scalar: the default kernel's events/sec over heap.  Older
-    #: files carry whichever kernel was the default when they were written.
-    speedup: float = 0.0
-    #: Per-kernel events/sec over the heap baseline, one entry per
-    #: non-heap kernel that ran (``{"epoch": ...}``).
-    speedups: Dict[str, float] = field(default_factory=dict)
-    parity_ok: bool = True
-
-    def __post_init__(self) -> None:
-        # Derive the per-kernel map when a caller (or a pre-epoch JSON
-        # file) supplied only the kernel runs: keeps direct construction
-        # and from_dict round-trips equal.
-        if not self.speedups and "heap" in self.kernels:
-            heap_eps = self.kernels["heap"].events_per_sec
-            if heap_eps:
-                self.speedups = {
-                    name: round(run.events_per_sec / heap_eps, 3)
-                    for name, run in self.kernels.items()
-                    if name != "heap" and run.events_per_sec
-                }
-
-    def to_dict(self) -> Dict:
-        return _stamp("repro-kernel-perf", {
-            "workload": self.workload,
-            "kernels": {k: run.to_dict() for k, run in self.kernels.items()},
-            "speedup": self.speedup,
-            "speedups": self.speedups,
-            "parity_ok": self.parity_ok,
-        })
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "KernelPerfRecord":
-        kernels = {
-            name: KernelRun.from_dict(run)
-            for name, run in (doc.get("kernels") or {}).items()
-        }
-        heap_eps = kernels["heap"].events_per_sec if "heap" in kernels else 0.0
-        speedup = doc.get("speedup", 0.0)
-        if not speedup and heap_eps and "bucket" in kernels:
-            # v0 `repro perf --json` files carry no speedup field.
-            speedup = round(kernels["bucket"].events_per_sec / heap_eps, 3)
-        speedups = {
-            k: float(v) for k, v in (doc.get("speedups") or {}).items()
-        }
-        return cls(
-            workload=dict(doc.get("workload") or {}),
-            kernels=kernels,
-            speedup=speedup,
-            speedups=speedups,
-            parity_ok=bool(doc.get("parity_ok", True)),
         )
 
 
@@ -422,7 +333,6 @@ class BenchSummary:
     """The merged ``BENCH_summary.json`` (kind ``repro-bench-summary``)."""
 
     benches: Dict[str, BenchRecord] = field(default_factory=dict)
-    kernel: Optional[KernelPerfRecord] = None
     #: Farm campaigns found under ``results/campaigns/`` when the bench
     #: session closed: campaign id -> :class:`CampaignRecord` (pre-farm
     #: summaries simply carry none).
@@ -439,7 +349,6 @@ class BenchSummary:
                 name: self.benches[name].to_dict()
                 for name in sorted(self.benches)
             },
-            "kernel": None if self.kernel is None else self.kernel.to_dict(),
             "campaigns": {
                 cid: self.campaigns[cid].to_dict()
                 for cid in sorted(self.campaigns)
@@ -448,20 +357,11 @@ class BenchSummary:
 
     @classmethod
     def from_dict(cls, doc: Dict) -> "BenchSummary":
-        benches = {
-            name: BenchRecord.from_dict(bench)
-            for name, bench in (doc.get("benches") or {}).items()
-        }
-        kernel = doc.get("kernel")
-        if kernel is None:
-            # v0 summaries surface kernel perf only when the bench ran;
-            # recover it from the bench record either way.
-            bench = benches.get("test_kernel_events_per_sec")
-            if bench is not None:
-                kernel = bench.data.get("kernel_perf")
         return cls(
-            benches=benches,
-            kernel=None if kernel is None else KernelPerfRecord.from_dict(kernel),
+            benches={
+                name: BenchRecord.from_dict(bench)
+                for name, bench in (doc.get("benches") or {}).items()
+            },
             campaigns={
                 cid: CampaignRecord.from_dict(campaign)
                 for cid, campaign in (doc.get("campaigns") or {}).items()
@@ -486,13 +386,6 @@ class HistorySnapshot:
     session_benches: List[str] = field(default_factory=list)
     #: Per-bench wall clock from the merged summary, seconds.
     bench_wall: Dict[str, float] = field(default_factory=dict)
-    #: Kernel throughput per scheduler, events/sec.
-    kernel_events_per_sec: Dict[str, float] = field(default_factory=dict)
-    kernel_speedup: float = 0.0
-    #: Per-kernel speedup over the heap baseline (one column per
-    #: registered non-heap kernel; pre-epoch snapshots carry only the
-    #: bucket-vs-heap scalar above).
-    kernel_speedups: Dict[str, float] = field(default_factory=dict)
     bench_cycles: int = 0
     #: Farm campaign totals at snapshot time (``campaigns``, ``points``,
     #: ``retries``, ``worker_deaths``, ``poisoned``, ``resumed``); empty
@@ -512,12 +405,11 @@ class HistorySnapshot:
         return cls(**{k: v for k, v in doc.items() if k in names})
 
 
-#: kind -> dataclass, for the stamped (v1+) path of :func:`load_record`.
+#: kind -> dataclass, the dispatch table of :func:`load_record`.
 _KINDS = {
     "repro-run": RunStats,
     "repro-bench": BenchRecord,
     "repro-bench-summary": BenchSummary,
-    "repro-kernel-perf": KernelPerfRecord,
     "repro-sweep-point": SweepPointRecord,
     "repro-sweep": SweepRecord,
     "repro-chaos-reproducer": ChaosArtifact,
@@ -527,23 +419,10 @@ _KINDS = {
 
 
 def sniff_kind(doc: Dict) -> str:
-    """Classify an archived document, including every v0 shape on disk."""
+    """Classify an archived document by its ``kind`` stamp."""
     kind = doc.get("kind")
     if kind in _KINDS:
         return kind
-    # v0 sniffing: the shapes pre-date the "kind" stamp.
-    if "benches" in doc and "bench_count" in doc:
-        return "repro-bench-summary"
-    if "bench" in doc and "data" in doc:
-        return "repro-bench"
-    if "campaign_id" in doc and "points" in doc:
-        return "repro-campaign"
-    if "spec" in doc and "result" in doc:
-        return "repro-sweep-point"
-    if "kernels" in doc and "workload" in doc:
-        return "repro-kernel-perf"
-    if all(k in doc for k in ("network", "nic_mode", "delivered")):
-        return "repro-run"
     raise SchemaError(
         f"unrecognised results document (kind={kind!r}, "
         f"keys={sorted(doc)[:8]})"
@@ -553,9 +432,8 @@ def sniff_kind(doc: Dict) -> str:
 def load_record(source: Union[str, os.PathLike, Dict]):
     """Load any archived results document into its schema dataclass.
 
-    ``source`` is a path or an already-parsed dict.  v0 documents (no
-    ``schema`` stamp) are migrated; unknown shapes raise
-    :class:`SchemaError`.
+    ``source`` is a path or an already-parsed dict.  A document without a
+    known ``kind`` raises :class:`SchemaError`.
     """
     if isinstance(source, (str, os.PathLike)):
         doc = json.loads(Path(source).read_text())
@@ -577,9 +455,14 @@ def write_record_atomic(path: Union[str, os.PathLike], record) -> None:
 
     Atomicity matters for the artifacts that accumulate across partial
     runs (``BENCH_summary.json``, history snapshots): a crashed or
-    concurrent writer must never leave a half-written file behind.
+    concurrent writer must never leave a half-written file behind.  A
+    :class:`RunStats` is written stamped: on disk it stands alone, and
+    :func:`load_record` dispatches on ``kind``.
     """
-    doc = record.to_dict() if hasattr(record, "to_dict") else record
+    if isinstance(record, RunStats):
+        doc = record.to_dict(stamped=True)
+    else:
+        doc = record.to_dict() if hasattr(record, "to_dict") else record
     write_text_atomic(
         path, json.dumps(doc, indent=2, sort_keys=False, default=str) + "\n"
     )
@@ -598,9 +481,11 @@ def load_results_tree(results_dir: Union[str, os.PathLike]) -> BenchSummary:
     summary_path = results_dir / "BENCH_summary.json"
     if summary_path.is_file():
         try:
-            summary = load_record(summary_path)
+            prior = load_record(summary_path)
         except (SchemaError, ValueError, OSError):
-            summary = BenchSummary()
+            prior = None
+        if isinstance(prior, BenchSummary):
+            summary = prior
     for path in sorted(results_dir.glob("*.json")):
         if path.name == "BENCH_summary.json":
             continue
@@ -610,13 +495,9 @@ def load_results_tree(results_dir: Union[str, os.PathLike]) -> BenchSummary:
             continue
         if isinstance(record, BenchRecord):
             summary.benches[path.stem] = record
-    kernel_bench = summary.benches.get("test_kernel_events_per_sec")
-    if kernel_bench is not None and "kernel_perf" in kernel_bench.data:
-        summary.kernel = KernelPerfRecord.from_dict(
-            kernel_bench.data["kernel_perf"]
-        )
-    # Farm campaign manifests: the farm's own directory plus the chaos
-    # engine's (interrupted batches park their ledger under chaos/).
+    # Campaign manifests: ``repro sweep --manifest-dir``'s conventional
+    # directory plus the chaos engine's (interrupted batches park their
+    # ledger under chaos/).
     for sub in ("campaigns", "chaos/campaigns"):
         campaign_dir = results_dir / sub
         if not campaign_dir.is_dir():

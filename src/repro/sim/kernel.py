@@ -28,8 +28,7 @@ this module registers the two built-in kernels:
 
 ``"heap"``
     The original single binary heap keyed by ``(cycle, seq)``, one fresh
-    ``Event`` per scheduled callback.  Kept intact as the measured baseline
-    (``repro perf`` compares against it) and as the executable
+    ``Event`` per scheduled callback.  Kept intact as the executable
     specification the parity tests diff the ring kernel against.
 
 Ordering across the heap and ring stores is still global ``(cycle, seq)``
@@ -522,7 +521,7 @@ class EpochSimulator(Simulator):
             profile.loop_seconds += clock() - loop_start
 
 
-# Registration order is presentation order (CLI choices, perf tables):
+# Registration order is presentation order (CLI choices, parity matrix):
 # the default kernel first, then the heap spec it is measured against.
 register_scheduler(EpochSimulator)
 register_scheduler(HeapSimulator)

@@ -14,7 +14,7 @@ so adding a scheduler edits no other file:
 ``repro.sim.kernel`` registers ``"epoch"`` (the default ring kernel) and
 ``"heap"`` (the executable specification).  Importing :mod:`repro.sim`
 populates the registry.  Registration order is presentation order
-everywhere (CLI ``choices``, the ``repro perf`` table): built-ins first,
+everywhere (CLI ``choices``, the parity matrix): built-ins first,
 additions append.
 
 This module deliberately imports nothing from :mod:`repro.sim.kernel`:

@@ -38,10 +38,6 @@ from ..packets import Packet, SYNTHETIC_PACKET_WORDS
 from ..sim import RngFactory
 from .messages import PacketFactory
 
-#: Exit status a hard-crashing worker dies with (chosen to be
-#: distinguishable from Python's own exit codes).
-CRASH_EXIT_CODE = 86
-
 CRASH_MODES = ("exit", "raise", "hang")
 
 
@@ -58,7 +54,6 @@ class CrashPointConfig:
     mode: str = "exit"
     #: Sends issued before the failure fires; >= ``packets`` never fires.
     after_packets: int = 2
-    exit_code: int = CRASH_EXIT_CODE
     hang_seconds: float = 3600.0
     #: One-shot armer path: crash only while the file does not exist (the
     #: file is created immediately before failing, so exactly one attempt
@@ -117,7 +112,7 @@ class CrashPointDriver(TrafficDriver):
     def _fail(self) -> None:
         mode = self.config.mode
         if mode == "exit":
-            os._exit(self.config.exit_code)
+            os._exit(86)
         if mode == "hang":
             time.sleep(self.config.hang_seconds)
             return

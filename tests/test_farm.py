@@ -32,7 +32,7 @@ from repro.experiments.manifest import (
     RunManifest,
     campaign_id_for,
 )
-from repro.report.schema import CampaignRecord, load_record, sniff_kind
+from repro.report.schema import CampaignRecord, load_record
 from repro.traffic import CrashPointConfig, TrafficSpec
 
 
@@ -149,11 +149,6 @@ class TestManifest:
         assert [p.to_dict() for p in again.points] == \
             [p.to_dict() for p in manifest.points]
         assert again.specs == manifest.specs
-
-    def test_v0_shape_sniffs_as_campaign(self):
-        doc = {"campaign_id": "abc", "points": [], "specs": [],
-               "executor": "pool"}
-        assert sniff_kind(doc) == "repro-campaign"
 
     def test_archived_ledger_naming_an_executor_still_loads(self):
         # Ledgers written while the engine had two backends carry an

@@ -38,10 +38,8 @@ def _snapshot(i):
         timestamp=f"2026080{i}T120000Z", git_sha=f"sha{i:04d}",
         bench_count=2, session_benches=["test_fig2_heavy_synthetic"],
         bench_wall={"test_fig2_heavy_synthetic": 30.0 + i,
-                    "test_kernel_events_per_sec": 11.0},
-        kernel_events_per_sec={"heap": 50_000.0 + 1000 * i,
-                               "bucket": 80_000.0 + 2000 * i},
-        kernel_speedup=1.5 + 0.01 * i, bench_cycles=20_000,
+                    "test_table2_calibration": 11.0},
+        bench_cycles=20_000,
     )
 
 
@@ -64,16 +62,6 @@ def results_tree(tmp_path):
                           "cm5": [16.5, 40.0]},
          "software_costs": {"active message send": 9}},
         wall=0.8,
-    ))
-    write_record_atomic(tmp_path / "test_kernel_events_per_sec.json", _bench(
-        "test_kernel_events_per_sec",
-        {"kernel_perf": {
-            "workload": {"network": "fattree", "cycles": 20_000},
-            "kernels": {"heap": {"events_per_sec": 50_000.0},
-                        "bucket": {"events_per_sec": 80_000.0}},
-            "speedup": 1.6, "parity_ok": True,
-        }},
-        wall=11.0,
     ))
     # a bench whose archive predates structured recording
     write_record_atomic(tmp_path / "test_fig6_cshift_throughput.json",
@@ -223,19 +211,11 @@ class TestHistory:
     def test_snapshot_from_summary(self):
         summary = BenchSummary(
             benches={"test_a": _bench("test_a", {}, wall=2.0)},
-            kernel=load_record({
-                "workload": {}, "kernels": {
-                    "heap": {"events_per_sec": 10.0},
-                    "bucket": {"events_per_sec": 15.0}},
-                "parity_ok": True,
-            }),
         )
         snap = snapshot_from_summary(summary, ["test_a"], sha="abcd123",
                                      timestamp="20260808T000000Z")
         assert snap.git_sha == "abcd123"
         assert snap.bench_wall == {"test_a": 2.0}
-        assert snap.kernel_events_per_sec == {"heap": 10.0, "bucket": 15.0}
-        assert snap.kernel_speedup == 1.5  # computed by the v0 migration
 
     def test_snapshot_rolls_up_farm_campaigns(self):
         summary = BenchSummary(campaigns={
@@ -266,12 +246,8 @@ class TestHistory:
     def test_trajectory_from_three_snapshots(self):
         figures = trajectory_figures([_snapshot(i) for i in range(3)])
         names = [fig.name for fig in figures]
-        assert names == ["trajectory_kernel", "trajectory_wall"]
-        kernel = figures[0]
-        assert [s.label for s in kernel.series] == ["bucket", "heap"]
-        assert all(len(s.ys) == 3 for s in kernel.series)
-        assert kernel.series[0].ys == [80_000.0, 82_000.0, 84_000.0]
-        wall = figures[1]
+        assert names == ["trajectory_wall"]
+        wall = figures[0]
         assert wall.series[0].label == "total (all benches)"
         assert wall.series[0].ys == [41.0, 42.0, 43.0]
 
@@ -283,21 +259,19 @@ class TestGenerateReport:
         assert (out / "REPORT.md").is_file()
         for spec in FIGURES:
             assert (out / f"{spec.name}.md").is_file()
-        # figures with data got plots; the trajectory charts rendered too
+        # figures with data got plots; the trajectory chart rendered too
         assert (out / "figures" / "fig2.svg").is_file()
         assert (out / "figures" / "table2.svg").is_file()
-        assert (out / "figures" / "trajectory_kernel.svg").is_file()
         assert (out / "figures" / "trajectory_wall.svg").is_file()
         assert result.history_points == 3
-        assert result.figures_rendered >= 4  # fig2, table2 + 2 trajectories
+        assert result.figures_rendered >= 3  # fig2, table2 + trajectory
         index = (out / "REPORT.md").read_text()
         assert "Fidelity dashboard" in index
-        assert "trajectory_kernel" in index
-        # run health surfaces engine stats, farm campaigns, the chaos rollup
+        assert "trajectory_wall" in index
+        # run health surfaces engine stats, campaigns, the chaos rollup
         assert "cache hits" in index
-        assert "deadbeef0123" in index  # the farm campaigns table
+        assert "deadbeef0123" in index  # the campaigns table
         assert "invariant: 1" in index
-        assert "1.60x" in index  # kernel speedup
 
     def test_missing_figure_embeds_text_archive(self, results_tree, tmp_path):
         out = tmp_path / "report"

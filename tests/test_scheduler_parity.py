@@ -18,7 +18,7 @@ import json
 import pytest
 
 from conftest import KERNEL_CASES, kernel_case
-from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments import ExperimentSpec, heavy_synthetic, run_experiment
 from repro.nic import CollectiveParams
 from repro.obs import Observability, metrics_json
 from repro.sim import scheduler_names
@@ -233,6 +233,38 @@ def _canonical_idle_nodes_metrics(kernel: str) -> str:
 def test_idle_nodes_parity(kernel, monkeypatch):
     heap = _canonical_idle_nodes_metrics("heap")
     assert _canonical_idle_nodes_metrics(kernel_case(kernel, monkeypatch)) == heap
+
+
+def _canonical_heavy64_metrics(kernel: str, profile: bool = True) -> str:
+    """Heavy traffic on a 64-node fat tree under the NIFDY NIC, the
+    densest event mix the simulator produces, at the machine size the
+    paper's figures use.  ``profile=True`` runs the kernels' profiled
+    dispatch loop."""
+    spec = ExperimentSpec(
+        network="fattree",
+        traffic=heavy_synthetic(),
+        num_nodes=64,
+        run_cycles=3000,
+        seed=11,
+        kernel=kernel,
+        observe=Observability(profile=profile, events=True),
+    )
+    result = run_experiment(spec)
+    metrics = metrics_json(result)
+    metrics.pop("self_profile", None)
+    return json.dumps(metrics, sort_keys=True)
+
+
+def test_heavy_fattree_64_parity_profiled():
+    """Every kernel case matches heap on the profiled loop, and profiling
+    changes nothing the default kernel simulates."""
+    runs = {}
+    for case in KERNEL_CASES:
+        with pytest.MonkeyPatch.context() as mp:
+            runs[case] = _canonical_heavy64_metrics(kernel_case(case, mp))
+    for case in CHALLENGERS:
+        assert runs[case] == runs["heap"], f"{case} diverged from heap"
+    assert _canonical_heavy64_metrics("epoch", profile=False) == runs["epoch"]
 
 
 def test_long_window_epoch_smoke():
