@@ -61,20 +61,11 @@ from .experiments import (
     FarmPolicy,
     SweepEngine,
     SweepPoint,
-    allreduce,
     best_params,
-    cshift,
     default_param_grid,
-    em3d,
-    heavy_synthetic,
-    hotspot,
-    incast,
-    light_synthetic,
     machine_size_specs,
     nifdy_param_specs,
     offered_load_specs,
-    radix_sort,
-    rpc_fanout,
     run_experiment,
 )
 from .experiments.sweep import params_label
@@ -82,35 +73,19 @@ from .networks import EXTENSION_NETWORK_NAMES, NETWORK_NAMES
 from .nic import NIC_MODES, CollectiveParams, NifdyParams
 from .obs import Observability, chrome_trace, metrics_json, write_json
 from .sim import DEFAULT_SCHEDULER, scheduler_names
-
-TRAFFIC_CHOICES = (
-    "heavy", "light", "cshift", "em3d", "radix", "hotspot", "incast", "rpc",
-    "allreduce",
+from .traffic import (
+    Em3dConfig,
+    SyntheticConfig,
+    TrafficSpec,
+    traffic_entry,
+    traffic_names,
 )
 
-
-def _traffic_factory(name: str):
-    if name == "heavy":
-        return heavy_synthetic()
-    if name == "light":
-        return light_synthetic()
-    if name == "cshift":
-        return cshift()
-    if name == "em3d":
-        from .traffic import Em3dConfig
-
-        return em3d(Em3dConfig.light_communication(scale=0.15, iterations=2))
-    if name == "radix":
-        return radix_sort()
-    if name == "hotspot":
-        return hotspot()
-    if name == "incast":
-        return incast()
-    if name == "rpc":
-        return rpc_fanout()
-    if name == "allreduce":
-        return allreduce()
-    raise ValueError(f"unknown traffic {name!r}")
+#: The one per-name CLI default: a short EM3D so ``repro run`` finishes
+#: quickly.  Every other name runs its registered default config.
+_CLI_TRAFFIC_CONFIGS = {
+    "em3d": Em3dConfig.light_communication(scale=0.15, iterations=2),
+}
 
 
 def _cmd_list(args) -> int:
@@ -120,7 +95,7 @@ def _cmd_list(args) -> int:
     print("extension networks:")
     for name in EXTENSION_NETWORK_NAMES:
         print(f"  {name}")
-    print("traffic loads:", ", ".join(TRAFFIC_CHOICES))
+    print("traffic loads:", ", ".join(traffic_names()))
     print("NIC modes    :", ", ".join(NIC_MODES))
     return 0
 
@@ -150,7 +125,7 @@ def _cmd_run(args) -> int:
             window=args.window if args.window is not None else base.window,
         )
     plan = _fault_plan_from_args(args)
-    fixed_horizon = args.traffic in ("heavy", "light")
+    fixed_horizon = traffic_entry(args.traffic).config_cls is SyntheticConfig
     observe = None
     if args.metrics_out or args.trace_chrome or args.sample_interval or args.profile:
         observe = Observability(
@@ -166,7 +141,8 @@ def _cmd_run(args) -> int:
         )
     result = run_experiment(ExperimentSpec(
         network=args.network,
-        traffic=_traffic_factory(args.traffic),
+        traffic=TrafficSpec(args.traffic,
+                            _CLI_TRAFFIC_CONFIGS.get(args.traffic)),
         num_nodes=args.nodes,
         nic_mode=args.nic,
         nifdy_params=params,
@@ -602,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment")
     run.add_argument("--network", required=True,
                      choices=NETWORK_NAMES + EXTENSION_NETWORK_NAMES)
-    run.add_argument("--traffic", default="heavy", choices=TRAFFIC_CHOICES)
+    run.add_argument("--traffic", default="heavy", choices=traffic_names())
     run.add_argument("--nic", default="nifdy", choices=NIC_MODES)
     run.add_argument("--nodes", type=int, default=64)
     run.add_argument("--cycles", type=int, default=20_000,

@@ -9,8 +9,8 @@ from .engine import (
     SweepStats,
     code_version,
 )
-from .runner import ExperimentResult, TrafficFactory, run_experiment
-from .spec import ExperimentSpec, SpecSerializationError
+from .runner import ExperimentResult, run_experiment
+from .spec import ExperimentSpec
 from .sweep import (
     REORDER_VARIANT_MODES,
     default_param_grid,
@@ -38,11 +38,9 @@ __all__ = [
     "ExperimentSpec",
     "FarmPolicy",
     "ResultCache",
-    "SpecSerializationError",
     "SweepEngine",
     "SweepPoint",
     "SweepStats",
-    "TrafficFactory",
     "allreduce",
     "best_params",
     "code_version",

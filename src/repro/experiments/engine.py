@@ -38,10 +38,7 @@ Cache layout (``benchmarks/results/.cache/`` by default, override with the
 
 The key pairs the spec's content hash with a *code version* (a hash over
 the package's own source files), so editing the simulator invalidates every
-cached result without any manual bookkeeping.  Only portable specs (traffic
-expressed as a registry :class:`~repro.traffic.TrafficSpec`) are cached or
-dispatched to workers; specs holding opaque traffic callables silently run
-in-process, uncached.
+cached result without any manual bookkeeping.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 from ..atomic_write import write_text_atomic
 from ..nic import NifdyParams
 from ..obs import EventBus, EventKind
-from .spec import ExperimentSpec, SpecSerializationError
+from .spec import ExperimentSpec
 
 #: Default on-disk cache location (relative to the invocation directory,
 #: which for this repo's CLI, tests, and benches is the repo root).
@@ -325,7 +322,7 @@ def _point_from(spec: ExperimentSpec, result: Dict, *, cached: bool) -> SweepPoi
     wall_s = result.get("wall_s", 0.0)
     if "error" in result:
         return SweepPoint(
-            label, spec.nifdy_params, 0, 0, spec_hash=_safe_hash(spec),
+            label, spec.nifdy_params, 0, 0, spec_hash=spec.content_hash(),
             completed=False, error=result["error"], wall_s=wall_s,
             timed_out=bool(result.get("timed_out")),
             worker_died=bool(result.get("worker_died")),
@@ -340,19 +337,12 @@ def _point_from(spec: ExperimentSpec, result: Dict, *, cached: bool) -> SweepPoi
         completed=result["completed"],
         order_violations=result["order_violations"],
         abandoned=result["abandoned"],
-        spec_hash=_safe_hash(spec),
+        spec_hash=spec.content_hash(),
         cached=cached,
         wall_s=wall_s,
         stall_report=result.get("stall_report"),
         violations=list(result.get("violations") or ()),
     )
-
-
-def _safe_hash(spec: ExperimentSpec) -> Optional[str]:
-    try:
-        return spec.content_hash()
-    except SpecSerializationError:
-        return None
 
 
 def _from_ledger(spec: ExperimentSpec, ps) -> SweepPoint:
@@ -385,8 +375,7 @@ class SweepEngine:
     Points run in the worker pool when the sweep needs a worker process:
     ``jobs > 1``, a ``point_timeout``, a ``campaign_dir``, or a
     ``policy`` with retries (a retry budget exists to survive worker
-    deaths).  Otherwise they run in-process, one at a time.  Specs with
-    opaque traffic callables always run in-process.
+    deaths).  Otherwise they run in-process, one at a time.
 
     ``point_timeout`` (seconds, default off) is the per-point liveness
     watchdog: a hung worker is killed and the point settles ``timed_out``
@@ -565,13 +554,11 @@ class SweepEngine:
 
     @staticmethod
     def _cacheable(spec: ExperimentSpec) -> bool:
-        """Portable AND safe to share a cache entry.  ``observe`` is
+        """Whether the spec may share a cache entry.  ``observe`` is
         excluded from :meth:`~ExperimentSpec.content_hash` (instrumentation
         does not change results), but a *validated* run's result carries
         ``violations`` that an unvalidated run of the same spec would not --
         so validated runs bypass the cache in both directions."""
-        if not spec.portable:
-            return False
         return spec.observe is None or not spec.observe.validate
 
     def _stop(self) -> None:
@@ -580,13 +567,8 @@ class SweepEngine:
             self.pool.interrupt()
 
     def _dispatch(self, specs, ledger, pending, settle) -> None:
-        remote: List[int] = []
-        local: List[int] = []  # opaque traffic callables cannot cross processes
-        for index in pending:
-            portable = self.pool is not None and specs[index].portable
-            (remote if portable else local).append(index)
-        jobs = min(self.jobs, len(remote))
-        if remote:
+        jobs = min(self.jobs, len(pending))
+        if self.pool is not None and pending:
             self.pool.start(jobs)
         if jobs > 1:
             from concurrent.futures import ThreadPoolExecutor
@@ -595,7 +577,7 @@ class SweepEngine:
                 futures = [
                     threads.submit(self._run_point, specs[index], index,
                                    ledger[index], settle)
-                    for index in remote
+                    for index in pending
                 ]
                 try:
                     for future in futures:
@@ -608,9 +590,8 @@ class SweepEngine:
                         future.cancel()
                     raise
         else:
-            local = remote + local  # one point at a time, on this thread
-        for index in local:
-            self._run_point(specs[index], index, ledger[index], settle)
+            for index in pending:  # one point at a time, on this thread
+                self._run_point(specs[index], index, ledger[index], settle)
 
     def _run_point(self, spec: ExperimentSpec, index: int, ps, settle) -> None:
         """One point's full retry loop (may run on a dispatcher thread);
@@ -623,7 +604,7 @@ class SweepEngine:
             ps.attempts += 1
             self._emit(EventKind.FARM_DISPATCH, index,
                        f"{ps.label}: attempt {ps.attempts}")
-            if self.pool is None or not spec.portable:
+            if self.pool is None:
                 result = _execute_in_process(spec)
             else:
                 result = self.pool.run_point(

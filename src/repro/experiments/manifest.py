@@ -57,10 +57,7 @@ def campaign_id_for(specs: Iterable[ExperimentSpec]) -> str:
     --manifest-dir`` resume after a crash."""
     digest = hashlib.sha256()
     for spec in specs:
-        try:
-            digest.update(spec.content_hash().encode())
-        except Exception:  # noqa: BLE001 - non-portable spec
-            digest.update(repr(spec.label).encode())
+        digest.update(spec.content_hash().encode())
         digest.update(b"\0")
     return digest.hexdigest()[:12]
 
@@ -148,22 +145,15 @@ class RunManifest:
         policy: Dict,
         path: Optional[Path] = None,
     ) -> "RunManifest":
-        points = []
-        spec_dicts = []
-        for index, spec in enumerate(specs):
-            try:
-                spec_dicts.append(spec.to_dict())
-                spec_hash: Optional[str] = spec.content_hash()
-            except Exception:  # noqa: BLE001 - non-portable spec
-                spec_dicts.append({"label": spec.label, "portable": False})
-                spec_hash = None
-            points.append(
-                PointState(
-                    index=index,
-                    spec_hash=spec_hash,
-                    label=spec.label or spec.describe(),
-                )
+        spec_dicts = [spec.to_dict() for spec in specs]
+        points = [
+            PointState(
+                index=index,
+                spec_hash=spec.content_hash(),
+                label=spec.label or spec.describe(),
             )
+            for index, spec in enumerate(specs)
+        ]
         return cls(campaign_id, dict(policy), spec_dicts, points, path=path)
 
     @classmethod
@@ -213,10 +203,7 @@ class RunManifest:
                 f"point(s) but the campaign offers {len(specs)}"
             )
         for point, spec in zip(self.points, specs):
-            try:
-                spec_hash: Optional[str] = spec.content_hash()
-            except Exception:  # noqa: BLE001
-                spec_hash = None
+            spec_hash = spec.content_hash()
             if point.spec_hash != spec_hash:
                 raise ManifestMismatch(
                     f"manifest {self.campaign_id!r} point {point.index} "

@@ -1,10 +1,10 @@
 """One-call experiment runner: network + NICs + processors + workload.
 
-This is the API the benchmarks (and examples) use.  A *traffic factory*
-builds one driver per node; the runner assembles everything, runs either
-for a fixed horizon (the synthetic throughput experiments) or to workload
-completion (C-shift, EM3D, radix sort), and returns an
-:class:`ExperimentResult`.
+This is the API the benchmarks (and examples) use.  The spec's
+:class:`~repro.traffic.TrafficSpec` builds one driver per node; the runner
+assembles everything, runs either for a fixed horizon (the synthetic
+throughput experiments) or to workload completion (C-shift, EM3D, radix
+sort), and returns an :class:`ExperimentResult`.
 
 The NIC mode names index :data:`repro.nic.NIC_MODES`: the paper's four
 bars (``plain``, ``buffered``, ``nifdy-``, ``nifdy``) plus the
@@ -24,7 +24,7 @@ the packet, the metrics record it, and the sender's driver is notified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..faults import FaultInjector, FaultPlan
 from ..metrics import CongestionTracker, MetricsCollector, PacketTracer
@@ -35,9 +35,6 @@ from ..node import Done, Processor, TrafficDriver
 from ..sim import Barrier, RngFactory, Simulator
 from .configs import best_params
 from .spec import ExperimentSpec
-
-#: A traffic factory: (node_id, num_nodes, rng_factory, exploit_inorder) -> driver.
-TrafficFactory = Callable[[int, int, RngFactory, bool], TrafficDriver]
 
 
 class IdleDriver(TrafficDriver):

@@ -13,10 +13,9 @@ stable across processes and interpreter versions, and excludes the
 cosmetic ``label`` so two specs differing only in display label share
 cache entries.
 
-A spec may also carry a raw callable as ``traffic`` (any
-``(node, num_nodes, rng_factory, exploit) -> driver``); such a spec still
-runs in-process but is *not portable* -- it cannot be serialised, hashed,
-cached, or shipped to a worker process.
+Traffic is always a registered :class:`~repro.traffic.TrafficSpec`, so
+every spec is plain data; a new workload is added with
+:func:`repro.traffic.register_traffic`.
 """
 
 from __future__ import annotations
@@ -41,12 +40,6 @@ from ..sim import DEFAULT_SCHEDULER, scheduler_names
 from ..traffic import TrafficSpec
 
 
-class SpecSerializationError(TypeError):
-    """The spec holds something (an opaque traffic callable) that cannot be
-    expressed as data; it can still run in-process, but not be cached or
-    dispatched to workers."""
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A complete, immutable description of one experiment run.
@@ -58,7 +51,7 @@ class ExperimentSpec:
     """
 
     network: str
-    traffic: object  # TrafficSpec (portable) or a raw TrafficFactory
+    traffic: TrafficSpec
     num_nodes: int = 64
     active_nodes: Optional[int] = None
     nic_mode: str = "nifdy"
@@ -96,9 +89,11 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.network, str) or not self.network:
             raise ValueError("spec needs a network name")
-        if self.traffic is None or not callable(self.traffic):
+        if not isinstance(self.traffic, TrafficSpec):
             raise TypeError(
-                "spec.traffic must be a TrafficSpec or a traffic factory"
+                "spec.traffic must be a TrafficSpec, not "
+                f"{type(self.traffic).__name__}; register new traffic "
+                "with repro.traffic.register_traffic"
             )
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be positive")
@@ -120,11 +115,6 @@ class ExperimentSpec:
 
     # ------------------------------------------------------------ ergonomics
     @property
-    def portable(self) -> bool:
-        """Whether the spec is pure data (cacheable / worker-dispatchable)."""
-        return isinstance(self.traffic, TrafficSpec)
-
-    @property
     def resolved_timing(self) -> Timing:
         return self.timing if self.timing is not None else CM5_TIMING
 
@@ -133,29 +123,18 @@ class ExperimentSpec:
         return dataclasses.replace(self, **changes)
 
     def describe(self) -> str:
-        traffic = (
-            self.traffic.name if self.portable
-            else getattr(self.traffic, "__name__", "<factory>")
-        )
         horizon = (
             f"{self.run_cycles} cycles" if self.run_cycles is not None
             else "to completion"
         )
         return (
-            f"{self.network}/{traffic}/{self.nic_mode} "
+            f"{self.network}/{self.traffic.name}/{self.nic_mode} "
             f"n={self.num_nodes} seed={self.seed} ({horizon})"
         )
 
     # ---------------------------------------------------------- serialisation
     def to_dict(self) -> Dict:
-        """Canonical JSON-able form (raises :class:`SpecSerializationError`
-        for non-portable specs)."""
-        if not self.portable:
-            raise SpecSerializationError(
-                "spec.traffic is an opaque callable; register it "
-                "(repro.traffic.register_traffic) and use a TrafficSpec "
-                "to make the spec serialisable"
-            )
+        """Canonical JSON-able form."""
         return {
             "network": self.network,
             "traffic": self.traffic.to_dict(),

@@ -1,10 +1,9 @@
 """Ready-made traffic specs for the paper's workloads.
 
-Each helper returns a :class:`~repro.traffic.TrafficSpec`: still callable
-with the classic factory signature ``(node, num_nodes, rng_factory,
-exploit_inorder)``, but also plain data -- it pickles across processes,
-serialises into :class:`~repro.experiments.spec.ExperimentSpec` JSON, and
-hashes stably for the sweep engine's result cache.
+Each helper returns a :class:`~repro.traffic.TrafficSpec`: plain data that
+pickles across processes, serialises into
+:class:`~repro.experiments.spec.ExperimentSpec` JSON, and hashes stably for
+the sweep engine's result cache.
 """
 
 from __future__ import annotations

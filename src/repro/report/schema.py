@@ -186,9 +186,9 @@ class SweepPointRecord:
 class ChaosArtifact:
     """A shrunk chaos reproducer (kind ``repro-chaos-reproducer``).
 
-    The chaos engine has always written this kind string; the schema
-    wrapper adds typed access and keeps the raw document intact so
-    ``repro chaos --replay`` artifacts round-trip byte-compatibly.
+    The chaos engine writes every reproducer through :meth:`to_dict`.
+    ``repro chaos --replay`` reads the raw document, so reproducers
+    written before they carried a ``schema`` stamp still replay.
     """
 
     failure: str = ""
@@ -202,9 +202,7 @@ class ChaosArtifact:
     version: int = 1
 
     def to_dict(self) -> Dict:
-        doc = _stamp("repro-chaos-reproducer", dataclasses.asdict(self))
-        doc["kind"] = "repro-chaos-reproducer"
-        return doc
+        return _stamp("repro-chaos-reproducer", dataclasses.asdict(self))
 
     @classmethod
     def from_dict(cls, doc: Dict) -> "ChaosArtifact":

@@ -6,8 +6,8 @@ tested against the failures it exists to contain: a worker process dying
 Python exception and breaks a shared process pool), a worker wedging on
 wall clock, and a plain in-point exception.  The misbehaving traffic
 lives in the package registry, like any other workload, so a spec that
-names it is portable: it crosses into a pool worker as plain data and
-builds there under any process start method.
+names it crosses into a pool worker as plain data and builds there under
+any process start method.
 
 ``CrashPointConfig`` behaves exactly like a small
 :class:`~repro.traffic.pairstream.PairStreamDriver` stream until the

@@ -2,13 +2,12 @@
 
 The experiment API describes a run as plain data (:class:`ExperimentSpec`),
 which means the traffic load must be expressible as data too: a *registry
-name* plus a *config dataclass* rather than an opaque closure.  A
-:class:`TrafficSpec` carries exactly that pair.  It is still callable with
-the classic factory signature ``(node, num_nodes, rng_factory,
-exploit_inorder) -> driver``, so everything that consumed the old
-closure-style factories keeps working -- but unlike a closure it pickles
-across process boundaries, serialises to JSON, and hashes stably, which is
-what the parallel sweep engine and its result cache key on.
+name* plus a *config dataclass*.  A :class:`TrafficSpec` carries exactly
+that pair, and it is the only traffic an ``ExperimentSpec`` accepts.  It
+pickles across process boundaries, serialises to JSON, and hashes stably,
+which is what the parallel sweep engine and its result cache key on; the
+runner calls it as ``(node, num_nodes, rng_factory, exploit_inorder) ->
+driver`` to build each node's driver.
 
 Every driver shipped with the package registers itself here
 (``register_traffic``); user code can register its own drivers the same
@@ -96,8 +95,8 @@ def _config_from_dict(config_cls: type, data: Dict):
 class TrafficSpec:
     """A traffic load as data: registry ``name`` + optional ``config``.
 
-    Callable with the classic factory signature, so it drops in anywhere a
-    closure-style traffic factory was accepted.
+    Calling it as ``(node, num_nodes, rng_factory, exploit)`` builds that
+    node's driver from the registered builder.
     """
 
     name: str

@@ -66,7 +66,6 @@ from ..experiments import (
 )
 
 ARTIFACT_KIND = "repro-chaos-reproducer"
-ARTIFACT_VERSION = 1
 
 
 @dataclass
@@ -491,11 +490,7 @@ class ChaosEngine:
             shrunk = spec.replace(fault_plan=FaultPlan(events))
             traffic = shrunk.traffic
             remaining = self.config.shrink_budget - probes
-            if (
-                remaining > 0
-                and isinstance(traffic, TrafficSpec)
-                and traffic.config is not None
-            ):
+            if remaining > 0 and traffic.config is not None:
                 def traffic_fails(config) -> bool:
                     return self._rerun_fails(
                         shrunk.replace(
@@ -528,22 +523,22 @@ class ChaosEngine:
         self, trial: int, spec: ExperimentSpec, failure: str, detail: str,
         original_events: int, probes: int,
     ) -> Path:
-        directory = Path(self.config.artifact_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"chaos-seed{self.config.seed}-trial{trial}.json"
-        doc = {
-            "kind": ARTIFACT_KIND,
-            "version": ARTIFACT_VERSION,
-            "failure": failure,
-            "detail": detail,
-            "spec": spec.to_dict(),
-            "original_events": original_events,
-            "shrunk_events": len(list(spec.fault_plan or ())),
-            "shrink_probes": probes,
-            "trial": trial,
-            "engine_seed": self.config.seed,
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        # Deferred: every validated run imports this module, and the
+        # schema's package pulls in the report generator.
+        from ..report.schema import ChaosArtifact, write_record_atomic
+
+        path = (Path(self.config.artifact_dir)
+                / f"chaos-seed{self.config.seed}-trial{trial}.json")
+        write_record_atomic(path, ChaosArtifact(
+            failure=failure,
+            detail=detail,
+            spec=spec.to_dict(),
+            trial=trial,
+            engine_seed=self.config.seed,
+            original_events=original_events,
+            shrunk_events=len(list(spec.fault_plan or ())),
+            shrink_probes=probes,
+        ))
         return path
 
 

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.faults import FaultEvent
 from repro.node import PollFor, TrafficDriver
+from repro.report.schema import SCHEMA_VERSION, ChaosArtifact, load_record
 from repro.traffic import CShiftConfig, TrafficSpec, register_traffic
 from repro.validate import (
     ChaosConfig,
@@ -169,10 +170,21 @@ class TestChaosEndToEnd:
 
         doc = json.loads(open(finding.artifact).read())
         assert doc["kind"] == "repro-chaos-reproducer"
+        assert doc["schema"] == SCHEMA_VERSION
         assert doc["failure"] == "stall"
         assert doc["spec"]["observe"]["validate"] is True
+        record = load_record(finding.artifact)
+        assert isinstance(record, ChaosArtifact)
+        assert record.to_dict() == doc
 
         reproduced, failure, _ = replay_artifact(finding.artifact)
+        assert reproduced and failure == "stall"
+        # Reproducers written before they carried the stamp still replay.
+        unstamped = tmp_path / "unstamped.json"
+        unstamped.write_text(json.dumps(
+            {k: v for k, v in doc.items() if k != "schema"}
+        ))
+        reproduced, failure, _ = replay_artifact(str(unstamped))
         assert reproduced and failure == "stall"
 
     def test_trial_specs_are_deterministic(self, tmp_path):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.traffic import traffic_names
 
 
 class TestParser:
@@ -11,6 +12,9 @@ class TestParser:
         out = capsys.readouterr().out
         assert "fattree" in out
         assert "nifdy" in out
+        (line,) = [l for l in out.splitlines() if l.startswith("traffic loads:")]
+        printed = tuple(line.split(":", 1)[1].strip().split(", "))
+        assert printed == traffic_names()
 
     def test_run_requires_network(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,7 @@
 """Integration tests for the experiment runner across workloads and NICs."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.experiments import (
@@ -20,6 +22,8 @@ from repro.traffic import (
     Em3dConfig,
     RadixSortConfig,
     SyntheticConfig,
+    TrafficSpec,
+    register_traffic,
 )
 
 
@@ -36,6 +40,31 @@ class _OneSend(TrafficDriver):
         dst, self.dst = self.dst, None
         return Send(Packet(src=self.node, dst=dst, kind=PacketKind.SCALAR,
                            size_bytes=8))
+
+
+@dataclass
+class _OneSendConfig:
+    """Node 0 sends one packet to ``dst``; the others have no work."""
+
+    dst: int = 5
+
+
+@pytest.fixture
+def one_send_registered():
+    """Register the one-packet workload for one test, then clean up so
+    registry-completeness assertions elsewhere stay honest."""
+    from repro.traffic import registry
+
+    register_traffic(
+        "one_send", _OneSendConfig,
+        lambda node, n, cfg, rngf, exploit: _OneSend(
+            node, dst=cfg.dst if node == 0 else None
+        ),
+    )
+    try:
+        yield
+    finally:
+        registry._REGISTRY.pop("one_send", None)
 
 
 class TestSyntheticRuns:
@@ -145,14 +174,12 @@ class TestCompletionRuns:
         assert all(proc.busy_cycles > 0 for proc in result.processors[:8])
 
     @pytest.mark.parametrize("mode", ["plain", "nifdy", "reorder-bitmap"])
-    def test_data_packet_to_an_idle_node_raises(self, mode):
-        def traffic(node, active, rngf, exploit):
-            # Node 0 sends one scalar packet to node 5, outside the 4
-            # active nodes; the others have no work.
-            return _OneSend(node, dst=5 if node == 0 else None)
-
+    def test_data_packet_to_an_idle_node_raises(self, mode,
+                                                one_send_registered):
+        # Node 0 sends one scalar packet to node 5, outside the 4 active
+        # nodes; the others have no work.
         spec = ExperimentSpec(
-            network="fattree", traffic=traffic, num_nodes=16,
+            network="fattree", traffic=TrafficSpec("one_send"), num_nodes=16,
             active_nodes=4, nic_mode=mode, seed=1,
         )
         with pytest.raises(RuntimeError, match="idle node 5"):

@@ -159,8 +159,8 @@ class TestRoundTrip:
 
 
 class TestV0Migration:
-    """The unstamped shape still written (chaos reproducers) loads, and so
-    does every archived document on disk."""
+    """The unstamped shape older chaos reproducers carry still loads, and
+    so does every archived document on disk."""
 
     def test_v0_chaos_artifact(self):
         doc = {
@@ -178,7 +178,7 @@ class TestV0Migration:
     def test_checked_in_results_tree_all_load(self):
         # The actual archived tree must parse wholesale -- summary, every
         # per-bench file, and any chaos/history artifacts -- and every
-        # document but the chaos engine's reproducers carries the stamp.
+        # document carries the stamp.
         from pathlib import Path
 
         results = Path(__file__).parent.parent / "benchmarks" / "results"
@@ -187,8 +187,7 @@ class TestV0Migration:
             if ".cache" in path.parts:
                 continue
             doc = json.loads(path.read_text())
-            assert (doc.get("schema") == SCHEMA_VERSION
-                    or doc.get("kind") == "repro-chaos-reproducer"), path
+            assert doc.get("schema") == SCHEMA_VERSION, path
             load_record(doc)
             loaded += 1
         assert loaded >= 10  # the tree ships with a full bench archive

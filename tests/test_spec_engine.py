@@ -13,7 +13,6 @@ import pytest
 from repro.experiments import (
     ExperimentSpec,
     ResultCache,
-    SpecSerializationError,
     SweepEngine,
     code_version,
     heavy_synthetic,
@@ -83,16 +82,12 @@ class TestSpecSerialization:
         assert again.nifdy_params.window == 4
         assert len(list(again.fault_plan)) == len(list(plan))
 
-    def test_opaque_traffic_is_not_portable(self):
+    def test_raw_callable_traffic_rejected(self):
         def factory(node, num_nodes, rngf, exploit):  # pragma: no cover
             raise AssertionError("never driven in this test")
 
-        spec = small_spec(traffic=factory)
-        assert not spec.portable
-        with pytest.raises(SpecSerializationError):
-            spec.to_dict()
-        with pytest.raises(SpecSerializationError):
-            spec.content_hash()
+        with pytest.raises(TypeError, match="register_traffic"):
+            small_spec(traffic=factory)
 
     def test_unknown_nic_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown nic_mode 'bogus'"):
@@ -242,22 +237,6 @@ class TestSweepEngine:
         assert engine.stats.errors == 2
         assert engine.stats.cache_hits == 0
 
-    def test_opaque_traffic_runs_in_process_uncached(self, tmp_path):
-        from repro.traffic import SyntheticDriver
-
-        def factory(node, num_nodes, rngf, exploit):
-            return SyntheticDriver(
-                node, num_nodes, SyntheticConfig.heavy_traffic(), rngf,
-                exploit,
-            )
-
-        spec = small_spec(traffic=factory)
-        engine = SweepEngine(jobs=2, cache_dir=tmp_path)
-        (point,) = engine.run([spec])
-        assert point.ok and point.delivered > 0
-        assert point.spec_hash is None
-        assert not list(tmp_path.glob("*.json"))
-
     def test_progress_and_bus_events(self, tmp_path):
         from repro.obs import EventBus, EventKind
 
@@ -393,7 +372,7 @@ class TestSweepHelpers:
                                   run_cycles=2000)
         assert len(specs) == 2  # heavy + light per grid point
         assert {s.traffic.name for s in specs} == {"heavy", "light"}
-        assert all(s.portable for s in specs)
+        assert all(isinstance(s.traffic, TrafficSpec) for s in specs)
 
     def test_no_deprecation_warning_from_helpers(self):
         from repro.experiments import offered_load_specs
