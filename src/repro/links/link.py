@@ -33,21 +33,52 @@ from ..obs.events import EventKind
 from ..packets import FLIT_BYTES, Packet
 from ..sim import Simulator
 
-#: Round-robin successors shared by every link with the same VC count:
-#: ``_rr_after(n)[c]`` is the visit order after VC ``c`` won the wire,
-#: ``(c+1, ..., n-1, 0, ..., c)``.  Keeping the next order tuple itself
-#: removes the index arithmetic from the per-flit arbitration.
-_RR_AFTER_CACHE = {}
 
+class VirtualChannel:
+    """Everything one VC of a :class:`Link` keeps, in one record.
 
-def _rr_after(n: int):
-    after = _RR_AFTER_CACHE.get(n)
-    if after is None:
-        after = tuple(
-            tuple((chosen + 1 + i) % n for i in range(n)) for chosen in range(n)
-        )
-        _RR_AFTER_CACHE[n] = after
-    return after
+    The per-flit hop reads and writes only these slots and the few the
+    link itself holds (``_busy``, ``_nready``, ``_rr_order``,
+    ``_wire_vc``), so arbitration, the credit return upstream and the
+    cut-through hand-off each follow one reference instead of indexing
+    parallel per-VC lists.
+    """
+
+    __slots__ = ("link", "index", "owner", "flits", "feeder", "up", "forward",
+                 "out", "credits", "ready", "sent", "dropping", "accept",
+                 "rr_next")
+
+    def __init__(self, link: "Link", index: int, credits: int) -> None:
+        self.link = link
+        self.index = index
+        #: The packet the VC is allocated to (None: free) and its length.
+        self.owner: Optional[Packet] = None
+        self.flits = 0
+        self.feeder: Optional["FlitFeeder"] = None
+        #: The upstream VC each taken flit returns its credit to, captured
+        #: from the feeder at allocation (None: a NIC, no upstream buffer).
+        self.up: Optional["VirtualChannel"] = None
+        #: Cut-through binding (see :meth:`Link.forward`): the downstream
+        #: transit whose flits this VC hands straight to ``out``, the VC
+        #: the transit won on its out link.
+        self.forward = None
+        self.out: Optional["VirtualChannel"] = None
+        #: Free slots in the downstream buffer.
+        self.credits = credits
+        #: Flits the feeder has announced but the wire has not yet taken:
+        #: the upstream twin of ``credits``.
+        self.ready = 0
+        #: Flits taken from the current owner (head/tail sequencing).
+        self.sent = 0
+        self.dropping = False
+        #: The sink's accept for this VC (see :meth:`Link.set_sink`).
+        self.accept: Optional[Callable] = None
+        #: Round-robin visit order after this VC wins the wire:
+        #: ``(index+1, ..., n-1, 0, ..., index)``, as records.
+        self.rr_next: tuple = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<VC {self.link.name}:{self.index} owner={self.owner}>"
 
 
 class FlitFeeder:
@@ -78,7 +109,8 @@ class FlitSink:
         is_tail) -> None`` equivalent to :meth:`accept_flit` with ``port``
         and ``vc`` pre-bound, or ``None`` (the default) for the link to
         bind :meth:`accept_flit` itself.  Lets a sink with per-VC state
-        (a router's input units) skip the per-flit port/VC dispatch.
+        (a router's input units, a NIC's ejection VCs) skip the per-flit
+        port/VC dispatch.
         """
         return None
 
@@ -95,25 +127,14 @@ class Link:
         "net_of_vc",
         "sink",
         "sink_port",
-        "_owners",
-        "_feeders",
-        "_up_links",
-        "_up_vcs",
-        "_forward",
+        "_vcs",
         "_vcs_by_net",
-        "_credits",
-        "_ready",
         "_nready",
-        "_sent",
-        "_dropping",
         "_vc_capacity",
         "_busy",
         "_wire_vc",
         "_rr_order",
-        "_rr_after",
-        "_post",
-        "_complete_cb",
-        "_accept",
+        "_post_complete",
         "_alloc_waiters",
         "drop_prob",
         "_drop_rng",
@@ -166,40 +187,27 @@ class Link:
         self.net_of_vc = list(net_of_vc) if net_of_vc is not None else [0] * vc_count
         if len(self.net_of_vc) != vc_count:
             raise ValueError("net_of_vc must have one entry per VC")
-        self._owners: List[Optional[Packet]] = [None] * vc_count
-        self._feeders: List[Optional[FlitFeeder]] = [None] * vc_count
-        #: Each owned VC's upstream credit target, captured from its feeder
-        #: at allocation (``credit_link`` None: nothing to return).
-        self._up_links: List[Optional["Link"]] = [None] * vc_count
-        self._up_vcs = [0] * vc_count
-        #: Cut-through bindings (see :meth:`forward`): the downstream
-        #: transit whose body flits this VC hands straight to its out link.
-        self._forward: List = [None] * vc_count
+        vcs = self._vcs = tuple(
+            VirtualChannel(self, vc, vc_buffer_flits) for vc in range(vc_count)
+        )
+        for vc in vcs:
+            vc.rr_next = vcs[vc.index + 1:] + vcs[:vc.index + 1]
+        #: Visit order of the next arbitration: VC 0 first.
+        self._rr_order = vcs
         self._vcs_by_net = {}
-        self._credits = [vc_buffer_flits] * vc_count
-        #: Flits the feeder of each VC has announced but the wire has not
-        #: yet taken: the upstream twin of ``_credits``.
-        self._ready = [0] * vc_count
-        #: ``sum(_ready)``: a kick with nothing announced cannot move a flit.
+        #: ``sum(vc.ready)``: a kick with nothing announced cannot move a flit.
         self._nready = 0
-        #: Flits taken from each VC's current owner (head/tail sequencing).
-        self._sent = [0] * vc_count
-        self._dropping = [False] * vc_count
         self._vc_capacity = vc_buffer_flits
         self._busy = False
         #: The VC of the one flit on the wire while ``_busy``.
-        self._wire_vc = 0
-        self._rr_after = _rr_after(vc_count)
-        self._rr_order = self._rr_after[-1]  # VC 0 first
-        # Cached bound methods: the _kick/_complete pair runs once per flit
-        # (the hottest path in the whole simulator), and an attribute lookup
-        # on `self`/`sim` allocates a fresh bound-method object every time.
-        self._post = sim.post
-        self._complete_cb = self._complete
+        self._wire_vc = vcs[0]
+        # The _kick/_complete pair runs once per flit (the hottest path in
+        # the whole simulator); the kernel hands over a poster for the
+        # completion that allocates nothing per call.  It returns the
+        # current cycle, which the overclock guard reads.
+        self._post_complete = sim.poster(self.cycles_per_flit, self._complete)
         self.sink: Optional[FlitSink] = None
         self.sink_port = sink_port
-        #: One bound accept callable per VC (see :meth:`set_sink`).
-        self._accept: List[Optional[Callable]] = [None] * vc_count
         if sink is not None:
             self.set_sink(sink, sink_port)
         self._alloc_waiters: List[Callable[[], None]] = []
@@ -210,11 +218,11 @@ class Link:
         self._fault_drop_data = True
         self._fault_drop_acks = True
         self.failed = False
-        #: Cycle the wire last started a flit transfer; None = never used.
-        #: A dedicated sentinel (not a stats counter) so resetting or
-        #: sharing the counters can neither blind the overclock guard nor
-        #: make it fire spuriously.
-        self._last_start: Optional[int] = None
+        #: Cycle the wire last started a flit transfer (a never-used wire
+        #: reads a full flit time before cycle 0).  A dedicated sentinel
+        #: (not a stats counter) so resetting or sharing the counters can
+        #: neither blind the overclock guard nor make it fire spuriously.
+        self._last_start = -self.cycles_per_flit
         # statistics
         self.flits_carried = 0
         self.packets_carried = 0
@@ -233,11 +241,11 @@ class Link:
         """
         self.sink = sink
         self.sink_port = sink_port
-        self._accept = [
-            sink.flit_target(sink_port, vc)
-            or functools.partial(sink.accept_flit, sink_port, vc)
-            for vc in range(self.vc_count)
-        ]
+        for vc in self._vcs:
+            vc.accept = (
+                sink.flit_target(sink_port, vc.index)
+                or functools.partial(sink.accept_flit, sink_port, vc.index)
+            )
 
     # ------------------------------------------------------------------ VCs
     def vcs_for_net(self, net: int) -> List[int]:
@@ -253,14 +261,14 @@ class Link:
         return group
 
     def vc_free(self, vc: int) -> bool:
-        return self._owners[vc] is None
+        return self._vcs[vc].owner is None
 
     def owner(self, vc: int) -> Optional[Packet]:
-        return self._owners[vc]
+        return self._vcs[vc].owner
 
     def flits_taken(self, vc: int) -> int:
         """Flits the wire has taken from ``vc``'s current owner."""
-        return self._sent[vc]
+        return self._vcs[vc].sent
 
     def fail(self) -> None:
         """Take this link out of service (Section 1.1: network faults).
@@ -336,15 +344,18 @@ class Link:
         """
         if self.failed:
             return None
-        for vc in candidates:
-            if self._owners[vc] is None:
-                self._owners[vc] = packet
-                self._feeders[vc] = feeder
-                self._up_links[vc] = feeder.credit_link
-                self._up_vcs[vc] = feeder.credit_vc
+        vcs = self._vcs
+        for index in candidates:
+            vc = vcs[index]
+            if vc.owner is None:
+                vc.owner = packet
+                vc.flits = packet.flits
+                vc.feeder = feeder
+                up = feeder.credit_link
+                vc.up = up._vcs[feeder.credit_vc] if up is not None else None
                 if self.drop_prob > 0.0 or self.fault_drop_prob > 0.0:
-                    self._dropping[vc] = self._decide_drop(packet)
-                return vc
+                    vc.dropping = self._decide_drop(packet)
+                return index
         return None
 
     def add_alloc_waiter(self, fn: Callable[[], None]) -> None:
@@ -362,97 +373,100 @@ class Link:
         on ``transit.out_link``/``out_vc`` itself, which is all the accept
         would have done.
         """
-        self._forward[vc] = transit
+        record = self._vcs[vc]
+        record.forward = transit
+        record.out = transit.out_link._vcs[transit.out_vc]
 
     # ------------------------------------------------------------ data path
     def notify_flit_ready(self, vc: int, n: int = 1) -> None:
         """Feeder announces ``n`` more flits on ``vc``; try to transfer."""
-        self._ready[vc] += n
+        self._vcs[vc].ready += n
         self._nready += n
         if not self._busy:
             self._kick()
 
-    def return_credit(self, vc: int) -> None:
-        """Sink signals that one flit left the downstream buffer of ``vc``."""
-        if self._credits[vc] >= self._vc_capacity:
+    def return_credits(self, vc: int, n: int = 1) -> None:
+        """Sink signals that ``n`` flits left the downstream buffer of
+        ``vc`` (a NIC releases a whole ejected packet at once).
+
+        Exactly ``n`` single-credit calls in one: one overflow check and
+        at most one kick.  A kick chooses among the VCs with a flit
+        announced and ``credits > 0``, so the credits after the first
+        cannot change its choice; and if it takes a flit the wire is busy,
+        which made every later per-credit kick a no-op.  If it takes
+        nothing, no VC had a flit and a credit -- ``vc`` itself then has
+        nothing announced -- so the later kicks took nothing either.
+        """
+        record = self._vcs[vc]
+        if record.credits + n > self._vc_capacity:
             raise RuntimeError(f"{self.name}: credit overflow on VC {vc}")
-        self._credits[vc] += 1
+        record.credits += n
         if self._nready and not self._busy:
             self._kick()
+
+    return_credit = return_credits
 
     def _kick(self) -> None:
         # The per-flit callers test _busy before calling; this guard is for
         # repair() and for the cyclic-topology re-entry described below.
         if self._busy:
             return
-        ready = self._ready
-        dropping_flags = self._dropping
-        credits = self._credits
-        if self.vc_count == 1:
-            # Single-VC fast path (every mesh/butterfly wire): no
-            # arbitration loop, no round-robin order to maintain.
-            if not ready[0] or (credits[0] <= 0 and not dropping_flags[0]):
-                return
-            chosen = 0
+        for vc in self._rr_order:
+            if vc.ready and (vc.credits > 0 or vc.dropping):
+                break
         else:
-            for chosen in self._rr_order:
-                if ready[chosen] and (credits[chosen] > 0 or dropping_flags[chosen]):
-                    break
-            else:
-                return
-            self._rr_order = self._rr_after[chosen]
-        ready[chosen] -= 1
+            return
+        self._rr_order = vc.rr_next
+        vc.ready -= 1
         self._nready -= 1
-        if not dropping_flags[chosen]:
-            credits[chosen] -= 1
+        if not vc.dropping:
+            vc.credits -= 1
         # Mark the wire busy BEFORE taking the flit: the taken flit returns
         # a credit upstream, and on cyclic topologies that credit-return
         # chain can run all the way around a ring and re-enter this link's
         # _kick within the same call stack.  Claiming the wire first makes
         # the re-entry a no-op instead of a double transfer.
         self._busy = True
-        self._wire_vc = chosen
-        now = self.sim._now
-        last = self._last_start
-        if last is not None and now - last < self.cycles_per_flit:
-            raise RuntimeError(f"{self.name}: wire overclocked (double transfer)")
-        self._last_start = now
-        self._sent[chosen] = sent = self._sent[chosen] + 1
-        up = self._up_links[chosen]
+        self._wire_vc = vc
+        vc.sent = sent = vc.sent + 1
+        up = vc.up
         if up is not None:
             # The flit left the feeder's buffer: return_credit, inlined.
-            up_vc = self._up_vcs[chosen]
-            up_credits = up._credits
-            if up_credits[up_vc] >= up._vc_capacity:
-                raise RuntimeError(f"{up.name}: credit overflow on VC {up_vc}")
-            up_credits[up_vc] += 1
-            if up._nready and not up._busy:
-                up._kick()
+            up_link = up.link
+            if up.credits >= up_link._vc_capacity:
+                raise RuntimeError(
+                    f"{up_link.name}: credit overflow on VC {up.index}")
+            up.credits += 1
+            if up_link._nready and not up_link._busy:
+                up_link._kick()
         self.flits_carried += 1
-        if sent == self._owners[chosen].flits:
-            self._feeders[chosen].tail_taken(self, chosen)
-        self._post(self.cycles_per_flit, self._complete_cb)
+        if sent == vc.flits:
+            vc.feeder.tail_taken(self, vc.index)
+        now = self._post_complete()
+        if now - self._last_start < self.cycles_per_flit:
+            raise RuntimeError(f"{self.name}: wire overclocked (double transfer)")
+        self._last_start = now
 
     def _complete(self) -> None:
         # One flit on the wire at a time: this is the last one _kick took.
         self._busy = False
         vc = self._wire_vc
-        packet = self._owners[vc]
-        sent = self._sent[vc]
-        is_tail = sent == packet.flits
-        dropping = self._dropping[vc]
+        packet = vc.owner
+        sent = vc.sent
+        is_tail = sent == vc.flits
+        dropping = vc.dropping
         if is_tail:
             # Release the VC before delivering the tail flit: delivery may
             # trigger the downstream packet to advance and a waiter to want
             # this VC in the same cycle.
-            if self._ready[vc]:
-                raise RuntimeError(f"{self.name}: VC {vc} released with "
-                                   "announced flits untaken")
-            self._owners[vc] = None
-            self._feeders[vc] = None
-            self._up_links[vc] = None
-            self._sent[vc] = 0
-            self._dropping[vc] = False
+            if vc.ready:
+                raise RuntimeError(f"{self.name}: VC {vc.index} released "
+                                   "with announced flits untaken")
+            vc.owner = None
+            vc.feeder = None
+            vc.up = None
+            vc.sent = 0
+            vc.dropping = False
             self.packets_carried += 1
             if dropping:
                 self.packets_dropped += 1
@@ -468,27 +482,27 @@ class Link:
                 for fn in waiters:
                     fn()
         if not dropping:
-            transit = self._forward[vc]
+            transit = vc.forward
             if transit is None:
-                self._accept[vc](packet, sent == 1, is_tail)
+                vc.accept(packet, sent == 1, is_tail)
             else:
                 # A cut-through body flit (see forward()): the sink's
                 # accept, done here.
                 if transit.packet is not packet:
                     raise RuntimeError(
-                        f"{self.name}: VC {vc} interleaved flits of "
+                        f"{self.name}: VC {vc.index} interleaved flits of "
                         f"{packet} into {transit.packet}"
                     )
                 transit.flits_arrived += 1
+                out = vc.out
                 if is_tail:
                     transit.tail_arrived = True
-                    self._forward[vc] = None
-                out = transit.out_link
-                out_vc = transit.out_vc
-                out._ready[out_vc] += 1
-                out._nready += 1
-                if not out._busy:
-                    out._kick()
+                    vc.forward = vc.out = None
+                out.ready += 1
+                out_link = out.link
+                out_link._nready += 1
+                if not out_link._busy:
+                    out_link._kick()
         if self._nready and not self._busy:
             self._kick()
 

@@ -47,6 +47,33 @@ class _ParkedArrivals(deque):
         raise RuntimeError(f"idle node {self.node_id} received data: {packet}")
 
 
+class _EjectionVC:
+    """The ejection sink of one ``(port, VC)`` of a NIC: counts the flits
+    of the packet arriving on the VC and hands each finished packet to
+    the NIC.  :meth:`BaseNIC.flit_target` binds its ``accept_flit`` into
+    the ejection link once, so a flit's delivery does no per-flit
+    ``(port, vc)`` lookup."""
+
+    __slots__ = ("nic", "port", "vc", "flits")
+
+    def __init__(self, nic: "BaseNIC", port: int, vc: int) -> None:
+        self.nic = nic
+        self.port = port
+        self.vc = vc
+        self.flits = 0
+
+    def accept_flit(self, packet: Packet, is_head: bool, is_tail: bool) -> None:
+        self.flits += 1
+        if is_tail:
+            if self.flits < packet.flits:
+                # Flits of a packet arrive contiguously per VC.
+                raise RuntimeError(
+                    f"node {self.nic.node_id}: tail before all flits of {packet}"
+                )
+            self.flits -= packet.flits
+            self.nic._tail_ejected(packet, self.vc, self.port)
+
+
 class BaseNIC(FlitFeeder, FlitSink):
     """Plumbing shared by every NIC variant.
 
@@ -82,8 +109,8 @@ class BaseNIC(FlitFeeder, FlitSink):
         self._inj_by_net: Dict[int, Link] = {}
         self._ej_links: Dict[int, Link] = {}
         self._port_retries: set = set()
-        # ejection: per-(port, VC) partial packet flit counts
-        self._ej_flits: Dict[Tuple[int, int], int] = {}
+        # ejection: per-(port, VC) sinks counting partial packets' flits
+        self._ej_vcs: Dict[Tuple[int, int], _EjectionVC] = {}
         # statistics
         self.packets_injected = 0
         self.packets_ejected = 0
@@ -208,45 +235,46 @@ class BaseNIC(FlitFeeder, FlitSink):
 
     # ------------------------------------------------------- ejection side
     # FlitSink interface
+    def flit_target(self, port: int, vc: int):
+        """The ``(port, vc)`` ejection sink's own accept (one sink per
+        ``(port, vc)``, kept across re-binds)."""
+        sink = self._ej_vcs.get((port, vc))
+        if sink is None:
+            sink = self._ej_vcs[(port, vc)] = _EjectionVC(self, port, vc)
+        return sink.accept_flit
+
     def accept_flit(
         self, port: int, vc: int, packet: Packet, is_head: bool, is_tail: bool
     ) -> None:
-        key = (port, vc)
-        self._ej_flits[key] = self._ej_flits.get(key, 0) + 1
-        if is_tail:
-            if self._ej_flits[key] < packet.flits:
-                # Flits of a packet arrive contiguously per VC.
-                raise RuntimeError(
-                    f"node {self.node_id}: tail before all flits of {packet}"
+        self.flit_target(port, vc)(packet, is_head, is_tail)
+
+    def _tail_ejected(self, packet: Packet, vc: int, port: int) -> None:
+        """All of ``packet``'s flits have arrived on ``(port, vc)``."""
+        self.packets_ejected += 1
+        if packet.is_data and not packet.control_only:
+            packet.ejected_cycle = self.sim.now
+            if self.on_eject is not None:
+                self.on_eject(packet)
+            if self.obs is not None:
+                self.obs.emit_packet(
+                    self.sim.now, EventKind.EJECT, self.node_id, packet
                 )
-            self._ej_flits[key] -= packet.flits
-            self.packets_ejected += 1
-            if packet.is_data and not packet.control_only:
-                packet.ejected_cycle = self.sim.now
-                if self.on_eject is not None:
-                    self.on_eject(packet)
-                if self.obs is not None:
-                    self.obs.emit_packet(
-                        self.sim.now, EventKind.EJECT, self.node_id, packet
-                    )
-            if packet.kind is PacketKind.COLLECTIVE:
-                # Combined in dedicated registers: credits return at once,
-                # the subclass arrivals machinery never sees the packet.
-                self._release_ejection(packet, vc, port)
-                if self.collective is None:
-                    raise RuntimeError(
-                        f"node {self.node_id}: collective packet {packet} "
-                        "arrived but no collective engine is attached"
-                    )
-                self.collective.on_packet(packet)
-                return
-            self._on_packet_ejected(packet, vc, port)
+        if packet.kind is PacketKind.COLLECTIVE:
+            # Combined in dedicated registers: credits return at once,
+            # the subclass arrivals machinery never sees the packet.
+            self._release_ejection(packet, vc, port)
+            if self.collective is None:
+                raise RuntimeError(
+                    f"node {self.node_id}: collective packet {packet} "
+                    "arrived but no collective engine is attached"
+                )
+            self.collective.on_packet(packet)
+            return
+        self._on_packet_ejected(packet, vc, port)
 
     def _release_ejection(self, packet: Packet, vc: int, port: int = 0) -> None:
         """Return the ejection-buffer credits held by ``packet``."""
-        link = self._ej_links[port]
-        for _ in range(packet.flits):
-            link.return_credit(vc)
+        self._ej_links[port].return_credits(vc, packet.flits)
 
     def _on_packet_ejected(self, packet: Packet, vc: int, port: int) -> None:
         raise NotImplementedError

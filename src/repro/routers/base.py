@@ -91,8 +91,11 @@ class InputUnit(FlitFeeder):
         if is_tail:
             transit.tail_arrived = True
         # A head-of-queue packet with an out VC gets its further flits
-        # from the in link's forward binding, never through here.
-        if transit is self.queue[0]:
+        # from the in link's forward binding, never through here.  Only
+        # the head (and, store-and-forward, the tail) can start routing; a
+        # later flit cannot make allocation win (see _try_allocate).
+        if (is_head or is_tail and self.router.mode == STORE_AND_FORWARD) \
+                and transit is self.queue[0]:
             self._advance_head()
 
     # ------------------------------------------------------- head handling
@@ -133,6 +136,16 @@ class InputUnit(FlitFeeder):
         self._try_allocate(transit)
 
     def _try_allocate(self, transit: _Transit) -> None:
+        """Claim an out VC for the head packet, or wait for a release.
+
+        Invariant: between VC releases, a waiting head has no free
+        candidate VC on any of its choice links.  A failed attempt
+        registers a waiter on every choice link, and every VC release
+        (``Link._complete`` at a tail) and every ``Link.repair()`` fires
+        all of that link's waiters.  So a re-try that one of those did
+        not trigger cannot win, and a body flit reaching a waiting head
+        does not re-try (see :meth:`accept_flit`).
+        """
         for link, vc_candidates in transit.choices:
             vc = link.allocate_vc(transit.packet, self, vc_candidates)
             if vc is not None:

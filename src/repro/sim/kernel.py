@@ -388,6 +388,23 @@ class EpochSimulator(Simulator):
             heapq.heappush(self._heap, (self._now + delay, self._seq, fn, args))
             self._seq += 1
 
+    def poster(self, delay: int, fn: Callable[[], Any]) -> Callable[[], int]:
+        """:meth:`post` of one fixed ``(delay, fn)`` as a zero-argument
+        callable returning the current cycle.  A near ``delay`` appends
+        one prebuilt ``(fn, ())`` record to the ring slot: no argument
+        packing, no range test and no record allocation per call."""
+        if not 0 <= delay < _WINDOW:
+            return super().poster(delay, fn)
+        record = (fn, ())
+        buckets = self._buckets
+
+        def post_fn() -> int:
+            now = self._now
+            buckets[(now + delay) & _MASK].append(record)
+            return now
+
+        return post_fn
+
     def pending_events(self) -> int:
         """Records still queued, less cancelled events, found by scanning
         the ring and the heap (a test/debug query, not for hot paths).

@@ -4,8 +4,8 @@ Spec validation, the CLI and the kernel itself all consult one registry,
 so adding a scheduler edits no other file:
 
 * :class:`Scheduler` is the interface a kernel implementation provides
-  (schedule / post / cancel-via-:class:`~repro.sim.kernel.Event` /
-  drain-until).
+  (schedule / post / poster / cancel-via-:class:`~repro.sim.kernel.Event`
+  / drain-until).
 * :func:`register_scheduler` adds an implementation under a name.
 * :func:`scheduler_names` is the single source of truth that spec
   validation, CLI choices and ``Simulator(scheduler=...)`` dispatch all
@@ -68,6 +68,20 @@ class Scheduler:
         The hot-path API -- implementations are free to skip allocating
         an Event entirely."""
         raise NotImplementedError
+
+    def poster(self, delay: int, fn: Callable[[], Any]) -> Callable[[], int]:
+        """A zero-argument callable that posts ``fn()`` ``delay`` cycles
+        from now, exactly like ``post(delay, fn)``, and returns the current
+        cycle.  For a caller that posts the same call over and over (a
+        link's flit completion): implementations may prebuild the queue
+        record once.  This default goes through :meth:`post`."""
+        post = self.post
+
+        def post_fn() -> int:
+            post(delay, fn)
+            return self.now
+
+        return post_fn
 
     def run_until(self, cycle: int) -> None:
         """Drain every event with timestamp strictly below ``cycle``."""

@@ -29,6 +29,7 @@ destructive:
 from __future__ import annotations
 
 import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -112,6 +113,14 @@ class CrashPointDriver(TrafficDriver):
     def _fail(self) -> None:
         mode = self.config.mode
         if mode == "exit":
+            # os._exit runs no handler and flushes no stream: say why the
+            # process dies first, or a run of this workload exits silently.
+            sys.stderr.write(
+                f"crashpoint: exiting with code 86 after {self.sent} "
+                "packet(s), on purpose: this workload exists to kill sweep "
+                "pool workers\n"
+            )
+            sys.stderr.flush()
             os._exit(86)
         if mode == "hang":
             time.sleep(self.config.hang_seconds)

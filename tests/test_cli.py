@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -57,6 +62,22 @@ class TestRun:
             "--nodes", "16", "--cycles", "4000", "--drop", "0.05",
         ])
         assert code == 0
+
+    def test_crashpoint_says_why_it_exits(self):
+        # The workload hard-exits its process (os._exit) on purpose, so it
+        # must say so on stderr before it dies.
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--network", "fattree",
+             "--traffic", "crashpoint", "--nodes", "16"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 86
+        (line,) = out.stderr.splitlines()
+        assert line.startswith("crashpoint: ")
+        assert "after 2 packet(s)" in line
+        assert "kill sweep pool workers" in line
 
 
 class TestAnalysisCommands:

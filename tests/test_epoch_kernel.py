@@ -307,4 +307,4 @@ class TestRouterBulkProtocol:
         router.attach_in_link(3, link)
         target = router.flit_target(3, 1)
         assert target.__self__ is router._input_units[3][1]
-        assert link._accept[1] == target
+        assert link._vcs[1].accept == target

@@ -139,3 +139,26 @@ def _digest(spec: ExperimentSpec) -> str:
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_metrics_digest_matches_pin(name):
     assert _digest(SPECS[name]) == PINS[name]
+
+
+def test_a_missed_wake_up_breaks_a_pin(monkeypatch):
+    """Routers re-try a blocked head only when a VC is released, so a
+    link that drops the routers' waiters at a release instead of firing
+    them strands heads.  The pins must see that."""
+    from repro.links import Link
+
+    complete = Link._complete
+    dropped = []
+
+    def complete_dropping_waiters(link):
+        vc = link._wire_vc
+        if vc.sent == vc.flits:  # this completion releases the VC
+            kept = [fn for fn in link._alloc_waiters
+                    if not fn.__qualname__.startswith("InputUnit.")]
+            dropped.append(len(link._alloc_waiters) - len(kept))
+            link._alloc_waiters = kept
+        complete(link)
+
+    monkeypatch.setattr(Link, "_complete", complete_dropping_waiters)
+    assert _digest(SPECS["heavy_fattree16"]) != PINS["heavy_fattree16"]
+    assert sum(dropped) > 0

@@ -382,8 +382,114 @@ class TestSinkBinding:
         link.notify_flit_ready(1, pkt.flits)
         sim.run()
         assert nic.ejected == [(pkt, 1, 2)]
-        assert nic._ej_flits[(2, 1)] == 0
+        assert link._vcs[1].accept == nic.flit_target(2, 1)
+        assert nic._ej_vcs[(2, 1)].flits == 0
         assert nic.packets_ejected == 1
+
+
+class TestNicEjectionSink:
+    """A NIC's ejection side is one sink per ``(port, vc)``."""
+
+    def recorder(self, sim):
+        from repro.nic.base import BaseNIC
+
+        class EjectionRecorder(BaseNIC):
+            def __init__(self, sim):
+                super().__init__(sim, node_id=4)
+                self.ejected = []
+
+            def _on_packet_ejected(self, packet, vc, port):
+                self.ejected.append((packet.uid, vc, port))
+
+        return EjectionRecorder(sim)
+
+    def test_vcs_count_their_flits_independently(self):
+        nic = self.recorder(Simulator())
+        vc0, vc1 = nic.flit_target(0, 0), nic.flit_target(0, 1)
+        long, short = packet(flits=3), packet(flits=2, src=2)
+        vc0(long, True, False)
+        vc1(short, True, False)
+        vc0(long, False, False)
+        vc1(short, False, True)
+        assert nic.ejected == [(short.uid, 1, 0)]
+        vc0(long, False, True)
+        assert nic.ejected == [(short.uid, 1, 0), (long.uid, 0, 0)]
+        assert [nic._ej_vcs[(0, vc)].flits for vc in (0, 1)] == [0, 0]
+        assert nic.packets_ejected == 2
+
+    def test_a_short_tail_raises(self):
+        nic = self.recorder(Simulator())
+        target = nic.flit_target(1, 0)
+        pkt = packet(flits=4)
+        target(pkt, True, False)
+        target(pkt, False, False)
+        with pytest.raises(RuntimeError,
+                           match="node 4: tail before all flits"):
+            target(pkt, False, True)
+        assert nic.ejected == []
+
+    def test_a_rebind_keeps_the_vcs_count(self):
+        # BaseNIC.accept_flit (the unbound FlitSink entry) shares the sink.
+        nic = self.recorder(Simulator())
+        pkt = packet(flits=2)
+        nic.accept_flit(0, 1, pkt, True, False)
+        nic.flit_target(0, 1)(pkt, False, True)
+        assert nic.ejected == [(pkt.uid, 1, 0)]
+
+
+class TestReturnCredits:
+    """``return_credits(vc, n)``: ``n`` credits in one call."""
+
+    def stalled(self, sim):
+        # A 2-flit buffer that is never drained: two flits cross, three
+        # stay announced with no credit.
+        sink = RecordingSink()
+        link = make_link(sim, sink, vcs=2, buf=2)
+        pkt = packet(flits=5)
+        link.allocate_vc(pkt, OnePacketFeeder(pkt), [1])
+        link.notify_flit_ready(1, pkt.flits)
+        sim.run()
+        assert len(sink.flits) == 2
+        return link, sink
+
+    def test_overflow_names_the_link(self):
+        sim = Simulator()
+        link, _ = self.stalled(sim)
+        with pytest.raises(RuntimeError, match="^L: credit overflow on VC 1"):
+            link.return_credits(1, 3)
+        with pytest.raises(RuntimeError, match="^L: credit overflow on VC 0"):
+            link.return_credits(0, 1)
+
+    def test_one_call_makes_one_kick(self, monkeypatch):
+        sim = Simulator()
+        link, sink = self.stalled(sim)
+        kicks = []
+        kick = Link._kick
+
+        def counting_kick(self):
+            kicks.append(self)
+            kick(self)
+
+        monkeypatch.setattr(Link, "_kick", counting_kick)
+        link.return_credits(1, 2)
+        assert kicks == [link]
+        assert link._busy and link.flits_carried == 3
+
+    def test_same_flits_as_single_credits(self):
+        timelines = []
+        for batched in (True, False):
+            sim = Simulator()
+            link, sink = self.stalled(sim)
+            if batched:
+                link.return_credits(1, 2)
+            else:
+                link.return_credit(1)
+                link.return_credit(1)
+            sim.run()
+            timelines.append((sim.now, [f[3:] for f in sink.flits],
+                              link._vcs[1].credits))
+        assert timelines[0] == timelines[1]
+        assert timelines[0][1][-1] == (False, False)
 
 
 class ChainFeeder(FlitFeeder):
@@ -419,7 +525,7 @@ class ChainFeeder(FlitFeeder):
         # The tail's credit went upstream before this call.
         up = self.credit_link
         owed = sum(pkt.flits for pkt in self.packets)
-        assert up._credits[vc] == up._vc_capacity - owed
+        assert up._vcs[vc].credits == up._vc_capacity - owed
         self.sim.post(0, self.start)
 
 
@@ -434,7 +540,7 @@ class DelayedCreditSink(FlitSink):
 
     def accept_flit(self, port, vc, packet, is_head, is_tail):
         link = self.link
-        assert link._nready == sum(link._ready)
+        assert link._nready == sum(vc.ready for vc in link._vcs)
         self.flits.append((vc, packet, is_head, is_tail))
         self.sim.post(self.draw_delay(), link.return_credit, vc)
 
@@ -469,7 +575,7 @@ class TestLinkOwnedHandshake:
                     left -= n
                 batches[pkt.uid] = plan
             # The feeder's buffer holds every flit it will send.
-            upstream._credits[vc] -= sum(sizes)
+            upstream._vcs[vc].credits -= sum(sizes)
             feeder = ChainFeeder(sim, link, vc, packets, batches, upstream)
             feeders.append((feeder, packets))
             feeder.start()
@@ -483,12 +589,12 @@ class TestLinkOwnedHandshake:
             assert [f for f in sink.flits if f[0] == vc] == expected
             assert feeder.tails == packets
         assert link.flits_carried == len(sink.flits)
-        assert link._nready == sum(link._ready) == 0
+        assert link._nready == sum(vc.ready for vc in link._vcs) == 0
         assert all(link.vc_free(vc) for vc in range(3))
-        assert link._sent == [0, 0, 0]
+        assert [vc.sent for vc in link._vcs] == [0, 0, 0]
         # Every taken flit freed exactly one upstream credit.
-        assert upstream._credits == [100, 100, 100]
-        assert link._credits == [link._vc_capacity] * 3
+        assert [vc.credits for vc in upstream._vcs] == [100, 100, 100]
+        assert [vc.credits for vc in link._vcs] == [link._vc_capacity] * 3
 
 
 class TestNicInjectionOwnership:

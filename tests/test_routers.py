@@ -5,6 +5,7 @@ import pytest
 from repro.links import FlitFeeder, FlitSink, Link
 from repro.packets import Packet, PacketKind
 from repro.routers import CUTTHROUGH, STORE_AND_FORWARD, Router
+from repro.routers.base import InputUnit
 from repro.sim import Simulator
 
 
@@ -127,8 +128,8 @@ class TestForwardBinding:
 
     def run_until_bound(self, sim, link):
         for _ in range(200):
-            if link._forward[0] is not None:
-                return link._forward[0]
+            if link._vcs[0].forward is not None:
+                return link._vcs[0].forward
             sim.run_until(sim.now + 1)
         raise AssertionError("the in link was never bound")
 
@@ -142,7 +143,8 @@ class TestForwardBinding:
         assert transit.out_link is links[0]
         sim.run()
         assert transit.tail_arrived and transit.flits_arrived == packet.flits
-        assert [link._forward for link in (entry, *links)] == [[None]] * 3
+        assert [[(vc.forward, vc.out) for vc in link._vcs]
+                for link in (entry, *links)] == [[(None, None)]] * 3
         assert [p for p, _ in sink.packets] == [packet]
 
     def test_forwarded_flit_of_another_packet_raises(self):
@@ -151,7 +153,7 @@ class TestForwardBinding:
         InjectFeeder(entry).send(data_packet())
         self.run_until_bound(sim, entry)
         # The next flit on the bound VC belongs to some other packet.
-        entry._owners[0] = data_packet(src=5)
+        entry._vcs[0].owner = data_packet(src=5)
         with pytest.raises(RuntimeError, match="interleaved flits"):
             sim.run()
 
@@ -233,7 +235,7 @@ class TestLinkTakesFlits:
         InjectFeeder(entry).send(data_packet())
         sim.run_until(20)  # two flits buffered, routing still pending
         assert routers[0]._input_units[0][0].queue[0].flits_arrived == 2
-        entry._credits[0] = entry._vc_capacity  # credit already returned
+        entry._vcs[0].credits = entry._vc_capacity  # credit already returned
         with pytest.raises(RuntimeError, match="^in: credit overflow on VC 0"):
             sim.run()
 
@@ -254,9 +256,54 @@ class TestLinkTakesFlits:
         assert transit.flits_arrived == 8 and 0 < taken < 8
         assert unit.occupancy == 8 - taken == router.buffered_flits()
         # The in link agrees: one credit outstanding per buffered flit.
-        assert entry._vc_capacity - entry._credits[0] == unit.occupancy
+        assert entry._vc_capacity - entry._vcs[0].credits == unit.occupancy
         sim.run()
         assert unit.occupancy == 0 and len(sink.packets) == 1
+
+
+class HeldFeeder(FlitFeeder):
+    """Owns a VC for a packet whose flits the test announces later."""
+
+    def tail_taken(self, link, vc):
+        pass
+
+
+class TestWakeUps:
+    """A blocked head re-tries allocation only when a VC on one of its
+    choice links is released (see ``InputUnit._try_allocate``)."""
+
+    def test_body_flits_reaching_a_waiting_head_do_not_retry(self, monkeypatch):
+        attempts = []
+        try_allocate = InputUnit._try_allocate
+
+        def counting(unit, transit):
+            attempts.append(sim.now)
+            try_allocate(unit, transit)
+
+        monkeypatch.setattr(InputUnit, "_try_allocate", counting)
+        sim = Simulator()
+        sink = CollectorSink()
+        router = Router(sim, 0, eject_route)
+        entry = Link(sim, "in", 1, 1, 8, sink=router, sink_port=0)
+        router.attach_in_link(0, entry)
+        out = Link(sim, "out", 4, 1, 64, sink=sink, sink_port=0)
+        sink.link = out
+        router.attach_out_link(0, out)
+        blocker = data_packet(flits=2, src=7)
+        assert out.allocate_vc(blocker, HeldFeeder(), [0]) == 0
+        packet = data_packet(flits=8)
+        InjectFeeder(entry).send(packet)
+        sim.run_until(100)
+        # All eight flits are buffered, and the head tried once, after
+        # routing, and then waited.
+        (transit,) = router._input_units[0][0].queue
+        assert transit.flits_arrived == 8 and transit.out_link is None
+        assert attempts == [5]
+        out.notify_flit_ready(0, blocker.flits)
+        sim.run()
+        # The blocker's release woke the head: one more attempt, which won.
+        assert len(attempts) == 2
+        assert [p for p, _ in sink.packets] == [blocker, packet]
 
 
 class TestValidation:
