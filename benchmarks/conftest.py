@@ -72,6 +72,25 @@ class Report:
         """Store one machine-readable result (any JSON-serialisable value)."""
         self.data[key] = value
 
+    def check_claims(self) -> None:
+        """Judge this bench's claims (:mod:`repro.report.claims`) on the
+        data recorded so far, write every result into the text archive,
+        then fail once, naming each failing claim with its margin."""
+        from repro.report.claims import claims_for, evaluate
+
+        results = evaluate(claims_for(self.name), self.data)
+        if not results:
+            raise LookupError(f"no claims registered for bench {self.name}")
+        if self._lines[-1:] != [""]:
+            self.line("")
+        self.line("Claims (repro.report.claims):")
+        for result in results:
+            self.line(f"  {result}")
+        failed = [f"  {result}" for result in results if result.failed]
+        if failed:
+            raise AssertionError(f"{len(failed)} of {len(results)} claims "
+                                 "failed:\n" + "\n".join(failed))
+
     def flush(self) -> None:
         self.path.write_text("\n".join(self._lines) + "\n")
         record = BenchRecord(

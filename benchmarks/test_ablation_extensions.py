@@ -101,27 +101,14 @@ def test_ablation_extensions(benchmark, report):
         "per-packet": {"cycles": pp_cycles, "acks": pp_acks},
     })
     report.record("retx_timeout", {
-        str(timeout): {
-            "cycles": out[f"retx timeout {timeout}"][0],
-            "retransmissions": out[f"retx timeout {timeout}"][1],
-            "completed": out[f"retx timeout {timeout}"][2],
-        }
+        str(timeout): dict(zip(("cycles", "retransmissions", "completed"),
+                               out[f"retx timeout {timeout}"]))
         for timeout in (400, 1000, 3000)
     })
 
-    # 1: the two policies are close; in this reproduction insert-time
-    # acking is actually slightly AHEAD on windowed throughput (the paper
-    # found the opposite).  Our 2-packet arrivals FIFO already bounds how
-    # far an early ack can run ahead of the processor, so the policies
-    # differ only by one FIFO residence time per packet -- see
-    # EXPERIMENTS.md for the discussion.
-    assert accept >= 0.85 * insert
-    assert insert >= 0.85 * accept
-    # 2: combining halves (or better) the ack count at no throughput cost.
-    assert comb_acks < 0.7 * pp_acks
-    assert comb_cycles <= 1.1 * pp_cycles
-    # 3: all timeouts complete; an over-aggressive timeout wastes bandwidth
-    # on spurious retransmissions, an over-lazy one waits longer per loss.
+    # Ablation 3: every timeout completes.
     for timeout in (400, 1000, 3000):
         assert out[f"retx timeout {timeout}"][2], timeout
-    assert out["retx timeout 400"][1] >= out["retx timeout 3000"][1]
+    # The ``ablation.*`` claims; EXPERIMENTS.md discusses why insert-time
+    # acking is slightly ahead here (the paper found the opposite).
+    report.check_claims()

@@ -60,7 +60,7 @@ def test_barrier_offload(benchmark, report):
         assert res.violations == [], barrier
         hist = res.metrics.barrier_latency
         assert hist.count == ROUNDS * NODES, barrier
-        mean[barrier] = round(hist.mean, 1)
+        mean[barrier] = hist.mean
         p99[barrier] = hist.p99
         maximum[barrier] = hist.maximum
         cycles[barrier] = res.cycles
@@ -87,8 +87,4 @@ def test_barrier_offload(benchmark, report):
     # value against the closed form, the monitor saw no violation, and the
     # root completed exactly one collective per round.
     assert counters["coll_completed"] == ROUNDS
-    # The host combine models a dedicated hardware barrier (fixed release
-    # cost); the NIC tree pays real data-network latency, so it is slower
-    # but must stay within a civilised envelope of the run itself.
-    assert 0 < mean["host"] <= mean["nic"]
-    assert maximum["nic"] < cycles["nic"]
+    report.check_claims()

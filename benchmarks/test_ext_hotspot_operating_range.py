@@ -96,16 +96,9 @@ def test_ext_operating_range(benchmark, report, engine):
     for i, gap in enumerate(GAPS):
         report.line(f"{gap:>10d}{curves['plain'][i]:>10,}{curves['nifdy-'][i]:>10,}")
 
-    plain, nifdy = curves["plain"], curves["nifdy-"]
-    # At light offered load the NIC protocol is immaterial (within 10%).
-    assert abs(plain[0] - nifdy[0]) <= 0.1 * max(plain[0], nifdy[0])
-    # Past the knee, the plain network's *marginal* return collapses: the
-    # last doubling of offered load buys it much less than NIFDY gains.
-    plain_knee_gain = plain[-1] / plain[-3]
-    nifdy_knee_gain = nifdy[-1] / nifdy[-3]
-    assert nifdy_knee_gain > plain_knee_gain
-    # And at full blast NIFDY extracts strictly more from the same fabric.
-    assert nifdy[-1] > 1.1 * plain[-1]
+    report.record("send_gaps", list(GAPS))
+    report.record("delivered", curves)
+    report.check_claims()
 
 
 def test_ext_hotspot_throttling(benchmark, report, engine):
@@ -115,10 +108,8 @@ def test_ext_hotspot_throttling(benchmark, report, engine):
                 "drain a fixed workload")
     for mode, cycles in out.items():
         report.line(f"  {mode:9s}: {cycles:>10,} cycles")
-    # Admission control finishes the whole workload (hot and background
-    # traffic together) at least as fast as either baseline.
-    assert out["nifdy-"] <= 1.02 * out["plain"]
-    assert out["nifdy-"] <= 1.05 * out["buffered"]
+    report.record("cycles", out)
+    report.check_claims()
 
 
 def test_ext_adaptive_mesh(benchmark, report, engine):
@@ -132,8 +123,8 @@ def test_ext_adaptive_mesh(benchmark, report, engine):
     dor_gain = out[("mesh2d", "nifdy-")] / out[("mesh2d", "plain")]
     report.line(f"  NIFDY gain: adaptive {adaptive_gain:.2f}x vs "
                 f"dimension-order {dor_gain:.2f}x")
-    # NIFDY helps the adaptive mesh at least as much as the deterministic
-    # one (the Section 6.3 conjecture), and the combination beats the
-    # plain adaptive mesh.
-    assert out[("mesh2d-adaptive", "nifdy-")] > out[("mesh2d-adaptive", "plain")]
-    assert adaptive_gain >= 0.95 * dor_gain
+    report.record("delivered", {
+        f"{network}/{mode}": delivered
+        for (network, mode), delivered in out.items()
+    })
+    report.check_claims()

@@ -4,57 +4,16 @@ Paper: each node sends with probability 1/3 per phase; the message-length
 distribution has a long tail (10- and 20-packet messages), and idle nodes
 periodically ignore the network.  This mainly measures pairwise bandwidth
 with occasional target collisions and unresponsive receivers -- the regime
-where bulk dialogs (window W) matter most.
+where bulk dialogs (window W) matter most.  Same grid as Figure 2; claims:
+the ``fig3.*`` rows of :mod:`repro.report.claims`.
 """
 
-from repro.experiments import ExperimentSpec, light_synthetic
-from repro.networks import NETWORK_NAMES
+from repro.experiments import light_synthetic
 
-from conftest import BENCH_CYCLES, BENCH_SEED
-
-MODES = ("plain", "buffered", "nifdy-")
-
-
-def fig3_specs():
-    return [
-        ExperimentSpec(
-            network=network, traffic=light_synthetic(), num_nodes=64,
-            nic_mode=mode, run_cycles=BENCH_CYCLES, seed=BENCH_SEED,
-            label=f"{network}/{mode}",
-        )
-        for network in NETWORK_NAMES
-        for mode in MODES
-    ]
-
-
-def run_figure3(engine):
-    points = iter(engine.run(fig3_specs()))
-    return {
-        network: {mode: next(points).delivered for mode in MODES}
-        for network in NETWORK_NAMES
-    }
+from test_fig2_heavy_synthetic import report_synthetic, run_synthetic
 
 
 def test_fig3_light_synthetic(benchmark, report, engine):
-    rows = benchmark.pedantic(run_figure3, args=(engine,), rounds=1,
-                              iterations=1)
-    report.line(
-        f"Figure 3: packets delivered in {BENCH_CYCLES:,} cycles, light traffic"
-    )
-    report.line(f"{'network':16s}{'no NIFDY':>10s}{'buffers':>10s}{'NIFDY':>10s}"
-                f"{'NIFDY/plain':>13s}")
-    for network, row in rows.items():
-        ratio = row["nifdy-"] / row["plain"]
-        report.line(
-            f"{network:16s}{row['plain']:>10,}{row['buffered']:>10,}"
-            f"{row['nifdy-']:>10,}{ratio:>12.2f}x"
-        )
-    report.record("delivered", rows)
-
-    for network, row in rows.items():
-        assert row["nifdy-"] >= 0.95 * row["plain"], network
-        assert row["nifdy-"] >= 0.90 * row["buffered"], network
-    # Long messages + round-trip-limited pairs: the bulk protocol gives
-    # NIFDY the edge over plain on most networks.
-    wins = sum(rows[n]["nifdy-"] > rows[n]["plain"] for n in rows)
-    assert wins >= 6
+    rows = benchmark.pedantic(run_synthetic, args=(engine, light_synthetic),
+                              rounds=1, iterations=1)
+    report_synthetic(report, "Figure 3", "light", rows)

@@ -3,7 +3,8 @@
 Paper: "we ran some simulations of the full fat tree, using only short
 messages and no bulk dialogs in order to concentrate on the effects of O
 and B".  Left panel: normalized throughput (vs no NIFDY) for pool sizes B;
-right panel: for OPT sizes O.  Findings asserted here:
+right panel: for OPT sizes O.  Findings, judged by the ``fig4.*`` rows of
+:mod:`repro.report.claims`:
 
 * for a fixed B, the relative benefit of NIFDY does not decrease as the
   machine grows (a designer can size the unit once);
@@ -72,45 +73,25 @@ def test_fig4_scalability(benchmark, report, engine):
     baseline, by_b, by_o = benchmark.pedantic(run_figure4, args=(engine,),
                                               rounds=1, iterations=1)
 
-    report.line(f"Figure 4 (left): normalized throughput vs size, varying B "
-                f"(O=8, no bulk, {CYCLES:,} cycles)")
-    report.line(f"{'nodes':>8s}" + "".join(f"{'B=' + str(b):>10s}" for b in B_VALUES))
-    norm_b = {}
-    for size in SIZES:
-        cells = []
-        for b in B_VALUES:
-            norm_b[(size, b)] = by_b[(size, b)] / baseline[size]
-            cells.append(f"{norm_b[(size, b)]:>10.2f}")
-        report.line(f"{size:>8d}" + "".join(cells))
-
-    report.line("")
-    report.line("Figure 4 (right): normalized throughput vs size, varying O (B=8)")
-    report.line(f"{'nodes':>8s}" + "".join(f"{'O=' + str(o):>10s}" for o in O_VALUES))
-    norm_o = {}
-    for size in SIZES:
-        cells = []
-        for o in O_VALUES:
-            norm_o[(size, o)] = by_o[(size, o)] / baseline[size]
-            cells.append(f"{norm_o[(size, o)]:>10.2f}")
-        report.line(f"{size:>8d}" + "".join(cells))
-
     report.record("baseline_delivered", {str(s): baseline[s] for s in SIZES})
-    report.record("normalized_by_pool", {
-        f"n{size}/B{b}": round(norm_b[(size, b)], 4)
-        for size in SIZES for b in B_VALUES
-    })
-    report.record("normalized_by_opt", {
-        f"n{size}/O{o}": round(norm_o[(size, o)], 4)
-        for size in SIZES for o in O_VALUES
-    })
-
-    # Benefit does not fall off as the machine grows (fixed parameters).
-    for b in B_VALUES:
-        assert norm_b[(256, b)] >= 0.9 * norm_b[(16, b)], f"B={b}"
-    # More pool buffers help (or at least never hurt much) at every size.
-    for size in SIZES:
-        assert norm_b[(size, 8)] >= 0.95 * norm_b[(size, 2)], size
-    # O=8 is at or near the best O at every size.
-    for size in SIZES:
-        best = max(norm_o[(size, o)] for o in O_VALUES)
-        assert norm_o[(size, 8)] >= 0.93 * best, size
+    norm = {}
+    for title, param, cells, values in (
+        ("(left): normalized throughput vs size, varying B "
+         f"(O=8, no bulk, {CYCLES:,} cycles)", "B", by_b, B_VALUES),
+        ("(right): normalized throughput vs size, varying O (B=8)",
+         "O", by_o, O_VALUES),
+    ):
+        report.line(f"Figure 4 {title}")
+        report.line(f"{'nodes':>8s}"
+                    + "".join(f"{param + '=' + str(v):>10s}" for v in values))
+        for size in SIZES:
+            for v in values:
+                norm[(size, param, v)] = cells[(size, v)] / baseline[size]
+            report.line(f"{size:>8d}" + "".join(
+                f"{norm[(size, param, v)]:>10.2f}" for v in values))
+        report.line("")
+        report.record(f"normalized_by_{'pool' if param == 'B' else 'opt'}", {
+            f"n{size}/{param}{v}": norm[(size, param, v)]
+            for size in SIZES for v in values
+        })
+    report.check_claims()

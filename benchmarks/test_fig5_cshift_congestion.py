@@ -7,8 +7,8 @@ perturbations dissipate and utilisation stays even, because the "rightful"
 sender owns the receiver's bulk dialog and finishes quickly.
 
 The bench reproduces both heatmaps (archived in the results file) and
-asserts the summary statistics: NIFDY's worst per-receiver backlog is
-smaller and the same traffic finishes no later.
+judges the summary statistics by the ``fig5.*`` claims: NIFDY's mean peak
+per-receiver backlog is smaller and the same traffic finishes no later.
 """
 
 from repro.experiments import ExperimentSpec, cshift, run_experiment
@@ -58,16 +58,11 @@ def test_fig5_cshift_congestion(benchmark, report):
     report.record("finished_cycles",
                   {label: res.cycles for label, res in results.items()})
     report.record("mean_peak_backlog",
-                  {label: round(res.congestion.mean_peak_pending(), 3)
+                  {label: res.congestion.mean_peak_pending()
                    for label, res in results.items()})
     report.record("worst_backlog",
                   {label: res.congestion.peak_pending()
                    for label, res in results.items()})
 
     assert plain.completed and nifdy.completed
-    # Even utilisation: NIFDY's backlog stays below the uncontrolled run's.
-    assert nifdy.congestion.mean_peak_pending() <= plain.congestion.mean_peak_pending()
-    # "In both cases, the same number of packets are transferred, but NIFDY
-    # finishes earlier" (here NIFDY also needs fewer packets thanks to
-    # in-order payload packing).
-    assert nifdy.cycles <= plain.cycles
+    report.check_claims()

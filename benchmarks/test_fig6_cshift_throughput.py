@@ -61,17 +61,6 @@ def test_fig6_cshift_throughput(benchmark, report):
         )
     report.record("words_per_kcycle", tput)
     report.record("cycles", {label: res.cycles for label, res in results.items()})
-
-    free, barred, flow, inorder = (tput[c[0]] for c in CONFIGS)
-    # Congestion control alone beats free-running phases and lands within a
-    # few percent of optimized barriers.  (The paper's NIFDY- strictly beat
-    # barriers; our barrier model is the CM-5's fast hardware-assisted sync
-    # and our nodes are perfectly symmetric, which flatters the barrier bar
-    # -- see EXPERIMENTS.md.)
-    assert flow > free
-    assert flow >= 0.92 * barred
-    # Exploiting in-order delivery beats everything, barriers included.
-    assert inorder > flow
-    assert inorder > barred
-    # And barriers beat nothing (the Strata result this builds on).
-    assert barred >= 0.97 * free
+    # The ``fig6.*`` claims; NIFDY- vs barriers is EXPERIMENTS.md's
+    # divergence 2 (our hardware barrier pays no straggler cost).
+    report.check_claims()

@@ -3,20 +3,14 @@
 Paper parameters n_nodes=100, d_nodes=20, local_p=3, dist_span=20: almost
 every arc is remote, so the network carries an order of magnitude more
 update traffic than Figure 7 and the in-order payload benefit compounds
-with congestion relief.  Same claims as Figure 7, but the NIFDY gain over
-buffers-only should be larger here than under light communication.
+with congestion relief.  Same claims as Figure 7 (the ``fig8.*`` rows of
+:mod:`repro.report.claims`): the NIFDY gain over buffers-only should be
+larger here than under light communication.
 """
 
 from repro.traffic import Em3dConfig
 
-from conftest import BENCH_SEED
-from test_fig7_em3d_light import (
-    MODES,
-    NETWORKS,
-    check_em3d_claims,
-    report_em3d,
-    run_em3d,
-)
+from test_fig7_em3d_light import report_em3d, run_em3d
 
 SCALE = 0.12
 ITERATIONS = 2
@@ -27,17 +21,11 @@ def _config():
 
 
 def test_fig8_em3d_heavy(benchmark, report):
-    rows = benchmark.pedantic(run_em3d, args=(_config(),), rounds=1, iterations=1)
+    rows, in_order = benchmark.pedantic(run_em3d, args=(_config(),), rounds=1, iterations=1)
     cfg = _config()
     report_em3d(
         report,
         f"Figure 8: EM3D, heavy communication (n={cfg.n_nodes}, d={cfg.d_nodes}, "
         f"local_p={cfg.local_p}, span={cfg.dist_span})",
-        rows,
+        rows, in_order,
     )
-    check_em3d_claims(rows)
-    # Heavier communication -> bigger average NIFDY-vs-buffers gain than
-    # is typical under light traffic (paper: ~10% light, up to ~2x for
-    # all-to-all patterns).
-    gains = [row["buffered"] / row["nifdy"] for row in rows.values()]
-    assert sum(gains) / len(gains) > 1.08

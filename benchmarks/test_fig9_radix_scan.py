@@ -4,7 +4,8 @@ Paper (Section 4.5): the scan is a per-bucket parallel prefix flowing
 processor 0 -> 1 -> ... -> P-1.  Without inserted delays "the sends from
 one processor cause the next processor in the pipeline to continually
 receive with no chance to send, serializing the entire scan".  Findings
-asserted:
+(the first and last judged by the ``fig9.*`` rows of
+:mod:`repro.report.claims`, the second shown in the table):
 
 * inserting delays helps in all cases, but is far more critical without
   NIFDY (NIFDY's ack pacing throttles the sender by itself);
@@ -85,27 +86,7 @@ def test_fig9_radix_scan(benchmark, report):
         for (mode, delay), cycles in row.items()
     })
     report.record("coalesce_cycles", coalesce)
-
-    # The byte-wide fat trees serialise without delays (the sender outruns
-    # the receiver); the CM-5's 4-bit time-multiplexed links are slow enough
-    # to act as a built-in delay, so the pathology never appears there (a
-    # model difference from the paper, recorded in EXPERIMENTS.md).
-    for network in ("fattree", "fattree-sf"):
-        row = rows[network]
-        plain_gain = row[("plain", "no delay")] / row[("plain", "delay")]
-        # Delays rescue the serialised plain scan dramatically...
-        assert plain_gain > 3.0, network
-        # ...but NIFDY's ack pacing rescues it by itself, with no delays:
-        # "when NIFDY is included, its protocol causes the sender to slow
-        # down; this allows all the processors to continue to send as well
-        # as receive".
-        assert row[("nifdy", "no delay")] < row[("plain", "no delay")] / 3, network
-        assert row[("nifdy", "no delay")] <= 1.2 * row[("plain", "delay")], network
-        # Delays matter far more without NIFDY than with it.
-        nifdy_gain = row[("nifdy", "no delay")] / row[("nifdy", "delay")]
-        assert plain_gain > nifdy_gain, network
-    # On the CM-5 nothing serialises and NIFDY's restrictiveness costs only
-    # its (large) scalar round trip; it must still complete correctly.
-    assert rows["cm5"][("nifdy", "no delay")] < 3 * rows["cm5"][("plain", "no delay")]
-    # Coalesce: "virtually identical with and without NIFDY".
-    assert abs(coalesce["nifdy"] - coalesce["plain"]) <= 0.2 * coalesce["plain"]
+    # The CM-5's 4-bit time-multiplexed links are slow enough to act as a
+    # built-in delay, so its scan never serialises (EXPERIMENTS.md
+    # divergence 3); the serialisation claims read the byte-wide trees.
+    report.check_claims()

@@ -6,13 +6,13 @@ fitted latency formula for all eight networks.  Right half (swept): the
 (O, W) choice that maximises combined heavy+light synthetic throughput,
 compared against the library's tuned defaults.
 
-Structural claims asserted:
+Claims (the ``table3.*`` rows of :mod:`repro.report.claims`):
 
 * the mesh has the smallest bisection bandwidth, the full fat tree (and
-  butterfly) the largest, the CM-5 variant in between but far below the
-  full tree;
-* restrictive admission (small O) is best on the mesh; generous admission
-  (larger O) on the fat tree -- the paper's central tuning story.
+  butterfly) the largest, the CM-5 variant narrower still and far below
+  the full tree;
+* restrictive admission (O <= 4) is at or near the best on the mesh, and
+  O=8 at or near the best on the fat tree.
 """
 
 from repro.analysis import characterize
@@ -95,9 +95,9 @@ def test_table3_characteristics(benchmark, report, engine):
 
     report.record("characteristics", {
         name: {
-            "volume_words_per_node": round(row.volume_words_per_node, 2),
-            "bisection_bytes_per_cycle": round(row.bisection_bytes_per_cycle, 2),
-            "avg_hops": round(row.avg_hops, 2),
+            "volume_words_per_node": row.volume_words_per_node,
+            "bisection_bytes_per_cycle": row.bisection_bytes_per_cycle,
+            "avg_hops": row.avg_hops,
             "max_hops": row.max_hops,
             "delivers_in_order": row.delivers_in_order,
             "formula": row.formula(),
@@ -110,44 +110,9 @@ def test_table3_characteristics(benchmark, report, engine):
         for network in SWEEP_NETWORKS for o in O_CHOICES for w in W_CHOICES
     })
 
-    by_name = rows
-    # Bisection ordering: the full fat tree is the widest; the mesh is
-    # narrow; the CM-5 variant (halved trees, 4-bit links) is narrowest.
-    assert (
-        by_name["mesh2d"].bisection_bytes_per_cycle
-        < by_name["fattree"].bisection_bytes_per_cycle
-    )
-    assert (
-        by_name["cm5"].bisection_bytes_per_cycle
-        <= by_name["mesh2d"].bisection_bytes_per_cycle
-    )
-    assert (
-        by_name["cm5"].bisection_bytes_per_cycle
-        < by_name["fattree"].bisection_bytes_per_cycle / 4
-    )
-    # Hop structure: fat tree max 6 (Section 2.4.3), mesh max 14 router hops
-    # (+2 NIC links), butterfly constant distance.
-    assert by_name["fattree"].max_hops == 6
-    # 14 router hops + 2 NIC links; hop_stats samples pairs, so the true
-    # corner-to-corner pair may be skipped.
-    assert 14 <= by_name["mesh2d"].max_hops <= 16
-    assert by_name["butterfly"].avg_hops == by_name["butterfly"].max_hops
     # Only the single-VC mesh-family and the dilation-1 butterfly deliver
     # in order by construction.
-    assert by_name["mesh2d"].delivers_in_order
-    assert by_name["butterfly"].delivers_in_order
-    assert not by_name["fattree"].delivers_in_order
-    # Tuning story: on the mesh a small O is at or near the best; on the
-    # fat tree larger O never loses.
-    def best_o(network):
-        return max(
-            ((o, w) for o in O_CHOICES for w in W_CHOICES),
-            key=lambda key: sweep[(network, key[0], key[1])],
-        )[0]
-
-    mesh_best = max(sweep[("mesh2d", o, w)] for o in O_CHOICES for w in W_CHOICES)
-    assert max(
-        sweep[("mesh2d", o, w)] for o in (2, 4) for w in W_CHOICES
-    ) >= 0.95 * mesh_best
-    ft_best = max(sweep[("fattree", o, w)] for o in O_CHOICES for w in W_CHOICES)
-    assert max(sweep[("fattree", 8, w)] for w in W_CHOICES) >= 0.93 * ft_best
+    assert rows["mesh2d"].delivers_in_order
+    assert rows["butterfly"].delivers_in_order
+    assert not rows["fattree"].delivers_in_order
+    report.check_claims()

@@ -18,7 +18,7 @@ Usage (after ``pip install -e .``)::
 ``run`` and ``sweep`` accept ``--json`` for machine-readable
 stdout (schema-stamped documents from :mod:`repro.report.schema`; the
 human output moves to stderr).  ``report`` regenerates the paper's
-figures, fidelity deltas, run health, and the perf trajectory from the
+figures, claim margins, run health, and the perf trajectory from the
 archived ``benchmarks/results/`` tree.
 
 ``run`` prints the same metrics the benchmark suite reports (packets
@@ -750,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="regenerate Fig 2-9 / Table 2-3 plots, fidelity deltas, run "
+        help="regenerate Fig 2-9 / Table 2-3 plots, claim margins, run "
         "health, and the perf trajectory from archived bench results",
     )
     report.add_argument("--results", default="benchmarks/results",

@@ -1,5 +1,6 @@
 """Reporting subsystem: the unified results schema, figure regeneration
-(`repro report`), and the append-only perf-history archive.
+(`repro report`) judged by the paper's claim table (:mod:`claims`), and
+the append-only perf-history archive.
 
 Layering: :mod:`~repro.report.schema` is pure stdlib and is imported by
 the bench conftest, the sweep engine, and the CLI; the generator side
@@ -7,7 +8,7 @@ the bench conftest, the sweep engine, and the CLI; the generator side
 sits on top and is only pulled in by ``repro report`` and the tests.
 """
 
-from .figures import FIGURES, FidelityCheck, FigureData, PaperRef, Series
+from .figures import FIGURES, FigureData, PaperRef, Series
 from .generate import ReportResult, generate_report
 from .history import (append_snapshot, git_sha, load_history,
                       snapshot_from_summary, trajectory_figures)
@@ -24,7 +25,7 @@ __all__ = [
     "CampaignRecord", "ChaosArtifact",
     "HistorySnapshot", "load_record", "load_results_tree",
     "write_record_atomic",
-    "FIGURES", "FigureData", "FidelityCheck", "PaperRef", "Series",
+    "FIGURES", "FigureData", "PaperRef", "Series",
     "generate_report", "ReportResult",
     "append_snapshot", "git_sha", "load_history", "snapshot_from_summary",
     "trajectory_figures",

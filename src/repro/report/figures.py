@@ -4,28 +4,20 @@ One builder per evaluation artifact of the paper (Figures 2-9, Tables 2
 and 3).  Each consumes the corresponding :class:`~repro.report.schema.
 BenchRecord` and produces a :class:`FigureData`: the series to plot, the
 paper's reference values to overlay (dashed lines / expected formulas),
-and a list of :class:`FidelityCheck` rows quantifying how far this tree's
-numbers sit from the paper's claims.  Builders never raise on missing or
-pre-schema data -- they return a figure marked ``missing`` so the report
-can fall back to the archived text and say *why* the plot is absent.
-
-The paper's quantitative anchors encoded here (all from the bench
-docstrings / EXPERIMENTS.md provenance notes):
-
-* Table 2: latency fits ``mesh 4d+14``, ``fat tree 5d+2`` (head latency).
-* Figure 6: ordering free-run < NIFDY- < barriers-or-NIFDY (we document
-  the known divergence on NIFDY- vs optimized barriers).
-* Figures 7/8: in-order gain ~1.10x under light communication, up to
-  ~2x for heavy all-to-all patterns.
-* Figure 9: inserted delays rescue the serialised scan ~8x; NIFDY beats
-  even the hand-tuned delays.
+and the page's claim rows, judged by :func:`~repro.report.claims.evaluate`
+on the archived data -- the same table the benches assert.  Builders never
+raise on missing or pre-schema data -- they return a figure marked
+``missing`` so the report can fall back to the archived text and say
+*why* the plot is absent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, wraps
 from typing import Callable, Dict, List, Optional, Sequence
 
+from .claims import ClaimResult, claims_for, evaluate, fig4_curves
 from .schema import BenchRecord
 
 
@@ -36,27 +28,6 @@ class PaperRef:
 
     label: str
     value: Optional[float] = None
-
-
-@dataclass
-class FidelityCheck:
-    """One quantified claim: measured vs the paper's reference.
-
-    ``delta`` is measured-minus-reference in the claim's own unit (so 0 is
-    a perfect reproduction); ``divergence`` marks checks that fail by
-    design and are documented in EXPERIMENTS.md rather than being bugs.
-    """
-
-    claim: str
-    measured: float
-    reference: float
-    ok: bool
-    unit: str = ""
-    divergence: bool = False
-
-    @property
-    def delta(self) -> float:
-        return self.measured - self.reference
 
 
 @dataclass
@@ -81,7 +52,9 @@ class FigureData:
     categories: List[str] = field(default_factory=list)
     series: List[Series] = field(default_factory=list)
     paper_refs: List[PaperRef] = field(default_factory=list)
-    fidelity: List[FidelityCheck] = field(default_factory=list)
+    #: The bench's claims judged on the archived record (⬜ rows: the
+    #: archive lacks what the claim reads, which counts as not holding).
+    fidelity: List[ClaimResult] = field(default_factory=list)
     caption: str = ""
     #: Markdown table rows (first row = header); rendered under the plot.
     table: Optional[List[List[str]]] = None
@@ -102,25 +75,34 @@ class FigureSpec:
     build: Callable[["FigureSpec", Optional[BenchRecord]], FigureData]
 
 
-def _missing(spec: FigureSpec, reason: str) -> FigureData:
+def _needs(*keys: str):
+    """Builder decorator: a page marked ``missing`` (with the reason)
+    unless the bench has an archived record holding every data key."""
+    def wrap(build):
+        @wraps(build)
+        def checked(spec: FigureSpec, record: Optional[BenchRecord],
+                    **kwargs) -> FigureData:
+            absent = [key for key in keys if key not in record.data] \
+                if record is not None else []
+            if record is not None and not absent:
+                return build(spec, record, **kwargs)
+            reason = (f"bench {spec.bench} has no archived JSON"
+                      if record is None else
+                      f"bench {spec.bench} archive predates structured "
+                      f"recording (missing data[{absent[0]!r}]); re-run the "
+                      "bench to regenerate")
+            return FigureData(name=spec.name, title=spec.title,
+                              missing=reason, source_bench=spec.bench)
+        return checked
+    return wrap
+
+
+def _figure(spec: FigureSpec, record: BenchRecord, **fields) -> FigureData:
+    """A page for ``spec`` carrying its claims judged on ``record``."""
     return FigureData(
-        name=spec.name, title=spec.title, missing=reason,
-        source_bench=spec.bench,
+        name=spec.name, title=spec.title, source_bench=spec.bench,
+        fidelity=evaluate(claims_for(spec.bench), record.data), **fields,
     )
-
-
-def _need(spec: FigureSpec, record: Optional[BenchRecord],
-          *keys: str) -> Optional[str]:
-    """Why the figure cannot be built, or None when all keys are present."""
-    if record is None:
-        return f"bench {spec.bench} has no archived JSON"
-    for key in keys:
-        if key not in record.data:
-            return (
-                f"bench {spec.bench} archive predates structured recording "
-                f"(missing data[{key!r}]); re-run the bench to regenerate"
-            )
-    return None
 
 
 # ---------------------------------------------------------------- Fig 2 / 3
@@ -128,19 +110,15 @@ def _need(spec: FigureSpec, record: Optional[BenchRecord],
 _SYNTH_MODES = ("plain", "buffered", "nifdy-")
 _MODE_LABELS = {"plain": "no NIFDY", "buffered": "buffers only",
                 "nifdy-": "NIFDY"}
-#: Topologies the paper singles out as blocking-prone (big NIFDY wins).
-_BLOCKING_NETWORKS = ("torus2d", "fattree", "multibutterfly")
 
 
+@_needs("delivered")
 def _build_synthetic(spec: FigureSpec, record: Optional[BenchRecord],
                      heavy: bool) -> FigureData:
-    reason = _need(spec, record, "delivered")
-    if reason:
-        return _missing(spec, reason)
     rows: Dict[str, Dict[str, int]] = record.data["delivered"]
     networks = list(rows)
-    fig = FigureData(
-        name=spec.name, title=spec.title, kind="bar",
+    fig = _figure(
+        spec, record, kind="bar",
         ylabel=f"packets delivered in {record.bench_cycles:,} cycles",
         categories=networks,
         series=[
@@ -152,44 +130,14 @@ def _build_synthetic(spec: FigureSpec, record: Optional[BenchRecord],
             "paper: NIFDY ≥ buffers ≥ plain on every congestible "
             "topology" + ("" if heavy else "; NIFDY wins everywhere"),
         )],
-        source_bench=spec.bench,
     )
-    ratios = {
-        n: rows[n]["nifdy-"] / rows[n]["plain"]
-        for n in networks if rows[n].get("plain")
-    }
-    if ratios:
-        worst = min(ratios, key=ratios.get)
-        fig.fidelity.append(FidelityCheck(
-            claim="NIFDY at least matches the bare NIC on every network "
-                  f"(worst: {worst})",
-            measured=round(ratios[worst], 3), reference=1.0, unit="x",
-            ok=ratios[worst] >= 0.93,
-        ))
-        blockers = [n for n in _BLOCKING_NETWORKS if n in ratios]
-        if blockers:
-            gain = min(ratios[n] for n in blockers)
-            fig.fidelity.append(FidelityCheck(
-                claim="clear protocol win on the blocking-prone topologies "
-                      "(torus / fat trees / multibutterfly)",
-                measured=round(gain, 3), reference=1.15, unit="x",
-                ok=gain > 1.15,
-            ))
-    buffer_wins = sum(
-        rows[n].get("buffered", 0) >= rows[n].get("plain", 0) for n in networks
-    )
-    fig.fidelity.append(FidelityCheck(
-        claim="buffering alone already helps over the bare interface "
-              "(networks where buffers ≥ plain)",
-        measured=buffer_wins, reference=float(len(networks)),
-        ok=buffer_wins >= len(networks) - 2, unit="networks",
-    ))
     fig.table = [["network"] + [_MODE_LABELS[m] for m in _SYNTH_MODES]
                  + ["NIFDY/plain"]]
     for n in networks:
         fig.table.append(
             [n] + [f"{rows[n].get(m, 0):,}" for m in _SYNTH_MODES]
-            + [f"{ratios.get(n, 0):.2f}x"]
+            + [f"{rows[n]['nifdy-'] / rows[n]['plain']:.2f}x"
+               if rows[n].get("plain") else "–"]
         )
     fig.caption = (
         "Fixed-window synthetic throughput per NIC configuration "
@@ -201,63 +149,22 @@ def _build_synthetic(spec: FigureSpec, record: Optional[BenchRecord],
     return fig
 
 
-def build_fig2(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
-    return _build_synthetic(spec, record, heavy=True)
-
-
-def build_fig3(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
-    return _build_synthetic(spec, record, heavy=False)
-
-
 # -------------------------------------------------------------------- Fig 4
 
+@_needs("normalized_by_pool", "normalized_by_opt")
 def build_fig4(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
-    reason = _need(spec, record, "normalized_by_pool", "normalized_by_opt")
-    if reason:
-        return _missing(spec, reason)
-
-    def parse(cells: Dict[str, float], prefix: str) -> Dict[str, Dict[int, float]]:
-        # keys look like "n64/B4" (or "n64/O4"): size x parameter grid.
-        out: Dict[str, Dict[int, float]] = {}
-        for key, value in cells.items():
-            size_part, param_part = key.split("/", 1)
-            out.setdefault(param_part, {})[int(size_part[1:])] = float(value)
-        return out
-
-    fig = FigureData(
-        name=spec.name, title=spec.title, kind="line",
+    fig = _figure(
+        spec, record, kind="line",
         ylabel="delivered, normalized to no-NIFDY at each size",
         xlabel="machine size (nodes)",
-        paper_refs=[
-            PaperRef("no-NIFDY baseline", 1.0),
-            PaperRef("paper: relative benefit must not shrink with size"),
-        ],
-        source_bench=spec.bench,
+        paper_refs=[PaperRef("no-NIFDY baseline", 1.0)],
     )
-    all_curves: Dict[str, Dict[int, float]] = {}
-    for data_key, prefix in (("normalized_by_pool", "B"),
-                             ("normalized_by_opt", "O")):
-        all_curves.update(parse(record.data[data_key], prefix))
+    all_curves = fig4_curves(record.data)
     for param in sorted(all_curves):
         curve = all_curves[param]
         sizes = sorted(curve)
         fig.series.append(Series(
             param, xs=[float(s) for s in sizes], ys=[curve[s] for s in sizes],
-        ))
-    # Fidelity: for every curve, the largest machine keeps at least ~90% of
-    # the smallest machine's normalized benefit (the paper's scalability
-    # claim: "the relative benefit does not decrease with machine size").
-    retention = []
-    for param, curve in all_curves.items():
-        sizes = sorted(curve)
-        if len(sizes) >= 2 and curve[sizes[0]] > 0:
-            retention.append(curve[sizes[-1]] / curve[sizes[0]])
-    if retention:
-        fig.fidelity.append(FidelityCheck(
-            claim="normalized benefit retained from the smallest to the "
-                  "largest machine (worst parameter curve)",
-            measured=round(min(retention), 3), reference=1.0, unit="x",
-            ok=min(retention) >= 0.9,
         ))
     fig.caption = (
         "Full fat tree, short messages, no bulk dialogs; each curve is one "
@@ -269,14 +176,12 @@ def build_fig4(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
 
 # -------------------------------------------------------------------- Fig 5
 
+@_needs("mean_peak_backlog", "finished_cycles")
 def build_fig5(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
-    reason = _need(spec, record, "mean_peak_backlog", "finished_cycles")
-    if reason:
-        return _missing(spec, reason)
     data = record.data
     configs = list(data["mean_peak_backlog"])
-    fig = FigureData(
-        name=spec.name, title=spec.title, kind="bar",
+    fig = _figure(
+        spec, record, kind="bar",
         ylabel="pending packets per receiver",
         categories=configs,
         series=[
@@ -289,25 +194,7 @@ def build_fig5(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
             "paper: without NIFDY perturbations snowball (≥20 pending); "
             "with NIFDY they dissipate"
         )],
-        source_bench=spec.bench,
     )
-    plain, nifdy = configs[0], configs[-1]
-    fig.fidelity.append(FidelityCheck(
-        claim="NIFDY's mean peak backlog vs the uncontrolled run's "
-              "(ratio; paper: clearly below 1)",
-        measured=round(data["mean_peak_backlog"][nifdy]
-                       / data["mean_peak_backlog"][plain], 3),
-        reference=1.0, unit="x",
-        ok=data["mean_peak_backlog"][nifdy] <= data["mean_peak_backlog"][plain],
-    ))
-    fig.fidelity.append(FidelityCheck(
-        claim="same transfer finishes no later under NIFDY "
-              "(finish-cycle ratio)",
-        measured=round(data["finished_cycles"][nifdy]
-                       / data["finished_cycles"][plain], 3),
-        reference=1.0, unit="x",
-        ok=data["finished_cycles"][nifdy] <= data["finished_cycles"][plain],
-    ))
     fig.table = [["configuration", "finished (cycles)", "mean peak backlog",
                   "worst backlog"]]
     for c in configs:
@@ -327,57 +214,21 @@ def build_fig5(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
 
 # -------------------------------------------------------------------- Fig 6
 
+@_needs("words_per_kcycle")
 def build_fig6(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
-    reason = _need(spec, record, "words_per_kcycle")
-    if reason:
-        return _missing(spec, reason)
     tput: Dict[str, float] = record.data["words_per_kcycle"]
     configs = list(tput)
-    fig = FigureData(
-        name=spec.name, title=spec.title, kind="bar",
+    fig = _figure(
+        spec, record, kind="bar",
         ylabel="words per kcycle",
         categories=configs,
         series=[Series("C-shift throughput", [float(tput[c]) for c in configs])],
-        paper_refs=[PaperRef(
-            "paper ordering: free-run < optimized barriers < NIFDY-; "
-            "in-order NIFDY best"
-        )],
-        source_bench=spec.bench,
     )
-
-    def get(sub: str) -> Optional[float]:
-        for name, value in tput.items():
-            if sub in name:
-                return float(value)
-        return None
-
-    freerun = get("no barriers")
-    barriers = get(", barriers")
-    flowctl = get("flow ctl")
-    inorder = get("in-order")
-    if None not in (freerun, barriers, flowctl, inorder):
-        fig.fidelity.append(FidelityCheck(
-            claim="in-order NIFDY vs optimized barriers (ratio; paper: >1)",
-            measured=round(inorder / barriers, 3), reference=1.0, unit="x",
-            ok=inorder > barriers,
-        ))
-        fig.fidelity.append(FidelityCheck(
-            claim="flow control alone vs optimized barriers (paper: >1; "
-                  "known divergence 2 -- our hardware barrier pays no "
-                  "straggler cost)",
-            measured=round(flowctl / barriers, 3), reference=1.0, unit="x",
-            ok=flowctl > barriers, divergence=flowctl <= barriers,
-        ))
-        fig.fidelity.append(FidelityCheck(
-            claim="flow control alone vs free-running phases (paper: >1)",
-            measured=round(flowctl / freerun, 3), reference=1.0, unit="x",
-            ok=flowctl > freerun,
-        ))
     fig.caption = (
         "C-shift words/kcycle across the four software configurations.  "
-        "EXPERIMENTS.md divergence 2: our NIFDY- lands ~6% behind the "
-        "optimized-barrier bar (the paper has it ahead) because the "
-        "simulated CM-5 barrier is nearly free and the C-shift offers no "
+        "EXPERIMENTS.md divergence 2 (`fig6.flow_vs_barriers`): NIFDY- "
+        "lands behind the optimized-barrier bar because the simulated "
+        "CM-5 barrier is nearly free and the C-shift offers no "
         "alternate-destination work."
     )
     return fig
@@ -385,17 +236,14 @@ def build_fig6(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
 
 # ---------------------------------------------------------------- Fig 7 / 8
 
+@_needs("cycles_per_iteration")
 def _build_em3d(spec: FigureSpec, record: Optional[BenchRecord],
                 heavy: bool) -> FigureData:
-    reason = _need(spec, record, "cycles_per_iteration")
-    if reason:
-        return _missing(spec, reason)
     rows: Dict[str, Dict[str, float]] = record.data["cycles_per_iteration"]
     networks = list(rows)
     gains = {n: rows[n]["buffered"] / rows[n]["nifdy"] for n in networks}
-    ref_gain = 2.0 if heavy else 1.10
-    fig = FigureData(
-        name=spec.name, title=spec.title, kind="bar",
+    fig = _figure(
+        spec, record, kind="bar",
         ylabel="gain: buffers-only / NIFDY cycles per iteration",
         categories=networks,
         series=[Series("in-order gain", [round(gains[n], 3) for n in networks])],
@@ -403,26 +251,11 @@ def _build_em3d(spec: FigureSpec, record: Optional[BenchRecord],
             PaperRef("parity (no gain)", 1.0),
             PaperRef(
                 "paper: up to ~2x for heavy all-to-all patterns" if heavy
-                else "paper: ~10% under light communication", ref_gain,
+                else "paper: ~10% under light communication",
+                2.0 if heavy else 1.10,
             ),
         ],
-        source_bench=spec.bench,
     )
-    fig.fidelity.append(FidelityCheck(
-        claim="the in-order library beats buffers-only in all cases "
-              "(minimum gain)",
-        measured=round(min(gains.values()), 3), reference=1.0, unit="x",
-        ok=min(gains.values()) > 1.0,
-    ))
-    mean_gain = sum(gains.values()) / len(gains)
-    fig.fidelity.append(FidelityCheck(
-        claim=("mean gain under heavy communication (paper: larger than "
-               "light's ~1.1x)" if heavy
-               else "mean gain under light communication (paper: ~1.1x)"),
-        measured=round(mean_gain, 3),
-        reference=1.35 if heavy else 1.10, unit="x",
-        ok=mean_gain > 1.08,
-    ))
     modes = ("plain", "buffered", "nifdy-", "nifdy")
     fig.table = [["network"] + list(modes) + ["gain"]]
     for n in networks:
@@ -440,74 +273,23 @@ def _build_em3d(spec: FigureSpec, record: Optional[BenchRecord],
     return fig
 
 
-def build_fig7(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
-    return _build_em3d(spec, record, heavy=False)
-
-
-def build_fig8(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
-    return _build_em3d(spec, record, heavy=True)
-
-
 # -------------------------------------------------------------------- Fig 9
 
+@_needs("scan_cycles")
 def build_fig9(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
-    reason = _need(spec, record, "scan_cycles")
-    if reason:
-        return _missing(spec, reason)
-    scans: Dict[str, int] = record.data["scan_cycles"]
     # keys: "<network>/<nic>/<delay|no-delay>"
-    networks, cells = [], {}
-    for key, value in scans.items():
-        network, nic, delay = key.split("/")
-        if network not in networks:
-            networks.append(network)
-        cells[(network, nic, delay)] = float(value)
-    combos = (("plain", "no-delay"), ("plain", "delay"),
-              ("nifdy", "no-delay"), ("nifdy", "delay"))
-    labels = {("plain", "no-delay"): "plain",
-              ("plain", "delay"): "plain + delays",
-              ("nifdy", "no-delay"): "NIFDY",
-              ("nifdy", "delay"): "NIFDY + delays"}
-    fig = FigureData(
-        name=spec.name, title=spec.title, kind="bar",
+    scans: Dict[str, int] = record.data["scan_cycles"]
+    networks = list(dict.fromkeys(key.split("/")[0] for key in scans))
+    combos = (("plain/no-delay", "plain"), ("plain/delay", "plain + delays"),
+              ("nifdy/no-delay", "NIFDY"), ("nifdy/delay", "NIFDY + delays"))
+    fig = _figure(
+        spec, record, kind="bar",
         ylabel="cycles for one 128-bucket scan (log scale)",
         categories=networks, log_y=True,
-        series=[
-            Series(labels[c],
-                   [cells.get((n,) + c, 0.0) for n in networks])
-            for c in combos
-        ],
-        paper_refs=[PaperRef(
-            "paper: inserted delays rescue the serialised scan ~8x; NIFDY "
-            "alone beats the hand-tuned delays"
-        )],
-        source_bench=spec.bench,
+        series=[Series(label, [float(scans.get(f"{n}/{cell}", 0))
+                               for n in networks])
+                for cell, label in combos],
     )
-    ft = "fattree"
-    if (ft, "plain", "no-delay") in cells:
-        rescue = cells[(ft, "plain", "no-delay")] / cells[(ft, "plain", "delay")]
-        nifdy_win = cells[(ft, "plain", "no-delay")] / cells[(ft, "nifdy", "no-delay")]
-        fig.fidelity.append(FidelityCheck(
-            claim="inserted delays rescue the serialised fat-tree scan "
-                  "(paper: ~8x)",
-            measured=round(rescue, 2), reference=8.0, unit="x",
-            ok=rescue > 4.0,
-        ))
-        fig.fidelity.append(FidelityCheck(
-            claim="NIFDY alone vs the serialised scan (paper: beats even "
-                  "hand-tuned delays, ~12x here)",
-            measured=round(nifdy_win, 2), reference=8.0, unit="x",
-            ok=cells[(ft, "nifdy", "no-delay")] < cells[(ft, "plain", "delay")],
-        ))
-    coalesce = record.data.get("coalesce_cycles")
-    if coalesce and coalesce.get("nifdy"):
-        ratio = coalesce["plain"] / coalesce["nifdy"]
-        fig.fidelity.append(FidelityCheck(
-            claim="coalesce phase with vs without NIFDY (paper: virtually "
-                  "identical)",
-            measured=round(ratio, 3), reference=1.0, unit="x",
-            ok=0.9 <= ratio <= 1.15,
-        ))
     fig.caption = (
         "Radix-sort scan: without NIFDY the byte-wide fat trees serialise "
         "(sender swamps the next pipeline stage); the locally restrictive "
@@ -524,16 +306,13 @@ def build_fig9(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
 PAPER_LATENCY_FITS = {"mesh2d": (4.0, 14.0), "fattree": (5.0, 2.0)}
 
 
+@_needs("latency_fits")
 def build_table2(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
-    reason = _need(spec, record, "latency_fits")
-    if reason:
-        return _missing(spec, reason)
     fits: Dict[str, Sequence[float]] = record.data["latency_fits"]
-    fig = FigureData(
-        name=spec.name, title=spec.title, kind="line",
+    fig = _figure(
+        spec, record, kind="line",
         ylabel="uncontended tail-arrival latency (cycles)",
         xlabel="distance (hops)",
-        source_bench=spec.bench,
     )
     distances = [1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0]
     for name in fits:
@@ -552,22 +331,6 @@ def build_table2(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
         "paper formulas are head latency; our intercept adds the 7-flit "
         "tail streaming time"
     ))
-    for name, (paper_slope, _) in PAPER_LATENCY_FITS.items():
-        if name in fits:
-            fig.fidelity.append(FidelityCheck(
-                claim=f"{name} per-hop cost vs the paper's "
-                      f"{paper_slope:.0f} cycles/hop",
-                measured=round(float(fits[name][0]), 2),
-                reference=paper_slope, unit="cycles/hop",
-                ok=abs(float(fits[name][0]) - paper_slope) <= 0.5,
-            ))
-    if "cm5" in fits:
-        fig.fidelity.append(FidelityCheck(
-            claim="CM-5 per-hop cost (4-bit time-sliced links; paper: "
-                  "round trips ~2x the full tree's -> ~16 cycles/hop)",
-            measured=round(float(fits["cm5"][0]), 2), reference=16.0,
-            unit="cycles/hop", ok=14.0 <= float(fits["cm5"][0]) <= 20.0,
-        ))
     costs = record.data.get("software_costs", {})
     fig.table = [["quantity", "cycles (paper = simulator constant)"]]
     for label, value in costs.items():
@@ -590,46 +353,19 @@ def build_table2(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
 
 # ------------------------------------------------------------------ Table 3
 
+@_needs("characteristics")
 def build_table3(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
-    reason = _need(spec, record, "characteristics")
-    if reason:
-        return _missing(spec, reason)
     rows: Dict[str, Dict] = record.data["characteristics"]
     networks = list(rows)
-    fig = FigureData(
-        name=spec.name, title=spec.title, kind="bar",
+    fig = _figure(
+        spec, record, kind="bar",
         ylabel="bytes/cycle across the bisection",
         categories=networks,
         series=[Series(
             "bisection bandwidth",
             [float(rows[n]["bisection_bytes_per_cycle"]) for n in networks],
         )],
-        paper_refs=[PaperRef(
-            "paper ordering: mesh narrow, full fat tree widest, CM-5 "
-            "variant narrowest"
-        )],
-        source_bench=spec.bench,
     )
-    by = {n: rows[n]["bisection_bytes_per_cycle"] for n in networks}
-    if {"mesh2d", "fattree", "cm5"} <= set(by):
-        fig.fidelity.append(FidelityCheck(
-            claim="full fat tree vs mesh bisection (paper: tree is the "
-                  "wide end)",
-            measured=round(by["fattree"] / by["mesh2d"], 2), reference=4.0,
-            unit="x", ok=by["fattree"] > by["mesh2d"],
-        ))
-        fig.fidelity.append(FidelityCheck(
-            claim="CM-5 variant vs full tree bisection (paper: far below, "
-                  "<1/4)",
-            measured=round(by["cm5"] / by["fattree"], 3), reference=0.25,
-            unit="x", ok=by["cm5"] < by["fattree"] / 4,
-        ))
-    if "fattree" in rows:
-        fig.fidelity.append(FidelityCheck(
-            claim="full fat tree max distance (Section 2.4.3)",
-            measured=float(rows["fattree"]["max_hops"]), reference=6.0,
-            unit="hops", ok=rows["fattree"]["max_hops"] == 6,
-        ))
     fig.table = [["network", "volume (words/node)", "bisection (B/cycle)",
                   "avg/max hops", "in-order", "latency fit"]]
     for n in networks:
@@ -658,17 +394,15 @@ def build_table3(spec: FigureSpec, record: Optional[BenchRecord]) -> FigureData:
 
 # -------------------------------------------------------------- Collectives
 
+@_needs("barrier_latency_mean", "barrier_latency_p99")
 def build_collectives(spec: FigureSpec,
                       record: Optional[BenchRecord]) -> FigureData:
-    reason = _need(spec, record, "barrier_latency_mean", "barrier_latency_p99")
-    if reason:
-        return _missing(spec, reason)
     data = record.data
     means: Dict[str, float] = data["barrier_latency_mean"]
     p99s: Dict[str, float] = data["barrier_latency_p99"]
     modes = list(means)
-    fig = FigureData(
-        name=spec.name, title=spec.title, kind="bar",
+    fig = _figure(
+        spec, record, kind="bar",
         ylabel="barrier latency (cycles, arrive → release)",
         categories=modes,
         series=[
@@ -680,33 +414,7 @@ def build_collectives(spec: FigureSpec,
             "cost, no data-network traffic); 'nic' runs the combining tree "
             "over the loaded request/reply networks"
         )],
-        source_bench=spec.bench,
     )
-    violations: Dict[str, int] = data.get("violations", {})
-    counters: Dict[str, int] = data.get("collectives", {})
-    fig.fidelity.append(FidelityCheck(
-        claim="NIC combining tree stays correct under heavy background "
-              "traffic (invariant violations, both modes)",
-        measured=float(sum(violations.values())), reference=0.0,
-        unit="violations", ok=sum(violations.values()) == 0,
-    ))
-    if counters:
-        dups = counters.get("coll_duplicates", 0)
-        fig.fidelity.append(FidelityCheck(
-            claim="no contribution double-folded on the clean run "
-                  "(duplicate collective packets)",
-            measured=float(dups), reference=0.0, unit="packets",
-            ok=dups == 0,
-        ))
-    if {"host", "nic"} <= set(means) and means["host"]:
-        ratio = float(means["nic"]) / float(means["host"])
-        fig.fidelity.append(FidelityCheck(
-            claim="data-network barrier cost over the idealised hardware "
-                  "barrier (mean-latency ratio; ≥1 by construction, small "
-                  "is good)",
-            measured=round(ratio, 2), reference=1.0, unit="x",
-            ok=1.0 <= ratio <= 6.0,
-        ))
     maxima = data.get("barrier_latency_max", {})
     cycles = data.get("cycles", {})
     fig.table = [["barrier", "mean", "p99", "max", "run cycles"]]
@@ -729,9 +437,11 @@ def build_collectives(spec: FigureSpec,
 #: The report's page order: every evaluation artifact of the paper.
 FIGURES: List[FigureSpec] = [
     FigureSpec("fig2", "Figure 2 · heavy synthetic throughput",
-               "test_fig2_heavy_synthetic", build_fig2),
+               "test_fig2_heavy_synthetic",
+               partial(_build_synthetic, heavy=True)),
     FigureSpec("fig3", "Figure 3 · light synthetic throughput",
-               "test_fig3_light_synthetic", build_fig3),
+               "test_fig3_light_synthetic",
+               partial(_build_synthetic, heavy=False)),
     FigureSpec("fig4", "Figure 4 · scalability with machine size",
                "test_fig4_scalability", build_fig4),
     FigureSpec("fig5", "Figure 5 · C-shift congestion",
@@ -739,9 +449,9 @@ FIGURES: List[FigureSpec] = [
     FigureSpec("fig6", "Figure 6 · C-shift throughput",
                "test_fig6_cshift_throughput", build_fig6),
     FigureSpec("fig7", "Figure 7 · EM3D, light communication",
-               "test_fig7_em3d_light", build_fig7),
+               "test_fig7_em3d_light", partial(_build_em3d, heavy=False)),
     FigureSpec("fig8", "Figure 8 · EM3D, heavy communication",
-               "test_fig8_em3d_heavy", build_fig8),
+               "test_fig8_em3d_heavy", partial(_build_em3d, heavy=True)),
     FigureSpec("fig9", "Figure 9 · radix-sort scan",
                "test_fig9_radix_scan", build_fig9),
     FigureSpec("table2", "Table 2 · calibration vs the CM-5",

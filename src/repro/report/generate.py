@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from .claims import DIVERGENT
+from .claims import fmt as _num
 from .figures import FIGURES, FigureData
 from .history import load_history, trajectory_figures
 from .plotting import render_figure
@@ -43,21 +45,17 @@ class ReportResult:
     history_points: int = 0
 
 
-def _slug_ok(check_ok: bool, divergence: bool) -> str:
-    if check_ok:
-        return "✅"
-    return "⚠️ known divergence" if divergence else "❌"
-
-
 def _fidelity_table(fig: FigureData) -> List[str]:
-    lines = ["| claim | measured | paper | Δ | status |",
-             "|---|---:|---:|---:|---|"]
-    for check in fig.fidelity:
-        lines.append(
-            f"| {check.claim} | {check.measured:g}{check.unit} "
-            f"| {check.reference:g}{check.unit} "
-            f"| {check.delta:+g} | {_slug_ok(check.ok, check.divergence)} |"
-        )
+    lines = ["| claim | measured | bound | margin | status |",
+             "|---|---:|---|---:|---|"]
+    for result in fig.fidelity:
+        claim = result.claim
+        where = f"{claim.section}, EXPERIMENTS.md#{claim.anchor}" \
+            if claim.anchor else claim.section
+        measured, margin = ("no data", "–") if result.measured is None else (
+            f"{_num(result.measured)}{claim.unit}", _num(result.margin, "+"))
+        lines.append(f"| `{claim.id}` ({where}): {claim.text} | {measured} "
+                     f"| {claim.bound} | {margin} | {result.status} |")
     return lines
 
 
@@ -224,7 +222,7 @@ def _index(summary: BenchSummary, figures: List[FigureData],
         "",
         "## Fidelity dashboard",
         "",
-        "| page | status | fidelity checks | worst Δ |",
+        "| page | status | claims holding | smallest margin |",
         "|---|---|---|---|",
     ]
     for fig in figures:
@@ -232,19 +230,16 @@ def _index(summary: BenchSummary, figures: List[FigureData],
         if fig.missing:
             lines.append(f"| {link} | ⬜ no data | – | – |")
             continue
-        ok = sum(1 for c in fig.fidelity if c.ok)
-        hard_fails = [c for c in fig.fidelity if not c.ok and not c.divergence]
-        soft_fails = [c for c in fig.fidelity if not c.ok and c.divergence]
-        if hard_fails:
-            status = "❌ check failed"
-        elif soft_fails:
-            status = "⚠️ known divergence"
-        else:
-            status = "✅"
-        worst = max(fig.fidelity, key=lambda c: abs(c.delta), default=None)
-        worst_txt = (f"{worst.delta:+g}{worst.unit}" if worst else "–")
+        status = ("❌ check failed" if any(r.failed for r in fig.fidelity)
+                  else "⚠️ known divergence"
+                  if any(r.status == DIVERGENT for r in fig.fidelity) else "✅")
+        ok = sum(1 for r in fig.fidelity if r.ok)
+        tight = min((r for r in fig.fidelity if r.relative_margin is not None),
+                    key=lambda r: r.relative_margin, default=None)
+        tight_txt = (f"{_num(tight.margin, '+')}{tight.claim.unit} "
+                     f"(`{tight.claim.id}`)" if tight else "–")
         lines.append(
-            f"| {link} | {status} | {ok}/{len(fig.fidelity)} | {worst_txt} |"
+            f"| {link} | {status} | {ok}/{len(fig.fidelity)} | {tight_txt} |"
         )
     lines.append("")
 

@@ -41,7 +41,6 @@ class _Transit:
         "packet",
         "flits_arrived",
         "tail_arrived",
-        "route_ready",
         "routing_scheduled",
         "choices",
         "out_link",
@@ -53,7 +52,6 @@ class _Transit:
         self.packet = packet
         self.flits_arrived = 0
         self.tail_arrived = False
-        self.route_ready = False
         self.routing_scheduled = False
         self.choices: List[RouteChoice] = []
         self.out_link: Optional[Link] = None
@@ -100,33 +98,24 @@ class InputUnit(FlitFeeder):
 
     # ------------------------------------------------------- head handling
     def _advance_head(self) -> None:
-        if not self.queue:
-            return
         transit = self.queue[0]
-        if transit.out_link is not None:
-            # Only a new head gets here, and only a head gets an out link:
-            # announcing its flits again would double-count them.
-            raise RuntimeError(f"{transit.packet} already holds an out VC")
+        if transit.routing_scheduled:
+            # Only a new head gets here, once: routing it again would
+            # claim a second out VC and announce its flits twice.
+            raise RuntimeError(f"{transit.packet} routed twice")
         if self.router.mode == STORE_AND_FORWARD and not transit.tail_arrived:
             return
-        if not transit.route_ready:
-            if not transit.routing_scheduled:
-                transit.routing_scheduled = True
-                delay = self.router.route_delay
-                if self.router.route_jitter:
-                    delay += self.router.jitter_rng.randrange(
-                        self.router.route_jitter + 1
-                    )
-                # post(): route completions fire once per packet per hop and
-                # are never cancelled.
-                self.router.sim.post(delay, self._route_done, transit)
-            return
-        self._try_allocate(transit)
+        transit.routing_scheduled = True
+        delay = self.router.route_delay
+        if self.router.route_jitter:
+            delay += self.router.jitter_rng.randrange(self.router.route_jitter + 1)
+        # post(): route completions fire once per packet per hop and are
+        # never cancelled.
+        self.router.sim.post(delay, self._route_done, transit)
 
     def _route_done(self, transit: _Transit) -> None:
         if not self.queue or self.queue[0] is not transit:
             raise RuntimeError("routing completed for a packet that moved on")
-        transit.route_ready = True
         transit.choices = self.router.route(transit.packet, self.port, self.vc)
         if not transit.choices:
             raise RuntimeError(

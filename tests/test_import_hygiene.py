@@ -24,6 +24,7 @@ OFF_RUN_PATH = (
     "numpy",
     "concurrent.futures.process",
     "repro.report",
+    "repro.report.claims",
     "repro.experiments.manifest",
     "repro.experiments.pool",
     "repro.analysis",
@@ -68,11 +69,12 @@ WORKER = (
     "assert result['delivered'] > 0, result\n"
 )
 
-#: What the worker must not load: the report package, the manifest, the
-#: pool that starts it, and the process pool machinery.
+#: What the worker must not load: the report package and its claim table,
+#: the manifest, the pool that starts it, and the process pool machinery.
 OFF_WORKER_PATH = (
     "concurrent.futures.process",
     "repro.report",
+    "repro.report.claims",
     "repro.experiments.manifest",
     "repro.experiments.pool",
 )
