@@ -12,6 +12,7 @@ per-receiver backlog is smaller and the same traffic finishes no later.
 """
 
 from repro.experiments import ExperimentSpec, cshift, run_experiment
+from repro.obs import Observability
 from repro.traffic import CShiftConfig
 
 from conftest import BENCH_SEED
@@ -30,8 +31,7 @@ def run_figure5():
             active_nodes=NODES,
             nic_mode=mode,
             seed=BENCH_SEED,
-            track_congestion=True,
-            congestion_sample_every=4000,
+            observe=Observability(events=False, sample_interval=4000),
             max_cycles=10_000_000,
         ))
     return results
@@ -45,23 +45,23 @@ def test_fig5_cshift_congestion(benchmark, report):
     for label, res in results.items():
         report.line(
             f"  {label:6s} finished={res.cycles:>9,} cycles  "
-            f"mean peak backlog={res.congestion.mean_peak_pending():5.2f}  "
-            f"worst backlog={res.congestion.peak_pending()}"
+            f"mean peak backlog={res.obs.sampler.mean_peak_pending():5.2f}  "
+            f"worst backlog={res.obs.sampler.peak_pending()}"
         )
     for label, res in results.items():
         report.line("")
         report.line(f"  heatmap ({label}); one row per 4000 cycles, one column "
                     "per receiver, darker = more pending:")
-        for row in res.congestion.heatmap_rows():
+        for row in res.obs.sampler.heatmap_rows():
             report.line("   |" + row[:NODES] + "|")
 
     report.record("finished_cycles",
                   {label: res.cycles for label, res in results.items()})
     report.record("mean_peak_backlog",
-                  {label: res.congestion.mean_peak_pending()
+                  {label: res.obs.sampler.mean_peak_pending()
                    for label, res in results.items()})
     report.record("worst_backlog",
-                  {label: res.congestion.peak_pending()
+                  {label: res.obs.sampler.peak_pending()
                    for label, res in results.items()})
 
     assert plain.completed and nifdy.completed

@@ -10,6 +10,7 @@ Run:  python examples/cshift_demo.py
 """
 
 from repro.experiments import ExperimentSpec, cshift, run_experiment
+from repro.obs import Observability
 from repro.traffic import CShiftConfig
 
 NODES = 32
@@ -24,11 +25,10 @@ def run(label, nic_mode, barriers):
         active_nodes=NODES,    # ...populated with 32 processors, as in 4.3
         nic_mode=nic_mode,
         seed=3,
-        track_congestion=True,
-        congestion_sample_every=4000,
+        observe=Observability(events=False, sample_interval=4000),
         max_cycles=8_000_000,
     ))
-    peak = result.congestion.mean_peak_pending()
+    peak = result.obs.sampler.mean_peak_pending()
     print(
         f"{label:28s} finished={result.cycles:>9,} cycles  "
         f"packets={result.delivered:>6}  mean peak backlog={peak:5.1f}"
@@ -44,10 +44,10 @@ def main() -> None:
 
     print("\nPer-receiver backlog over time (one row per sample, Figure 5):")
     print("\n  without NIFDY:")
-    for row in plain.congestion.heatmap_rows()[:14]:
+    for row in plain.obs.sampler.heatmap_rows()[:14]:
         print("   |" + row[:NODES] + "|")
     print("\n  with NIFDY:")
-    for row in nifdy.congestion.heatmap_rows()[:14]:
+    for row in nifdy.obs.sampler.heatmap_rows()[:14]:
         print("   |" + row[:NODES] + "|")
 
     speedup = barred.cycles / nifdy.cycles

@@ -85,9 +85,6 @@ class NetworkModel:
     def max_roundtrip(self) -> float:
         return self.roundtrip(self.max_hops)
 
-    def avg_roundtrip(self) -> float:
-        return roundtrip_time(self.t_lat(int(round(self.avg_hops))), self.t_ackproc)
-
 
 #: The two worked examples of Section 2.4.3.
 PAPER_MESH_8X8 = NetworkModel(

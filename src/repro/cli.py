@@ -36,9 +36,10 @@ Observability flags on ``run``: ``--metrics-out FILE`` writes the full
 structured metrics JSON (totals, latency histograms, per-NIC counters,
 protocol event counts); ``--trace-chrome FILE`` writes a Chrome-trace /
 Perfetto timeline of packet lifecycles and fault windows;
-``--sample-interval N`` records Figure-5-style time series every N cycles
-(embedded in the metrics JSON); ``--profile`` prints simulator
-self-profiling (events/sec, per-handler wall-clock).
+``--sample-interval N`` samples per-receiver backlog (Figure 5), pool, OPT,
+dialog and link state every N cycles (embedded in the metrics JSON);
+``--profile`` prints simulator self-profiling (events/sec, per-handler
+wall-clock).
 """
 
 from __future__ import annotations
@@ -236,14 +237,14 @@ def _write_observability(args, plan, result, observe) -> None:
         windows = [(e.at, e.until, e.describe()) for e in plan] if plan else []
         timeline = result.fault_injector.timeline if result.fault_injector else []
         trace = chrome_trace(
-            observe.tracer,
+            result.metrics,
             fault_windows=windows,
             fault_timeline=timeline,
             run_label=f"{args.network}/{args.traffic}/{args.nic}",
         )
         write_json(args.trace_chrome, trace)
         print(f"chrome trace     : {args.trace_chrome} "
-              f"({len(observe.tracer.traces)} packets; open in ui.perfetto.dev)")
+              f"({len(result.metrics.traces)} packets; open in ui.perfetto.dev)")
     if observe.sampler is not None:
         s = observe.sampler
         print(f"sampler          : {len(s)} samples @ {s.interval} cycles; "
@@ -613,8 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write a Chrome-trace/Perfetto JSON timeline of "
                      "packet lifecycles and fault windows")
     run.add_argument("--sample-interval", type=int, default=None, metavar="N",
-                     help="sample per-node/per-link state every N cycles "
-                     "(time series embedded in the metrics JSON)")
+                     help="sample per-receiver backlog (Figure 5) and "
+                     "per-node/per-link state every N cycles (time series "
+                     "embedded in the metrics JSON)")
     run.add_argument("--profile", action="store_true",
                      help="print simulator self-profiling "
                      "(events/sec, per-handler wall-clock)")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..faults import FaultInjector, FaultPlan
-from ..metrics import CongestionTracker, MetricsCollector, PacketTracer
+from ..metrics import MetricsCollector
 from ..networks import build_network
 from ..obs import EventBus, Observability, StateSampler
 from ..nic import NIC_MODES, CollectiveEngine, CollectiveTree, HostCollective
@@ -69,7 +69,6 @@ class ExperimentResult:
     processors: List[Processor] = field(repr=False, default_factory=list)
     nics: List = field(repr=False, default_factory=list)
     network_obj: Optional[object] = field(repr=False, default=None)
-    congestion: Optional[CongestionTracker] = field(repr=False, default=None)
     metrics: Optional[MetricsCollector] = field(repr=False, default=None)
     fault_injector: Optional[FaultInjector] = field(repr=False, default=None)
     obs: Optional[Observability] = field(repr=False, default=None)
@@ -88,17 +87,6 @@ class ExperimentResult:
         from ..report.schema import RunStats  # deferred: keep import light
 
         return RunStats.from_result(self)
-
-    def latency_percentiles(self) -> Dict[str, int]:
-        """p50/p90/p99/max of both latency histograms (zeros if the
-        collector was discarded)."""
-        out: Dict[str, int] = {}
-        for name in ("network", "total"):
-            hist = getattr(self.metrics, f"{name}_latency", None)
-            for p in ("p50", "p90", "p99"):
-                out[f"{name}_{p}"] = getattr(hist, p, 0)
-            out[f"{name}_max"] = getattr(hist, "maximum", 0)
-        return out
 
 
 def describe_stall(nics, processors, metrics) -> str:
@@ -147,10 +135,11 @@ def run_experiment(spec: ExperimentSpec, *extra, **kwargs) -> ExperimentResult:
     simulated to ``max_cycles``.  Set to 0 to disable.
 
     ``observe`` (an :class:`~repro.obs.Observability`) turns on the
-    instrumentation layer: the protocol event bus, periodic state sampling,
-    per-packet lifecycle tracing (for Chrome-trace export), and kernel
+    instrumentation layer: the protocol event bus, periodic state sampling
+    (including Figure 5's per-receiver backlog), per-packet lifecycle
+    tracing in the collector (for Chrome-trace export), and kernel
     self-profiling.  The same object comes back as ``result.obs`` with its
-    live handles (``bus``/``sampler``/``tracer``/``kernel_profile``)
+    live handles (``bus``/``sampler``/``kernel_profile``/``monitor``)
     filled in for the exporters.
     """
     if not isinstance(spec, ExperimentSpec):
@@ -238,10 +227,12 @@ def _run_spec(spec: ExperimentSpec) -> ExperimentResult:
         )
         for node in range(num_nodes)
     ]
+    tracing = observe is not None and observe.trace
     metrics = MetricsCollector(
         num_nodes,
         check_order=spec.check_order,
         record_delivery_cycles=fault_plan is not None,
+        trace_max_packets=observe.trace_max_packets if tracing else None,
     )
     metrics.attach(nics, processors)
     # Abandonment must reach two parties: the metrics (so the run can
@@ -278,21 +269,12 @@ def _run_spec(spec: ExperimentSpec) -> ExperimentResult:
                 fabric_in_order=net.delivers_in_order,
                 strict=observe.validate_strict,
             ).attach(observe.bus, nics)
-        if observe.trace:
-            # Attach AFTER the collector and the abandon rewiring so the
-            # tracer chains (not replaces) the accounting hooks.
-            observe.tracer = PacketTracer(max_packets=observe.trace_max_packets)
-            observe.tracer.attach(nics)
         if observe.sample_interval:
             observe.sampler = StateSampler(
                 sim, nics, net.links, collector=metrics,
                 interval=observe.sample_interval,
             )
             observe.sampler.start()
-    tracker = None
-    if spec.track_congestion:
-        tracker = CongestionTracker(sim, metrics, spec.congestion_sample_every)
-        tracker.start()
     for proc in processors[:active]:
         proc.start()
     for node in range(active, num_nodes):
@@ -330,8 +312,6 @@ def _run_spec(spec: ExperimentSpec) -> ExperimentResult:
                     completed = False
                     stall_report = describe_stall(nics, processors, metrics)
                     break
-    if tracker is not None:
-        tracker.stop()
     if observe is not None and observe.sampler is not None:
         observe.sampler.stop()
     violations: List[Dict] = []
@@ -362,7 +342,6 @@ def _run_spec(spec: ExperimentSpec) -> ExperimentResult:
         processors=processors,
         nics=nics,
         network_obj=net,
-        congestion=tracker,
         metrics=metrics,
         fault_injector=injector,
         obs=observe,

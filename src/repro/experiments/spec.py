@@ -74,8 +74,6 @@ class ExperimentSpec:
     kernel: str = DEFAULT_SCHEDULER
     timing: Optional[Timing] = None  # None -> CM5_TIMING
     check_order: bool = True
-    track_congestion: bool = False
-    congestion_sample_every: int = 1000
     drop_prob: float = 0.0
     retx_timeout: int = 1000
     on_exhaust: str = "abandon"
@@ -154,8 +152,6 @@ class ExperimentSpec:
             "timing": None if self.timing is None
             else dataclasses.asdict(self.timing),
             "check_order": self.check_order,
-            "track_congestion": self.track_congestion,
-            "congestion_sample_every": self.congestion_sample_every,
             "drop_prob": self.drop_prob,
             "retx_timeout": self.retx_timeout,
             "on_exhaust": self.on_exhaust,

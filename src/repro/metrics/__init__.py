@@ -1,9 +1,7 @@
-"""Measurement: delivery/latency accounting, congestion tracking, reports."""
+"""Measurement: delivery/latency accounting, per-packet traces, reports."""
 
-from .collector import MetricsCollector
-from .congestion import CongestionTracker
+from .collector import MetricsCollector, PacketTrace
 from .histogram import LatencyHistogram, LatencyStats
-from .trace import PacketTrace, PacketTracer
 from .report import (
     DegradationReport,
     LinkUtilization,
@@ -17,14 +15,12 @@ from .report import (
 )
 
 __all__ = [
-    "CongestionTracker",
     "DegradationReport",
     "LatencyHistogram",
     "LatencyStats",
     "LinkUtilization",
     "MetricsCollector",
     "PacketTrace",
-    "PacketTracer",
     "PhaseStats",
     "RecoveryStats",
     "degradation_report",

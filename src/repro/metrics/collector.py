@@ -10,20 +10,42 @@ puts on every packet.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..packets import Packet
 from .histogram import LatencyHistogram, LatencyStats  # noqa: F401  (alias)
 
 
+@dataclass
+class PacketTrace:
+    """Lifecycle timestamps of one packet (-1 = not reached)."""
+
+    uid: int
+    src: int
+    dst: int
+    created: int = -1
+    injected: int = -1
+    ejected: int = -1
+    accepted: int = -1
+    abandoned: int = -1
+
+
 class MetricsCollector:
-    """Hooks into NICs and processors to observe an experiment."""
+    """Hooks into NICs and processors to observe an experiment.
+
+    ``trace_max_packets`` set: the same hooks also stamp a
+    :class:`PacketTrace` per data packet into ``traces`` (keyed by uid, in
+    first-seen order), up to that many records; later packets only count
+    in ``dropped_records``.
+    """
 
     def __init__(
         self,
         num_nodes: int,
         check_order: bool = False,
         record_delivery_cycles: bool = False,
+        trace_max_packets: Optional[int] = None,
     ):
         self.num_nodes = num_nodes
         self.check_order = check_order
@@ -47,6 +69,11 @@ class MetricsCollector:
         #: Accept cycles in acceptance order, kept only on request (fault
         #: runs need them to cut per-phase throughput and time-to-recover).
         self.delivery_cycles: List[int] = [] if record_delivery_cycles else None
+        self.traces: Optional[Dict[int, PacketTrace]] = (
+            None if trace_max_packets is None else {}
+        )
+        self.trace_max_packets = trace_max_packets
+        self.dropped_records = 0
 
     # ------------------------------------------------------------- wiring
     def attach(self, nics, processors) -> None:
@@ -74,10 +101,14 @@ class MetricsCollector:
         # network, packets are blocked in the sender's NIFDY".
         self.injected += 1
         self.pending_per_receiver[packet.dst] += 1
+        if self.traces is not None:
+            self._stamp(packet, "injected", packet.injected_cycle)
 
     def note_abandon(self, packet: Packet) -> None:
         """A NIC gave up on ``packet`` (graceful degradation): the packet
         will never be delivered, so stop counting it as in flight."""
+        if self.traces is not None:
+            self._stamp(packet, "abandoned", packet.abandoned_cycle)
         if packet.delivered_cycle >= 0:
             # The sender released a packet whose original actually arrived
             # (only the acks were lost, e.g. a dead reply path): nothing is
@@ -90,6 +121,10 @@ class MetricsCollector:
     def note_eject(self, packet: Packet) -> None:
         """Tail flit assembled at the destination NIC: measure how far out
         of send order the network delivered this packet."""
+        if self.traces is not None:
+            # Retransmitted copies are stamped too: the trace keeps the
+            # latest copy's ejection.
+            self._stamp(packet, "ejected", packet.ejected_cycle)
         if packet.is_retransmission or packet.pair_seq < 0:
             return
         key = (packet.src, packet.dst)
@@ -107,6 +142,8 @@ class MetricsCollector:
 
     def note_accept(self, packet: Packet) -> None:
         self.delivered += 1
+        if self.traces is not None:
+            self._stamp(packet, "accepted", packet.delivered_cycle)
         if self.delivery_cycles is not None:
             self.delivery_cycles.append(packet.delivered_cycle)
         if packet.abandoned_cycle >= 0:
@@ -127,6 +164,20 @@ class MetricsCollector:
                 self.order_violations += 1
             else:
                 self._last_pair_seq[key] = packet.pair_seq
+
+    def _stamp(self, packet: Packet, stamp: str, cycle: int) -> None:
+        """Set one lifecycle stamp on ``packet``'s trace, made on first
+        sight while fewer than ``trace_max_packets`` records exist."""
+        trace = self.traces.get(packet.uid)
+        if trace is None:
+            if len(self.traces) >= self.trace_max_packets:
+                self.dropped_records += 1
+                return
+            trace = self.traces[packet.uid] = PacketTrace(
+                packet.uid, packet.src, packet.dst,
+                created=packet.created_cycle,
+            )
+        setattr(trace, stamp, cycle)
 
     # ------------------------------------------------------------ queries
     @property

@@ -149,10 +149,6 @@ class Network:
             hops.append(from_source[s][f"n{d}"])
         return sum(hops) / len(hops), max(hops)
 
-    def total_link_bandwidth(self) -> float:
-        """Aggregate fabric bandwidth in bytes/cycle."""
-        return sum(FLIT_BYTES / link.cycles_per_flit for link in self.links)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<Network {self.name} nodes={self.num_nodes} "

@@ -105,7 +105,6 @@ class BaseNIC(FlitFeeder, FlitSink):
     def __init__(self, sim: Simulator, node_id: int):
         self.sim = sim
         self.node_id = node_id
-        self._inj_links: List[Link] = []
         self._inj_by_net: Dict[int, Link] = {}
         self._ej_links: Dict[int, Link] = {}
         self._port_retries: set = set()
@@ -138,12 +137,10 @@ class BaseNIC(FlitFeeder, FlitSink):
     # ------------------------------------------------------------- wiring
     def attach_injection(self, link: Link) -> None:
         """Single injection link carrying every logical network's VCs."""
-        self._inj_links = [link]
         self._inj_by_net = {net: link for net in set(link.net_of_vc)}
 
     def attach_injection_pair(self, links: Sequence[Link]) -> None:
         """One injection link per logical network (CM-5 time-mux model)."""
-        self._inj_links = list(links)
         self._inj_by_net = {}
         for link in links:
             for net in set(link.net_of_vc):
@@ -154,13 +151,6 @@ class BaseNIC(FlitFeeder, FlitSink):
 
     def attach_ejection_pair(self, links: Sequence[Link]) -> None:
         self._ej_links = {link.sink_port: link for link in links}
-
-    @property
-    def inj_link(self) -> Link:
-        """The injection link (single-link topologies)."""
-        if len(self._inj_links) != 1:
-            raise RuntimeError("NIC has multiple injection links; use per-net")
-        return self._inj_links[0]
 
     def _inj_link_for(self, net: int) -> Link:
         return self._inj_by_net[net]

@@ -27,9 +27,10 @@ class Observability:
 
     Construct with the knobs you want and pass to
     ``run_experiment(observe=...)``; the runner fills in the live handles
-    (``bus``, ``sampler``, ``tracer``, ``kernel_profile``) which the
-    exporters then read.  A run with ``observe=None`` (the default) pays
-    only a per-emission-site ``is None`` check.
+    (``bus``, ``sampler``, ``kernel_profile``, ``monitor``) which the
+    exporters then read; per-packet traces live on the run's collector
+    (``result.metrics.traces``).  A run with ``observe=None`` (the
+    default) pays only a per-emission-site ``is None`` check.
     """
 
     #: Attach an :class:`EventBus` to NICs, links, routers, and the
@@ -39,9 +40,10 @@ class Observability:
     keep_events: int = 0
     #: Snapshot per-node/per-link state every N cycles (None = off).
     sample_interval: Optional[int] = None
-    #: Record per-packet lifecycles (required for Chrome-trace export).
+    #: Have the collector record per-packet lifecycles (required for
+    #: Chrome-trace export).
     trace: bool = False
-    #: Packet-record cap for the tracer (memory bound on huge runs).
+    #: Packet-record cap for those traces (memory bound on huge runs).
     trace_max_packets: int = 200_000
     #: Time the event loop: events/sec + per-handler wall clock.
     profile: bool = False
@@ -57,7 +59,6 @@ class Observability:
     # ---- live handles, filled by the runner --------------------------------
     bus: Optional[EventBus] = field(default=None, repr=False)
     sampler: Optional[StateSampler] = field(default=None, repr=False)
-    tracer: Optional[object] = field(default=None, repr=False)  # PacketTracer
     kernel_profile: Optional[object] = field(default=None, repr=False)
     monitor: Optional[object] = field(default=None, repr=False)  # InvariantMonitor
 

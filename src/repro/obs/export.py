@@ -34,12 +34,13 @@ def write_json(path: str, obj: Dict) -> None:
 
 
 def chrome_trace(
-    tracer,
+    collector,
     fault_windows: Sequence[Tuple[int, Optional[int], str]] = (),
     fault_timeline: Sequence[Tuple[int, str]] = (),
     run_label: str = "repro",
 ) -> Dict:
-    """Build a Trace Event Format dict from a :class:`PacketTracer`.
+    """Build a Trace Event Format dict from the packet traces of a
+    :class:`~repro.metrics.MetricsCollector` run with ``observe.trace``.
 
     ``fault_windows`` are ``(start, end_or_None, label)`` spans;
     ``fault_timeline`` are the injector's ``(cycle, text)`` instants.
@@ -60,7 +61,7 @@ def chrome_trace(
             "pid": pid, "tid": tid, "args": args or {},
         })
 
-    for trace in tracer.traces.values():
+    for trace in collector.traces.values():
         args = {"uid": trace.uid, "src": trace.src, "dst": trace.dst}
         pid, tid = trace.src, trace.dst
         if trace.created >= 0 and trace.injected >= 0:
@@ -71,8 +72,8 @@ def chrome_trace(
                 if trace.accepted >= 0:
                     phase(pid, tid, "rx", trace.ejected, trace.accepted, args)
             elif trace.accepted >= 0:
-                # No ejection timestamp (e.g. a hand-attached tracer that
-                # missed it): fall back to one network-flight span.
+                # No ejection timestamp (e.g. a hand-fed collector that
+                # never saw it): fall back to one network-flight span.
                 phase(pid, tid, "network", trace.injected, trace.accepted, args)
         if trace.abandoned >= 0:
             instant(pid, tid, "abandon", trace.abandoned, args)
@@ -104,7 +105,7 @@ def chrome_trace(
         "otherData": {
             "run": run_label,
             "clock": "1 trace us = 1 simulated cycle",
-            "dropped_packet_records": getattr(tracer, "dropped_records", 0),
+            "dropped_packet_records": collector.dropped_records,
         },
     }
 

@@ -1,11 +1,13 @@
 """Periodic state sampling: Figure-5-style time series for any run.
 
-The paper's Figure 5 plots packets-in-network over time; the O/B/D/W sizing
-arguments of Section 2.4 are really claims about *occupancy distributions*
-(how full the pool gets, how often the OPT saturates, how many dialogs are
-open at once).  The :class:`StateSampler` snapshots exactly that state on a
-fixed cycle cadence:
+The paper's Figure 5 plots, for every receiver over time, the packets
+pending for it; the O/B/D/W sizing arguments of Section 2.4 are really
+claims about *occupancy distributions* (how full the pool gets, how often
+the OPT saturates, how many dialogs are open at once).  The
+:class:`StateSampler` snapshots exactly that state on a fixed cycle
+cadence:
 
+* per-receiver pending packets (injected, not yet accepted),
 * per-node outgoing-pool occupancy and OPT fill,
 * per-node open receiver dialogs,
 * per-link busy fraction over the *last interval* (not cumulative),
@@ -27,8 +29,8 @@ class StateSampler:
     """Snapshots per-node/per-link protocol state every ``interval`` cycles.
 
     ``collector`` (a :class:`~repro.metrics.MetricsCollector`) supplies the
-    packets-in-network count; NICs are duck-typed, so plain/buffered NICs
-    (no pool, no OPT) sample as zeros rather than erroring.
+    per-receiver pending counts; NICs are duck-typed, so plain/buffered
+    NICs (no pool, no OPT) sample as zeros rather than erroring.
     """
 
     def __init__(
@@ -36,7 +38,7 @@ class StateSampler:
         sim: Simulator,
         nics: Sequence,
         links: Sequence,
-        collector=None,
+        collector,
         interval: int = 1000,
         max_samples: int = 100_000,
     ):
@@ -50,6 +52,7 @@ class StateSampler:
         self.max_samples = max_samples
         # time series (parallel lists, one entry per sample)
         self.cycles: List[int] = []
+        self.pending: List[List[int]] = []
         self.pool_occupancy: List[List[int]] = []
         self.opt_fill: List[List[int]] = []
         self.open_dialogs: List[List[int]] = []
@@ -96,12 +99,9 @@ class StateSampler:
         # Acks sent by every receiver minus acks consumed by every sender
         # = acks currently riding the reply network.
         self.acks_in_flight.append(acks_out)
-        if self.collector is not None:
-            self.packets_in_network.append(
-                sum(self.collector.pending_per_receiver)
-            )
-        else:
-            self.packets_in_network.append(0)
+        pending = list(self.collector.pending_per_receiver)
+        self.pending.append(pending)
+        self.packets_in_network.append(sum(pending))
         # Per-link busy fraction over the elapsed interval.
         span = now - self._last_cycle if self._last_cycle is not None else 0
         busy = []
@@ -127,6 +127,28 @@ class StateSampler:
 
     def peak_in_network(self) -> int:
         return max(self.packets_in_network, default=0)
+
+    def peak_pending(self) -> int:
+        """Worst per-receiver backlog seen in any sample."""
+        return max((max(row) for row in self.pending), default=0)
+
+    def mean_peak_pending(self) -> float:
+        """Average (over samples) of the worst per-receiver backlog --
+        low values mean even utilisation of receivers, the behaviour
+        Figure 5 shows NIFDY restoring."""
+        if not self.pending:
+            return 0.0
+        return sum(max(row) for row in self.pending) / len(self.pending)
+
+    def heatmap_rows(self, shades: str = " .:-=+*#%@") -> List[str]:
+        """ASCII rendering of Figure 5: one row per sample, one column per
+        receiver; darker characters mean more pending packets (saturating
+        at 20, like the paper's black)."""
+        top = len(shades) - 1
+        return [
+            "".join(shades[min(top, n * top // 20)] for n in row)
+            for row in self.pending
+        ]
 
     def mean_link_busy(self) -> float:
         """Mean busy fraction over every link and sample (skips sample 0,

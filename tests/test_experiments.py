@@ -16,6 +16,7 @@ from repro.experiments import (
 )
 from repro.nic import NifdyParams
 from repro.node import Done, Send, TrafficDriver
+from repro.obs import Observability
 from repro.packets import Packet, PacketKind
 from repro.traffic import (
     CShiftConfig,
@@ -215,13 +216,16 @@ class TestNicModes:
             best_params("hypercube")
 
     def test_congestion_tracking(self):
+        observe = Observability(events=False, sample_interval=500)
         result = run_experiment(ExperimentSpec(
             network="mesh2d", traffic=heavy_synthetic(), num_nodes=16,
-            nic_mode="plain", run_cycles=8_000, track_congestion=True,
-            congestion_sample_every=500,
+            nic_mode="plain", run_cycles=8_000, observe=observe,
         ))
-        assert result.congestion is not None
-        assert len(result.congestion.samples) >= 10
+        sampler = result.obs.sampler
+        assert len(sampler.pending) == 16  # cycles 0, 500, ..., 7500
+        assert all(len(row) == 16 for row in sampler.pending)
+        assert sampler.peak_pending() > 0
+        assert sampler.packets_in_network == [sum(r) for r in sampler.pending]
 
 
 class TestLossyRuns:

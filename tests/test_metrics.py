@@ -1,7 +1,12 @@
-"""Tests for the metrics collector and the Figure 5 congestion tracker."""
+"""Tests for the metrics collector and Figure 5's per-receiver backlog."""
 
-from repro.metrics import CongestionTracker, LatencyStats, MetricsCollector
+import pytest
+
+from repro.experiments import ExperimentSpec, cshift, run_experiment
+from repro.metrics import LatencyStats, MetricsCollector
+from repro.obs import Observability, StateSampler
 from repro.sim import Simulator
+from repro.traffic import CShiftConfig
 
 from conftest import simple_packet
 
@@ -82,20 +87,21 @@ class TestCollector:
 
 
 class TestCongestionTracker:
+    """Figure 5's per-receiver backlog, recorded by the state sampler."""
+
     def test_sampling_cadence(self):
         sim = Simulator()
-        collector = MetricsCollector(4)
-        tracker = CongestionTracker(sim, collector, sample_every=100)
-        tracker.start()
+        sampler = StateSampler(sim, [], [], MetricsCollector(4), interval=100)
+        sampler.start()
         sim.run_until(1000)
-        tracker.stop()
-        assert len(tracker.samples) == 10
-        assert tracker.sample_cycles[:3] == [0, 100, 200]
+        sampler.stop()
+        assert len(sampler.pending) == 10
+        assert sampler.cycles[:3] == [0, 100, 200]
 
     def test_snapshots_reflect_pending(self):
         sim = Simulator()
         collector = MetricsCollector(4)
-        tracker = CongestionTracker(sim, collector, sample_every=10)
+        sampler = StateSampler(sim, [], [], collector, interval=10)
         pkt = simple_packet(0, 3)
 
         def inject():
@@ -109,21 +115,58 @@ class TestCongestionTracker:
             collector.note_accept(pkt)
 
         sim.schedule(35, accept)
-        tracker.start()
+        sampler.start()
         sim.run_until(60)
-        per_sample = [row[3] for row in tracker.samples]
+        per_sample = [row[3] for row in sampler.pending]
         assert per_sample == [0, 1, 1, 1, 0, 0]
+        assert sampler.packets_in_network == per_sample
 
     def test_peak_and_heatmap(self):
         sim = Simulator()
         collector = MetricsCollector(4)
-        tracker = CongestionTracker(sim, collector, sample_every=10)
+        sampler = StateSampler(sim, [], [], collector, interval=10)
         for _ in range(25):
             collector.note_inject(simple_packet(0, 2))
-        tracker.start()
+        sampler.start()
         sim.run_until(20)
-        assert tracker.peak_pending() == 25
-        rows = tracker.heatmap_rows()
+        assert sampler.peak_pending() == 25
+        assert sampler.mean_peak_pending() == 25.0
+        rows = sampler.heatmap_rows()
         assert len(rows) == 2
         assert rows[0][2] == "@"  # saturated at 20+
         assert rows[0][0] == " "
+
+    # A Figure-5-shaped run: C-shift without barriers on a half-populated
+    # CM-5 fabric.  Literal rows of receivers 0..7 per sample (the parked
+    # receivers 8..15 stay 0): any change to what Figure 5 records, or
+    # when, fails here.
+    FIG5_ROWS = {
+        "plain": [
+            [0, 0, 0, 0, 0, 0, 0, 0], [1, 2, 2, 2, 1, 2, 2, 2],
+            [2, 2, 3, 1, 2, 2, 3, 1], [2, 3, 2, 2, 2, 3, 2, 2],
+            [2, 2, 3, 2, 2, 2, 3, 2], [2, 0, 2, 3, 2, 0, 2, 3],
+            [0, 1, 0, 2, 0, 1, 0, 2],
+        ],
+        "nifdy": [
+            [0, 0, 0, 0, 0, 0, 0, 0], [2, 3, 2, 2, 2, 2, 2, 2],
+            [3, 2, 2, 4, 1, 2, 2, 2], [2, 2, 4, 1, 3, 1, 3, 3],
+            [2, 4, 2, 2, 2, 2, 3, 2], [1, 0, 1, 2, 1, 1, 0, 2],
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", ["plain", "nifdy"])
+    def test_fig5_shaped_run_pinned(self, mode):
+        observe = Observability(events=False, sample_interval=1000)
+        result = run_experiment(ExperimentSpec(
+            network="cm5",
+            traffic=cshift(CShiftConfig(words_per_phase=24, barriers=False)),
+            num_nodes=16, active_nodes=8, nic_mode=mode, seed=11,
+            observe=observe, max_cycles=1_000_000,
+        ))
+        sampler = observe.sampler
+        expected = self.FIG5_ROWS[mode]
+        assert result.completed
+        assert result.cycles == 1000 * len(expected)
+        assert sampler.cycles == [1000 * i for i in range(len(expected))]
+        assert [row[:8] for row in sampler.pending] == expected
+        assert all(row[8:] == [0] * 8 for row in sampler.pending)

@@ -1,18 +1,20 @@
 """Tests for the unified instrumentation layer (``repro.obs``).
 
 The load-bearing guarantees: instrumentation must not change what the
-simulation does (same seed => same results, observed or not), every hook
-consumer must see every event exactly once even when several are chained,
-and the exported JSON must reconcile with the collector's accounting.
+simulation does (same seed => same results, observed or not), the
+collector's traces and the event bus must see every lifecycle event
+exactly once, and the exported JSON must reconcile with the collector's
+accounting.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.experiments import ExperimentSpec, heavy_synthetic, run_experiment
 from repro.faults import FaultPlan
-from repro.metrics import LatencyHistogram, MetricsCollector, PacketTracer
+from repro.metrics import LatencyHistogram
 from repro.obs import (
     EventBus,
     EventKind,
@@ -127,22 +129,22 @@ class TestLatencyHistogram:
 
 
 class TestHookComposition:
-    """Collector, tracer, and event bus chained on the same NICs must each
-    see every lifecycle event exactly once."""
+    """The collector's counts, its packet traces and the event bus must
+    each see every lifecycle event exactly once."""
 
     def test_all_three_consumers_agree(self):
         observe = Observability(events=True, trace=True)
         result = run_small(observe)
-        metrics, bus, tracer = result.metrics, observe.bus, observe.tracer
+        metrics, bus = result.metrics, observe.bus
         assert result.delivered > 0
         # The collector's counts are the ground truth...
         assert metrics.delivered == result.delivered
         # ...the bus counted the same inject/accept stream...
         assert bus.count(EventKind.ACCEPT) == metrics.delivered
         assert bus.count(EventKind.INJECT) == metrics.injected
-        # ...and the tracer recorded the same packets.
-        accepted = [t for t in tracer.traces.values() if t.accepted >= 0]
-        injected = [t for t in tracer.traces.values() if t.injected >= 0]
+        # ...and the traces recorded the same packets.
+        accepted = [t for t in metrics.traces.values() if t.accepted >= 0]
+        injected = [t for t in metrics.traces.values() if t.injected >= 0]
         assert len(accepted) == metrics.delivered
         assert len(injected) == metrics.injected
 
@@ -161,11 +163,10 @@ class TestHookComposition:
     def test_eject_recorded_between_inject_and_accept(self):
         observe = Observability(trace=True, events=False)
         result = run_small(observe)
-        done = [t for t in observe.tracer.traces.values() if t.accepted >= 0]
+        done = [t for t in result.metrics.traces.values() if t.accepted >= 0]
         assert done
         for t in done:
             assert t.injected <= t.ejected <= t.accepted
-            assert t.flight_time == t.ejected - t.injected
 
     def test_abandon_seen_by_collector_tracer_and_bus(self):
         plan = FaultPlan.from_shorthand(["fail@200-100000:link=*"])
@@ -178,10 +179,11 @@ class TestHookComposition:
         metrics = result.metrics
         assert metrics.abandoned > 0
         traced = [
-            t for t in observe.tracer.traces.values() if t.abandoned >= 0
+            t for t in metrics.traces.values() if t.abandoned >= 0
         ]
-        # Collector skips write-offs whose original was delivered; the
-        # tracer and bus record every abandonment the NICs performed.
+        # The abandoned count skips write-offs whose original was
+        # delivered; the traces and bus record every abandonment the NICs
+        # performed.
         nic_abandoned = sum(n.packets_abandoned for n in result.nics)
         assert observe.bus.count(EventKind.ABANDON) == nic_abandoned
         assert len(traced) == nic_abandoned
@@ -189,25 +191,6 @@ class TestHookComposition:
         # Accounting still reconciles after the losses.
         assert metrics.sent == \
             metrics.delivered + metrics.abandoned + metrics.in_flight
-
-    def test_tracer_chains_preexisting_hooks_by_hand(self):
-        # Belt and braces: wire a collector then a tracer manually (the
-        # runner does this internally) and check neither starves the other.
-        from tests.conftest import build_with_nics, drain_all, simple_packet
-
-        sim, net, nics = build_with_nics("mesh2d", 4, nic="nifdy")
-        collector = MetricsCollector(4)
-        collector.attach(nics, [])
-        tracer = PacketTracer()
-        tracer.attach(nics)
-        pkt = simple_packet(0, 3, created_cycle=0)
-        nics[0].try_send(pkt)
-        delivered = drain_all(sim, nics, expected=1)
-        assert len(delivered) == 1
-        assert collector.delivered == 1
-        trace = tracer.traces[pkt.uid]
-        assert trace.injected >= 0 and trace.ejected >= 0
-        assert trace.accepted >= 0
 
 
 class TestSampler:
@@ -297,7 +280,7 @@ class TestExporters:
         observe = Observability(events=False, trace=True)
         result = run_small(observe)
         doc = chrome_trace(
-            observe.tracer,
+            result.metrics,
             fault_windows=[(100, 400, "window"), (50, None, "instant")],
             fault_timeline=[(100, "something happened")],
             run_label="test",
@@ -309,9 +292,37 @@ class TestExporters:
         assert {"pool", "network", "rx"} <= names
         assert all(e["dur"] >= 0 for e in spans)
         # every complete packet contributes pool->network->rx spans
-        done = [t for t in observe.tracer.traces.values() if t.accepted >= 0]
+        done = [t for t in result.metrics.traces.values() if t.accepted >= 0]
         assert len([e for e in spans if e["name"] == "rx"]) == len(done)
         fault_events = [e for e in events if e.get("cat") == "fault"]
         assert len(fault_events) == 3
         meta = [e for e in events if e["ph"] == "M"]
         assert any(e["args"]["name"] == "faults" for e in meta)
+
+    @pytest.mark.parametrize("drop_prob, digest", [
+        (0.0, "f2051b3483fbd9c04170e1eb1ace11a8f3fe0ae6aaa7573b90ed0c617e861b79"),
+        # Lossy: retransmitted copies and duplicates are ejected too.
+        (0.02, "f0dc33196a98971577135a8dcb9efb073402b047ea3e7b28fcf3dbec07fa94bc"),
+    ], ids=["lossless", "lossy"])
+    def test_chrome_trace_pinned(self, drop_prob, digest):
+        """The whole trace document of a fixed run, byte for byte."""
+        observe = Observability(events=False, trace=True)
+        result = run_small(observe, drop_prob=drop_prob, retx_timeout=300)
+        doc = json.loads(json.dumps(chrome_trace(
+            result.metrics,
+            fault_windows=[(100, 400, "window")],
+            fault_timeline=[(100, "something happened")],
+            run_label="pin",
+        )))
+        # Packet uids come from a process-wide counter: rebase them on the
+        # run's first traced packet so the digest ignores earlier tests.
+        packets = [e for e in doc["traceEvents"] if "uid" in e["args"]]
+        base = min(e["args"]["uid"] for e in packets)
+        for event in packets:
+            event["args"]["uid"] -= base
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_untraced_collector_keeps_no_records(self):
+        result = run_small(Observability(events=False, sample_interval=500))
+        assert result.metrics.traces is None

@@ -258,3 +258,31 @@ class TestLoaderEdges:
         assert isinstance(stats, RunStats)
         assert stats.delivered == result.delivered
         assert load_record(stats.to_dict(stamped=True)) == stats
+
+
+class TestCheckedInArchive:
+    def test_every_archived_bench_is_defined(self):
+        """Each bench the archive names -- in a per-bench file or in the
+        merged summary -- is a ``test_*`` function of some
+        ``benchmarks/test_*.py``.  Matched by function name: one bench
+        file may define several benches."""
+        import ast
+        from pathlib import Path
+
+        bench_dir = Path(__file__).parent.parent / "benchmarks"
+        defined = {
+            node.name
+            for path in bench_dir.glob("test_*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("test_")
+        }
+        results = bench_dir / "results"
+        summary = load_record(results / "BENCH_summary.json")
+        archived = set(summary.benches)
+        archived |= {record.bench for record in summary.benches.values()}
+        for path in results.glob("*.json"):
+            if path.name != "BENCH_summary.json":
+                archived |= {path.stem, load_record(path).bench}
+        assert "test_barrier_offload" in archived
+        assert sorted(archived - defined) == []
